@@ -5,7 +5,7 @@ from repro.fitting.loss_curve import (
     LossCurveFit,
     fit_loss_curve,
 )
-from repro.fitting.nnls import nnls, nnls_fit
+from repro.fitting.nnls import LineNNLS, nnls, nnls_fit
 from repro.fitting.preprocess import (
     normalize,
     preprocess_losses,
@@ -21,6 +21,7 @@ from repro.fitting.speed_model import (
 )
 
 __all__ = [
+    "LineNNLS",
     "nnls",
     "nnls_fit",
     "remove_outliers",

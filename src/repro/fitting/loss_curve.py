@@ -9,19 +9,22 @@ and fits the coefficients with an NNLS solver. The model is nonlinear in
 it linear: ``y = b0 * k + b1``, an NNLS problem in ``(b0, b1)``. We therefore
 search over ``b2`` (coarse grid + golden-section refinement, scoring
 candidates by the residual in the *original* loss space) and solve NNLS at
-each candidate -- NNLS remains the only solver used, as in the paper.
+each candidate. That NNLS has two variables, so :class:`LineNNLS` solves it
+exactly by KKT case analysis, scoring the whole coarse grid in one
+vectorized pass; only a degenerate design (every step equal) falls back to
+the general Lawson–Hanson :func:`nnls`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import FittingError
-from repro.fitting.nnls import nnls
+from repro.fitting.nnls import LineNNLS, nnls
 from repro.fitting.preprocess import preprocess_losses
 from repro.obs.registry import active_registry
 
@@ -129,25 +132,64 @@ class LossCurveFit:
 
 
 def _nnls_for_beta2(
-    steps: np.ndarray, losses: np.ndarray, beta2: float
+    steps: np.ndarray,
+    losses: np.ndarray,
+    beta2: float,
+    line: Optional[LineNNLS],
 ) -> Optional[Tuple[float, float, float]]:
-    """NNLS solve of ``1/(l - b2) = b0*k + b1``; returns (b0, b1, rmse)."""
+    """NNLS solve of ``1/(l - b2) = b0*k + b1``; returns (b0, b1, rmse).
+
+    *line* solves it exactly; without one (a degenerate design, every step
+    equal) the general Lawson–Hanson solver does.
+    """
     shifted = losses - beta2
-    if np.any(shifted <= 1e-9):
+    if shifted.min() <= 1e-9:
         return None
     y = 1.0 / shifted
-    design = np.column_stack([steps, np.ones_like(steps)])
-    try:
-        coeffs, _ = nnls(design, y)
-    except FittingError:
-        return None
-    beta0, beta1 = float(coeffs[0]), float(coeffs[1])
+    if line is not None:
+        beta0, beta1 = line.solve(y)
+    else:
+        design = np.column_stack([steps, np.ones_like(steps)])
+        try:
+            (beta0, beta1), _ = nnls(design, y)
+        except FittingError:
+            return None
+    beta0, beta1 = float(beta0), float(beta1)
     denom = beta0 * steps + beta1
-    if np.any(denom <= 1e-12):
+    if denom.min() <= 1e-12:
         return None
-    predicted = 1.0 / denom + beta2
-    rmse = float(np.sqrt(np.mean((predicted - losses) ** 2)))
-    return beta0, beta1, rmse
+    error = 1.0 / denom + beta2 - losses
+    return beta0, beta1, math.sqrt(np.square(error).sum() / losses.size)
+
+
+def _nnls_for_grid(
+    steps: np.ndarray,
+    losses: np.ndarray,
+    grid: np.ndarray,
+    line: Optional[LineNNLS],
+) -> List[Optional[Tuple[float, float, float]]]:
+    """:func:`_nnls_for_beta2` at every ``b2`` in *grid*.
+
+    With a *line* every candidate is solved in one vectorized pass over a
+    ``(grid, m)`` matrix.
+    """
+    if line is None:
+        return [_nnls_for_beta2(steps, losses, b2, None) for b2 in grid]
+    shifted = losses - grid[:, None]
+    ok = shifted.min(axis=1) > 1e-9
+    if not ok.all():
+        shifted = np.where(ok[:, None], shifted, 1.0)
+    beta0, beta1 = line.solve(1.0 / shifted)
+    denom = beta0[:, None] * steps + beta1[:, None]
+    ok &= denom.min(axis=1) > 1e-12
+    if not ok.all():
+        denom = np.where(ok[:, None], denom, 1.0)
+    error = 1.0 / denom + grid[:, None] - losses
+    rmse = np.sqrt(np.square(error).sum(axis=1) / losses.size)
+    return [
+        (float(b0), float(b1), float(r)) if admissible else None
+        for b0, b1, r, admissible in zip(beta0, beta1, rmse, ok)
+    ]
 
 
 def fit_loss_curve(
@@ -189,26 +231,35 @@ def fit_loss_curve(
         k = np.asarray(steps, dtype=float)[order]
         vals = np.asarray(losses, dtype=float)[order]
         scale = 1.0
-    if np.any(vals <= 0):
+    if not (vals > 0).all():  # also rejects NaN
         raise FittingError("losses must be positive")
 
     min_loss = float(vals.min())
     upper = min_loss * 0.999
 
+    try:
+        line: Optional[LineNNLS] = LineNNLS(k)
+    except FittingError:
+        line = None
+
     best: Optional[Tuple[float, float, float, float]] = None  # (rmse, b0, b1, b2)
 
-    def consider(beta2: float) -> float:
+    def record(beta2: float, result: Optional[Tuple[float, float, float]]) -> float:
         nonlocal best
-        result = _nnls_for_beta2(k, vals, beta2)
         if result is None:
             return math.inf
         beta0, beta1, rmse = result
         if best is None or rmse < best[0]:
-            best = (rmse, beta0, beta1, beta2)
+            best = (rmse, beta0, beta1, float(beta2))
         return rmse
 
+    def consider(beta2: float) -> float:
+        return record(beta2, _nnls_for_beta2(k, vals, beta2, line))
+
     grid = np.linspace(0.0, upper, grid_size)
-    scores = [consider(b2) for b2 in grid]
+    scores = [
+        record(b2, result) for b2, result in zip(grid, _nnls_for_grid(k, vals, grid, line))
+    ]
 
     # Golden-section refinement around the best coarse cell.
     best_idx = int(np.argmin(scores))

@@ -4,7 +4,9 @@
 functions with an NNLS solver. We implement the classic Lawson–Hanson
 active-set algorithm ourselves (the library must not silently depend on
 ``scipy.optimize.nnls`` internals) but verify it against SciPy in the test
-suite.
+suite. The §3.1 loss-curve fit only ever solves the 2-column design
+``[k, 1]``; :class:`LineNNLS` solves that one exactly, by KKT case analysis,
+for many targets at once.
 
 Given ``A`` (m x n) and ``b`` (m,), solve::
 
@@ -89,11 +91,14 @@ def nnls(
             z_passive, *_ = np.linalg.lstsq(A[:, cols], b, rcond=None)
             z = np.zeros(n)
             z[cols] = z_passive
-            if np.all(z[cols] > tol):
+            # Feasibility is a sign test, as in Lawson–Hanson: ``tol`` bounds
+            # the dual vector, not the coefficients, which may be far smaller
+            # (a slope per step when steps reach 10^6).
+            if np.all(z[cols] > 0):
                 x = z
                 break
             # Step toward z only as far as feasibility allows.
-            blocking = cols[z[cols] <= tol]
+            blocking = cols[z[cols] <= 0]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = x[blocking] / (x[blocking] - z[blocking])
             ratios = np.where(np.isfinite(ratios), ratios, 0.0)
@@ -101,7 +106,7 @@ def nnls(
             x = x + alpha * (z - x)
             # Drop coordinates that hit zero back to the active set.
             drop = passive & (np.abs(x) <= tol * max(1.0, float(np.abs(x).max())))
-            drop &= ~(z > tol)
+            drop &= ~(z > 0)
             if not drop.any():
                 # Numerical safety: force the worst offender out.
                 worst = cols[int(np.argmin(z[cols]))]
@@ -121,3 +126,60 @@ def nnls_fit(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Convenience wrapper returning only the coefficient vector."""
     x, _ = nnls(A, b)
     return x
+
+
+class LineNNLS:
+    """Exact NNLS for the 2-column design ``[k, 1]``.
+
+    Solves ``minimize ||b0 * k + b1 - y||_2  subject to  b0, b1 >= 0`` in
+    closed form. The problem is a convex quadratic over a quadrant, so its
+    KKT conditions leave four cases:
+
+    * the unconstrained least-squares line, when both coefficients are >= 0;
+    * otherwise the optimum lies on a boundary ray: ``b1 = 0`` (the fit
+      through the origin) or ``b0 = 0`` (the constant fit), whichever removes
+      more of ``||y||^2``;
+    * ``(0, 0)``, when neither ray removes anything.
+
+    The sums that do not depend on ``y`` are computed once, so one instance
+    serves every target of a search. The slope uses the centred form
+    ``sum((k - mean k) * y) / sum((k - mean k)^2)``; raw normal equations
+    lose precision when ``k`` reaches 10^5-10^6.
+
+    Raises
+    ------
+    FittingError
+        On a degenerate design (fewer than two distinct ``k``), where the
+        slope is undetermined; use :func:`nnls` there.
+    """
+
+    def __init__(self, k: np.ndarray):
+        k = np.asarray(k, dtype=float).ravel()
+        if k.size == 0 or not np.isfinite(k).all():
+            raise FittingError("k must be non-empty and finite")
+        self._k = k
+        self._kbar = float(k.mean())
+        self._dk = k - self._kbar
+        self._sxx = float(self._dk @ self._dk)
+        self._skk = float(k @ k)
+        if not self._sxx > 0:
+            raise FittingError("degenerate design: all k are equal")
+
+    def solve(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(b0, b1)`` for each row of *y*, shape ``(..., m)``."""
+        y = np.asarray(y, dtype=float)
+        ybar = y.sum(axis=-1) / self._k.size
+        b0 = (y @ self._dk) / self._sxx
+        b1 = ybar - b0 * self._kbar
+        interior = (b0 >= 0.0) & (b1 >= 0.0)
+        if interior.all():
+            return b0, b1
+        # Each ray's clamped optimum removes (its projection)^2 from ||y||^2:
+        # (sum k*y)^2 / sum k^2 through the origin, m * mean(y)^2 for a constant.
+        ky = y @ self._k
+        slope = np.maximum(ky, 0.0) / self._skk
+        level = np.maximum(ybar, 0.0)
+        through_origin = slope * ky > self._k.size * level * level
+        b0 = np.where(interior, b0, np.where(through_origin, slope, 0.0))
+        b1 = np.where(interior, b1, np.where(through_origin, 0.0, level))
+        return b0, b1

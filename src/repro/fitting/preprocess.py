@@ -87,12 +87,12 @@ def preprocess_losses(
         raise FittingError("steps and losses must have equal length")
     if len(steps) == 0:
         raise FittingError("no data points")
-    order = np.argsort(np.asarray(steps, dtype=float))
-    sorted_steps = np.asarray(steps, dtype=float)[order]
-    sorted_losses = [float(np.asarray(losses, dtype=float)[i]) for i in order]
+    step_array = np.asarray(steps, dtype=float)
+    order = np.argsort(step_array)
+    sorted_losses = np.asarray(losses, dtype=float)[order].tolist()
     cleaned = remove_outliers(sorted_losses, window=window, margin=margin)
     normalised, scale = normalize(cleaned)
-    return sorted_steps, np.asarray(normalised), scale
+    return step_array[order], np.asarray(normalised), scale
 
 
 def subsample(

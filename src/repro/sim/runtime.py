@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.common.errors import SimulationError
+from repro.common.errors import FittingError, SimulationError
 from repro.common.rand import RandomSource
 from repro.core.allocation import TaskAllocation
 from repro.core.convergence import ConvergenceEstimator
 from repro.core.speed import SpeedEstimator
 from repro.datastore.hdfs import ChunkAssignment, ChunkStore
+from repro.obs.registry import active_registry
 from repro.ps.blocks import blocks_from_sizes
 from repro.ps.partition import mxnet_partition, paa_partition
 from repro.schedulers.base import JobView
@@ -305,8 +306,8 @@ class RuntimeJob:
                 return max(
                     self.convergence.remaining_steps(self.steps_done), floor
                 )
-            except Exception:
-                pass
+            except FittingError:
+                active_registry().counter("est.fallback.loss_fit").inc()
         prior_total = PRIOR_EPOCHS * self.steps_per_epoch
         return max(prior_total - self.steps_done, floor)
 
@@ -331,8 +332,8 @@ class RuntimeJob:
             if self.speed_estimator.can_fit:
                 try:
                     return self.speed_estimator.speed_function()
-                except Exception:
-                    pass
+                except FittingError:
+                    active_registry().counter("est.fallback.speed_fit").inc()
             return lambda p, w: self.truth.speed(p, w)  # pre-bootstrap corner
         if self.estimator_mode == "noisy":
             # A speed-estimation error of magnitude e perturbs every

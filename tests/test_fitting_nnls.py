@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.common.errors import FittingError
-from repro.fitting.nnls import nnls, nnls_fit
+from repro.fitting.nnls import LineNNLS, nnls, nnls_fit
 
 
 class TestBasics:
@@ -102,6 +102,88 @@ class TestAgainstScipy:
         x_scipy, r_scipy = scipy.optimize.nnls(A, b)
         assert np.allclose(x_ours, x_scipy, atol=1e-6)
         assert r_ours == pytest.approx(r_scipy, abs=1e-8)
+
+
+class TestWideScaleColumns:
+    def test_tiny_positive_coefficient_does_not_cycle(self):
+        # A slope far below the dual tolerance (which scales with max|A|)
+        # used to be judged infeasible, emptying the passive set until the
+        # iteration cap raised.
+        k = np.linspace(0, 1e6, 200)
+        A = np.column_stack([k, np.ones_like(k)])
+        b = 2 + 3e-7 * k
+        x, rnorm = nnls(A, b)
+        x_scipy, _ = scipy.optimize.nnls(A, b)
+        assert x == pytest.approx(x_scipy, rel=1e-9)
+        assert x == pytest.approx([3e-7, 2.0], rel=1e-9)
+        assert rnorm == pytest.approx(0.0, abs=1e-9)
+
+
+def line_problem(data, positive):
+    """A random ``[k, 1]`` problem: k spans 1..10^6, targets near a line."""
+    m = data.draw(st.integers(4, 400), label="m")
+    top = 10 ** data.draw(st.floats(0.5, 6), label="log10 kmax")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    k = np.sort(rng.uniform(1.0, top, m))
+    slope = data.draw(st.floats(-1, 1), label="slope") * 10 / top
+    level = data.draw(st.floats(-10, 10), label="level")
+    noise = data.draw(st.floats(1e-3, 3), label="noise")
+    y = slope * k + level + rng.normal(0.0, noise, m)
+    if positive:
+        y = np.abs(y) + 1e-3
+    return k, y
+
+
+class TestLineNNLS:
+    def test_interior(self):
+        k = np.array([0.0, 1.0, 2.0, 3.0])
+        b0, b1 = LineNNLS(k).solve(2.0 * k + 1.0)
+        assert (b0, b1) == (pytest.approx(2.0), pytest.approx(1.0))
+
+    def test_through_origin(self):
+        k = np.array([1.0, 2.0, 3.0, 4.0])
+        b0, b1 = LineNNLS(k).solve(3.0 * k - 2.0)  # LS intercept < 0
+        assert b1 == 0.0
+        assert b0 == pytest.approx((k @ (3.0 * k - 2.0)) / (k @ k))
+
+    def test_constant(self):
+        k = np.array([1.0, 2.0, 3.0, 4.0])
+        b0, b1 = LineNNLS(k).solve(5.0 - k)  # LS slope < 0
+        assert (b0, b1) == (0.0, pytest.approx(2.5))
+
+    def test_zero(self):
+        k = np.array([1.0, 2.0, 3.0, 4.0])
+        b0, b1 = LineNNLS(k).solve(-k)
+        assert (b0, b1) == (0.0, 0.0)
+
+    def test_rows_are_solved_independently(self):
+        k = np.array([1.0, 2.0, 3.0, 4.0])
+        ys = np.stack([2.0 * k + 1.0, 5.0 - k, -k])
+        b0, b1 = LineNNLS(k).solve(ys)
+        for y, c0, c1 in zip(ys, b0, b1):
+            s0, s1 = LineNNLS(k).solve(y)
+            assert (c0, c1) == (pytest.approx(s0, rel=1e-12), pytest.approx(s1, rel=1e-12))
+
+    def test_degenerate_design_rejected(self):
+        with pytest.raises(FittingError):
+            LineNNLS(np.full(5, 7.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), positive=st.booleans())
+    def test_matches_lawson_hanson(self, data, positive):
+        k, y = line_problem(data, positive)
+        A = np.column_stack([k, np.ones_like(k)])
+        b0, b1 = LineNNLS(k).solve(y)
+        assert b0 >= 0 and b1 >= 0
+        ours = np.linalg.norm(b0 * k + b1 - y)
+        # The floor covers float64 rounding of a residual norm computed
+        # from entries of size |y|.
+        floor = 1e-12 * np.linalg.norm(y)
+        _, r_scipy = scipy.optimize.nnls(A, y)
+        assert ours == pytest.approx(r_scipy, rel=1e-9, abs=floor)
+        _, r_lh = nnls(A, y)
+        assert ours == pytest.approx(r_lh, rel=1e-9, abs=floor)
 
 
 class TestOptimality:

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.common.errors import FittingError
 from repro.common.rand import RandomSource
 from repro.core.allocation import TaskAllocation
 from repro.datastore import ChunkStore
+from repro.obs.registry import MetricsRegistry, use_registry
 from repro.sim.runtime import PRIOR_EPOCHS, RuntimeJob, ScalingCosts
 from repro.workloads import make_job
 
@@ -157,6 +159,53 @@ class TestEstimates:
         assert view.job_id == job.spec.job_id
         assert view.remaining_steps > 0
         assert view.progress == 0.0
+
+
+class _FailingEstimator:
+    """Stands in for a fittable estimator whose fit raises *error*."""
+
+    can_fit = True
+
+    def __init__(self, error):
+        self.error = error
+
+    def remaining_steps(self, current_step):
+        raise self.error
+
+    def speed_function(self):
+        raise self.error
+
+
+class TestEstimatorFallbacks:
+    def test_loss_fit_failure_falls_back_to_prior_and_is_counted(self):
+        job = runtime()
+        job.convergence = _FailingEstimator(FittingError("no admissible b2"))
+        with use_registry(MetricsRegistry()) as metrics:
+            remaining = job.estimated_remaining_steps()
+        assert remaining == pytest.approx(PRIOR_EPOCHS * job.steps_per_epoch)
+        assert metrics.counter("est.fallback.loss_fit").value == 1
+        assert metrics.counter("est.fallback.speed_fit").value == 0
+
+    def test_speed_fit_failure_falls_back_to_truth_and_is_counted(self):
+        job = runtime()
+        job.speed_estimator = _FailingEstimator(FittingError("singular design"))
+        with use_registry(MetricsRegistry()) as metrics:
+            speed = job.speed_function()
+        assert speed(2, 3) == job.truth.speed(2, 3)
+        assert metrics.counter("est.fallback.speed_fit").value == 1
+        assert metrics.counter("est.fallback.loss_fit").value == 0
+
+    def test_other_loss_estimator_errors_propagate(self):
+        job = runtime()
+        job.convergence = _FailingEstimator(ZeroDivisionError("bug"))
+        with pytest.raises(ZeroDivisionError):
+            job.estimated_remaining_steps()
+
+    def test_other_speed_estimator_errors_propagate(self):
+        job = runtime()
+        job.speed_estimator = _FailingEstimator(ValueError("bug"))
+        with pytest.raises(ValueError):
+            job.speed_function()
 
 
 class TestImbalance:
