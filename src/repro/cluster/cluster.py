@@ -9,7 +9,6 @@ without mutating live state.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cluster.resources import ZERO, ResourceVector
@@ -36,6 +35,11 @@ class Cluster:
             self._servers[server.name] = server
         if not self._servers:
             raise ConfigurationError("a cluster needs at least one server")
+        # The server set and their capacities are fixed at construction.
+        total = ZERO
+        for server in self._servers.values():
+            total = total + server.capacity
+        self._total_capacity = total
 
     # -- constructors ---------------------------------------------------------
     @classmethod
@@ -108,17 +112,17 @@ class Cluster:
     # -- aggregates -----------------------------------------------------------
     @property
     def total_capacity(self) -> ResourceVector:
-        total = ZERO
-        for server in self:
-            total = total + server.capacity
-        return total
+        return self._total_capacity
 
     @property
     def total_used(self) -> ResourceVector:
-        total = ZERO
-        for server in self:
-            total = total + server.used
-        return total
+        # Summed in server order, exactly as chained ``ResourceVector``
+        # additions from ZERO would, so the floats are bit-identical.
+        totals: Dict[str, float] = {}
+        for server in self._servers.values():
+            for name, value in server.used.items():
+                totals[name] = totals.get(name, 0.0) + value
+        return ResourceVector._from_clean(totals)
 
     @property
     def total_available(self) -> ResourceVector:
@@ -167,8 +171,19 @@ class Cluster:
 
     # -- what-if support --------------------------------------------------------
     def snapshot(self) -> "Cluster":
-        """A deep, independent copy of the cluster state."""
-        return copy.deepcopy(self)
+        """An independent copy of the cluster state.
+
+        Each server is cloned by :meth:`Server.copy`: the immutable
+        capacity and usage vectors are shared and only the task table is
+        copied, so placing or releasing on the clone never touches the
+        original, and vice versa.
+        """
+        # Built without __init__: the server names are already unique and
+        # the clone shares the cached capacity total.
+        clone = object.__new__(Cluster)
+        clone._servers = {name: s.copy() for name, s in self._servers.items()}
+        clone._total_capacity = self._total_capacity
+        return clone
 
     def clear(self) -> None:
         """Release every task on every server."""

@@ -47,6 +47,18 @@ class Server:
     #: ResourceVector is immutable, so sharing the cached instance is safe.
     _available: ResourceVector = field(default=None, repr=False, compare=False)
 
+    def copy(self) -> "Server":
+        """An independent clone: the immutable vectors are shared and only
+        the task table is copied."""
+        return Server(
+            self.name,
+            self.capacity,
+            self.network_bandwidth,
+            self._used,
+            dict(self._tasks),
+            self._available,
+        )
+
     @property
     def used(self) -> ResourceVector:
         """Resources currently occupied by placed tasks."""

@@ -27,11 +27,16 @@ from repro.ps.partition import mxnet_partition, paa_partition
 from repro.schedulers.base import JobView
 from repro.workloads.job import JobSpec
 from repro.workloads.loss import LossEmitter
+from repro.workloads.profiles import ModelProfile
 from repro.workloads.speed import MODE_SYNC, StepTimeModel
 
 #: Fallback prior for jobs too young to fit a convergence curve: assume this
 #: many epochs remain (the §4.1 priority factor compensates for its bias).
 PRIOR_EPOCHS = 30.0
+
+#: Process-wide PAA imbalance factors, ``profile -> {num_ps: factor}``: PAA
+#: is deterministic per model type, so every job of one profile shares them.
+_PAA_IMBALANCE: Dict[ModelProfile, Dict[int, float]] = {}
 
 ESTIMATOR_MODES = ("online", "oracle", "noisy")
 
@@ -154,7 +159,14 @@ class RuntimeJob:
         self.chunk_assignment: Optional[ChunkAssignment] = None
         self.chunks_moved = 0
 
-        self._imbalance_cache: Dict[int, float] = {}
+        # num_ps -> imbalance factor. PAA is deterministic per model type,
+        # so its factors live in one process-wide table per profile; MXNet's
+        # partition is seeded per job, so it keeps a per-job cache.
+        self._imbalance_cache: Dict[int, float] = (
+            _PAA_IMBALANCE.setdefault(spec.profile, {})
+            if partition_algorithm == "paa"
+            else {}
+        )
         self._speed_rng = self._seed.child("speed-measure").rng
 
     # -- data serving --------------------------------------------------------
@@ -334,7 +346,7 @@ class RuntimeJob:
                     return self.speed_estimator.speed_function()
                 except FittingError:
                     active_registry().counter("est.fallback.speed_fit").inc()
-            return lambda p, w: self.truth.speed(p, w)  # pre-bootstrap corner
+            return self.truth.speed  # pre-bootstrap corner
         if self.estimator_mode == "noisy":
             # A speed-estimation error of magnitude e perturbs every
             # configuration's predicted speed independently (a mis-fitted
@@ -355,7 +367,7 @@ class RuntimeJob:
                 )
 
             return noisy_speed
-        return lambda p, w: self.truth.speed(p, w)
+        return self.truth.speed
 
     def loss_efficiency(self) -> float:
         """The loss-curve statistical-efficiency term (goodput policies).

@@ -31,7 +31,7 @@ parametric Eqn-3/Eqn-4 speed functions to noisy measurements of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rand import SeedLike, spawn_rng
@@ -43,6 +43,11 @@ MODES = (MODE_SYNC, MODE_ASYNC)
 
 #: server -> (num_workers, num_ps) for one job.
 PlacementLayout = Mapping[str, Tuple[int, int]]
+
+#: Process-wide Eqn-2 speed tables: one ``(p, w) -> speed`` dict per
+#: ``(profile, mode, bandwidth)``, shared by every model built with that
+#: key (the ground truth is a pure function of it).
+_SPEED_TABLES: Dict[tuple, Dict[Tuple[int, int], float]] = {}
 
 
 def validate_mode(mode: str) -> str:
@@ -86,6 +91,10 @@ class StepTimeModel:
         if bandwidth <= 0:
             raise ConfigurationError("bandwidth must be positive")
         self.bandwidth = float(bandwidth)
+        # Resolved once here so the hot path never hashes the profile.
+        self._speed_table = _SPEED_TABLES.setdefault(
+            (profile, self.mode, self.bandwidth), {}
+        )
 
     # -- Eqn-2 ingredients ------------------------------------------------------
     def mini_batch(self, w: int) -> float:
@@ -208,11 +217,27 @@ class StepTimeModel:
 
         Asynchronous: total steps completed by all workers per second,
         ``w / T``. Synchronous: global steps per second, ``1 / T``.
+
+        A plain call -- no ``placement``, ``imbalance == 1.0`` and no
+        ``bandwidths`` -- is served from the process-wide table of this
+        model's ``(profile, mode, bandwidth)``, keyed by ``(p, w)``. A miss
+        computes the value through :meth:`breakdown` and stores it, so a
+        hit returns exactly the float an uncached call would. Invalid
+        ``(p, w)`` raise before anything is stored, and therefore on every
+        call. Calls with any of the three extra arguments bypass the table.
+        ``p`` and ``w`` are scalars (an array raises ``TypeError``).
         """
+        plain = placement is None and imbalance == 1.0 and bandwidths is None
+        if plain:
+            try:
+                return self._speed_table[(p, w)]
+            except KeyError:
+                pass
         t = self.step_time(p, w, placement, imbalance, bandwidths)
-        if self.mode == MODE_ASYNC:
-            return w / t
-        return 1.0 / t
+        value = w / t if self.mode == MODE_ASYNC else 1.0 / t
+        if plain:
+            self._speed_table[(p, w)] = value
+        return value
 
     def measured_speed(
         self,

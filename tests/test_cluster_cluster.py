@@ -1,8 +1,12 @@
 """Tests for cluster-level bookkeeping."""
 
+import copy
+import random
+
 import pytest
 
-from repro.cluster import Cluster, Server, cpu_mem
+from repro.cluster import Cluster, ResourceVector, Server, cpu_mem
+from repro.cluster.resources import ZERO
 from repro.cluster.server import ROLE_PS, ROLE_WORKER
 from repro.common.errors import ConfigurationError
 
@@ -105,3 +109,72 @@ class TestSnapshot:
         cluster.place("node-1", ("j1", ROLE_PS, 0), DEMAND)
         snap = cluster.snapshot()
         assert snap.job_placement("j1") == {"node-1": {"worker": 0, "ps": 1}}
+
+
+def exact(vector):
+    """A vector's amounts as a plain dict: compares floats bit for bit."""
+    return dict(vector.items())
+
+
+def fractional_cluster():
+    """The testbed shape, filled with seeded fractional CPU/memory/GPU tasks."""
+    cluster = Cluster.testbed()
+    rng = random.Random(7)
+    for i in range(60):
+        demand = ResourceVector(
+            {
+                "cpu": round(rng.uniform(0.1, 2.5), 3),
+                "memory": rng.uniform(0.3, 6.0),
+                "gpu": rng.choice([0.0, 0.25, 0.5]),
+            }
+        )
+        fits = [s.name for s in cluster if s.can_fit(demand)]
+        if fits:
+            role = ROLE_WORKER if i % 3 else ROLE_PS
+            cluster.place(rng.choice(fits), (f"j{i % 9}", role, i), demand)
+    return cluster
+
+
+class TestShallowSnapshot:
+    def test_clone_matches_deepcopy(self):
+        cluster = fractional_cluster()
+        deep, snap = copy.deepcopy(cluster), cluster.snapshot()
+        assert cluster.placed_task_count() > 40
+        for expected, server in zip(deep, snap):
+            assert server.name == expected.name
+            assert server.network_bandwidth == expected.network_bandwidth
+            assert exact(server.capacity) == exact(expected.capacity)
+            assert exact(server.used) == exact(expected.used)
+            assert exact(server.available) == exact(expected.available)
+            assert {k: exact(v) for k, v in server._tasks.items()} == {
+                k: exact(v) for k, v in expected._tasks.items()
+            }
+
+    def test_clone_and_original_are_independent(self):
+        cluster = fractional_cluster()
+        before = copy.deepcopy(cluster)
+        snap = cluster.snapshot()
+        victim = next(s for s in snap if s.task_keys)
+        snap.release(victim.name, victim.task_keys[0])
+        snap.release_job("j1")
+        target = max(snap, key=lambda s: s.available.get("cpu"))
+        snap.place(target.name, ("new", ROLE_WORKER, 0), cpu_mem(0.5, 0.5))
+        for expected, server in zip(before, cluster):
+            assert exact(server.used) == exact(expected.used)
+            assert server.task_keys == expected.task_keys
+        # ... and the other way round.
+        frozen = [(exact(s.used), s.task_keys) for s in snap]
+        cluster.release_job("j2")
+        cluster.place(target.name, ("other", ROLE_PS, 0), cpu_mem(0.25, 0.25))
+        assert [(exact(s.used), s.task_keys) for s in snap] == frozen
+
+    def test_totals_are_bit_identical(self):
+        cluster = fractional_cluster()
+        for view in (cluster, cluster.snapshot()):
+            capacity, used = ZERO, ZERO
+            for server in view:
+                capacity = capacity + server.capacity
+                used = used + server.used
+            assert exact(view.total_capacity) == exact(capacity)
+            assert exact(view.total_used) == exact(used)
+            assert exact(view.total_available) == exact(capacity - used)
