@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
 from repro.cluster.server import ROLE_PS, ROLE_WORKER, Server
-from repro.common.errors import PlacementError
+from repro.common.errors import ConfigurationError, PlacementError
 from repro.obs.registry import active_registry
 
 #: server name -> (num workers, num ps) for one job.
@@ -131,7 +131,7 @@ class PlacementCache:
         for server_name, counts in layout.items():
             try:
                 server = cluster.server(server_name)
-            except Exception:
+            except ConfigurationError:  # unknown server name
                 return False
             demand = demand_cache.get(counts)
             if demand is None:

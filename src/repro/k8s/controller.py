@@ -311,21 +311,26 @@ class JobController:
             pass
 
     # -- reconciliation ---------------------------------------------------------
-    def _current_layout(self, job_id: str) -> Dict[str, Tuple[int, int]]:
+    @staticmethod
+    def _layout_of(pods: List[PodSpec]) -> Dict[str, Tuple[int, int]]:
         layout: Dict[str, List[int]] = {}
-        for pod in self.api.list_pods(job_id=job_id):
+        for pod in pods:
             if pod.node is None:
                 continue
             counts = layout.setdefault(pod.node, [0, 0])
             counts[0 if pod.role == "worker" else 1] += 1
         return {node: (c[0], c[1]) for node, c in layout.items()}
 
-    def _teardown_job(self, job_id: str) -> int:
+    def _delete_pods(self, pods: List[PodSpec]) -> int:
         deleted = 0
-        for pod in self.api.list_pods(job_id=job_id):
+        for pod in pods:
             if self.api.delete_pod(pod.name):
                 deleted += 1
         return deleted
+
+    def _teardown_job(self, job_id: str) -> int:
+        """Delete every pod the store holds for *job_id* right now."""
+        return self._delete_pods(self.api.list_pods(job_id=job_id))
 
     def _launch_job(self, target: JobTarget) -> int:
         created = 0
@@ -370,7 +375,8 @@ class JobController:
     ) -> bool:
         """Undo a failed mid-flight rescale: restore the previous pods.
 
-        Tears down whatever the partial launch created, then re-creates and
+        Tears down whatever the partial launch created -- read fresh, since
+        those pods postdate the pass's pod snapshot -- then re-creates and
         re-binds the pods the job ran with before (their restart counters
         bumped -- the containers really did restart). Returns ``False`` when
         even the restore fails; the job is then left fully torn down, which
@@ -440,7 +446,14 @@ class JobController:
             return report
 
         desired = {t.job_id: t for t in targets}
-        existing_jobs = {pod.job_id for pod in self.api.list_pods()}
+        # One read of the pod table drives the whole pass. A job's pods
+        # change only inside that job's own cycle below, so its slice of
+        # the snapshot stays exact until the cycle touches it; a rollback
+        # re-reads (the partial launch made pods the snapshot lacks).
+        pods_by_job: Dict[str, List[PodSpec]] = {}
+        for pod in self.api.list_pods():
+            pods_by_job.setdefault(pod.job_id, []).append(pod)
+        existing_jobs = set(pods_by_job)
         if scope is not None:
             existing_jobs &= set(scope) | set(desired)
 
@@ -457,7 +470,7 @@ class JobController:
                     )
                     self._crash(CRASH_AFTER_CHECKPOINT, job_id)
                 with self.spans.span("teardown", job_id=job_id):
-                    report.pods_deleted += self._teardown_job(job_id)
+                    report.pods_deleted += self._delete_pods(pods_by_job[job_id])
                     self._crash(CRASH_AFTER_TEARDOWN, job_id)
                 self.clear_intent(job_id)
                 self.release_job(job_id)
@@ -468,8 +481,8 @@ class JobController:
                     raise
 
         for job_id, target in desired.items():
-            current = self._current_layout(job_id)
-            if current == _live_layout(target.layout):
+            pods = pods_by_job.get(job_id, [])
+            if self._layout_of(pods) == _live_layout(target.layout):
                 # Unchanged: keep running (no scaling cost), but refresh the
                 # progress checkpoint so a scheduler crash loses at most one
                 # interval of training (§5.5).
@@ -483,12 +496,9 @@ class JobController:
                             finalize()
                             raise
                 continue
-            previous_pods: List[PodSpec] = []
+            previous_pods = [p for p in pods if p.bound]
             if job_id in existing_jobs:
                 try:
-                    previous_pods = [
-                        p for p in self.api.list_pods(job_id=job_id) if p.bound
-                    ]
                     with self.spans.span("checkpoint", job_id=job_id):
                         if self.save_checkpoint(
                             job_id, job_progress.get(job_id, 0.0)
@@ -499,7 +509,7 @@ class JobController:
                         )
                         self._crash(CRASH_AFTER_CHECKPOINT, job_id)
                     with self.spans.span("teardown", job_id=job_id):
-                        report.pods_deleted += self._teardown_job(job_id)
+                        report.pods_deleted += self._delete_pods(pods)
                         self._put_intent(
                             JobIntent.for_target(target, INTENT_TORN_DOWN)
                         )
@@ -574,7 +584,8 @@ class JobController:
                 self.release_job(job_id)
                 outcomes.append((job_id, intent.phase, REPLAY_TORN_DOWN))
                 continue
-            if self._current_layout(job_id) == _live_layout(intent.layout):
+            current = self._layout_of(self.api.list_pods(job_id=job_id))
+            if current == _live_layout(intent.layout):
                 # Crashed after the launch completed; just seal the cycle.
                 self._put_intent(intent.with_phase(INTENT_DONE))
                 outcomes.append((job_id, intent.phase, REPLAY_COMPLETED))

@@ -127,11 +127,11 @@ class KVStore:
 
     # -- queries ------------------------------------------------------------------
     def list_prefix(self, prefix: str) -> Dict[str, str]:
-        """All key/value pairs whose key starts with *prefix*."""
+        """All key/value pairs whose key starts with *prefix*, sorted by key."""
+        data = self._data
         return {
-            key: value
-            for key, (value, _) in sorted(self._data.items())
-            if key.startswith(prefix)
+            key: data[key][0]
+            for key in sorted(key for key in data if key.startswith(prefix))
         }
 
     def keys(self, pattern: str = "*") -> List[str]:

@@ -1,5 +1,9 @@
 """Tests for the deployment control loop (§5.5)."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.cluster import cpu_mem
@@ -137,3 +141,117 @@ class TestControlLoop:
         for pod in api.list_pods():
             per_job[pod.job_id] = per_job.get(pod.job_id, 0) + 1
         assert set(per_job) == {"a", "b"}
+
+
+#: Active jobs per step of the pinned scenario: j1 pauses at step 3 and
+#: resumes at step 4, n2 is cordoned before step 6, j0 finishes at step 7,
+#: j2 and j4 at step 9.
+PINNED_SCHEDULE = (
+    ("j0", "j1"),
+    ("j0", "j1", "j2"),
+    ("j0", "j1", "j2", "j3"),
+    ("j0", "j2", "j3"),
+    ("j0", "j1", "j2", "j3"),
+    ("j0", "j1", "j2", "j3", "j4"),
+    ("j0", "j1", "j2", "j3", "j4"),
+    ("j1", "j2", "j3", "j4", "j5"),
+    ("j1", "j2", "j3", "j4", "j5"),
+    ("j1", "j3", "j5"),
+)
+PINNED_MODELS = ("seq2seq", "cnn-rand", "resnet-50", "rnn-lstm", "inception-bn", "dssm")
+
+#: Per step: (pods_created, pods_deleted, checkpoints_saved,
+#: checkpoints_restored, jobs_scaled, progress_updates, jobs_rolled_back,
+#: jobs_failed, paused).
+PINNED_REPORTS = [
+    (16, 0, 0, 0, ("j1", "j0"), 0, (), (), ()),
+    (17, 16, 2, 2, ("j1", "j0", "j2"), 0, (), (), ()),
+    (7, 17, 3, 2, ("j1", "j2"), 0, ("j3", "j0"), (), ()),
+    (5, 14, 3, 1, ("j2",), 0, ("j3", "j0"), (), ()),
+    (14, 12, 2, 3, ("j1", "j0", "j2"), 0, ("j3",), (), ()),
+    (5, 14, 3, 1, ("j1", "j3"), 0, ("j0", "j2", "j4"), (), ()),
+    (13, 14, 3, 3, ("j0", "j3", "j2", "j4"), 1, (), (), ()),
+    (4, 8, 2, 1, ("j4",), 3, ("j5",), (), ()),
+    (16, 11, 4, 4, ("j1", "j3", "j2", "j5", "j4"), 0, (), (), ()),
+    (7, 14, 4, 2, ("j3", "j5"), 1, (), (), ()),
+]
+#: The final ``store.list_prefix("/")``: its keys outside ``/pods/`` and a
+#: SHA-256 of every (key, value) pair in listing order.
+PINNED_META_KEYS = (
+    [f"/checkpoints/j{i}" for i in range(6)]
+    + ["/intents/j1", "/intents/j3", "/intents/j5"]
+    + ["/managed/j1", "/managed/j3", "/managed/j5"]
+    + [f"/nodes/n{i}" for i in range(8)]
+)
+PINNED_POD_COUNT = 9
+PINNED_STORE_SHA256 = "b5345dc97364eebdc455d117a19d0fe0e6a94ecf613f6cd74b82bc956d3e3010"
+
+
+class TestPinnedReconcileBehaviour:
+    """A seeded multi-step loop pinned to reports and store recorded earlier.
+
+    Covers launches, rescales, rollbacks on a full cluster, a pause and a
+    resume from checkpoint, finishes and a cordoned node; any change to
+    how reconcile reads or writes the store shows up here.
+    """
+
+    @staticmethod
+    def run_scenario():
+        rng = np.random.default_rng(17)
+        api = APIServer()
+        for i in range(8):
+            api.register_node(f"n{i}", cpu_mem(16, 64))
+        loop = ControlLoop(api, OptimusScheduler())
+        specs = {
+            f"j{i}": make_job(model, mode="sync", job_id=f"j{i}")
+            for i, model in enumerate(PINNED_MODELS)
+        }
+        truths = {
+            job_id: StepTimeModel(spec.profile, "sync")
+            for job_id, spec in specs.items()
+        }
+        remaining = {job_id: float(rng.integers(20_000, 200_000)) for job_id in specs}
+        progress = dict.fromkeys(specs, 0.0)
+        reports = []
+        for step, active in enumerate(PINNED_SCHEDULE):
+            if step == 6:
+                api.cordon_node("n2")
+            for job_id in active:
+                remaining[job_id] = max(
+                    remaining[job_id] * float(rng.uniform(0.3, 0.9)), 10.0
+                )
+            views = [
+                JobView(
+                    spec=specs[job_id],
+                    remaining_steps=remaining[job_id],
+                    speed=truths[job_id].speed,
+                    observation_count=100,
+                )
+                for job_id in active
+            ]
+            report = loop.step(views, progress=dict(progress))
+            rec = report.reconcile
+            reports.append(
+                (
+                    rec.pods_created,
+                    rec.pods_deleted,
+                    rec.checkpoints_saved,
+                    rec.checkpoints_restored,
+                    rec.jobs_scaled,
+                    rec.progress_updates,
+                    rec.jobs_rolled_back,
+                    rec.jobs_failed,
+                    report.paused,
+                )
+            )
+            for job_id in active:
+                progress[job_id] += float(rng.integers(100, 1000))
+        return reports, api.store.list_prefix("/")
+
+    def test_reports_and_store_match_recording(self):
+        reports, store = self.run_scenario()
+        assert reports == PINNED_REPORTS
+        assert [k for k in store if not k.startswith("/pods/")] == PINNED_META_KEYS
+        assert sum(k.startswith("/pods/") for k in store) == PINNED_POD_COUNT
+        digest = hashlib.sha256(json.dumps(list(store.items())).encode()).hexdigest()
+        assert digest == PINNED_STORE_SHA256

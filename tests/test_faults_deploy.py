@@ -93,6 +93,26 @@ class TestReconcileRollback:
         assert len([p for p in api.list_pods(job_id="a") if p.bound]) == 2
 
 
+    def test_rollback_reads_pods_fresh(self, api):
+        # The relaunch creates and binds worker-0 on n1, then creates
+        # worker-1 and fails to bind it: the rollback must see both new
+        # pods (they are not in the pass's pod snapshot) and remove them.
+        controller = JobController(api)
+        controller.reconcile([target("a", {"n0": (1, 1)})])
+        before = {p.name: p.node for p in api.list_pods(job_id="a")}
+
+        report = controller.reconcile(
+            [target("a", {"n1": (1, 0), "ghost-node": (1, 0)})],
+            raise_on_failure=False,
+        )
+        assert report.jobs_rolled_back == ("a",)
+        pods = api.list_pods(job_id="a")
+        assert {p.name: p.node for p in pods} == before
+        assert all(p.restarts == 1 for p in pods)
+        assert api.node("n1").allocated == cpu_mem(0, 0)
+        assert api.node("n0").allocatable == cpu_mem(16 - 4, 64 - 8)
+
+
 class FlipFlopScheduler(Scheduler):
     """First decision fits; every later one overcommits the same job."""
 

@@ -106,3 +106,49 @@ class TestReconcile:
         controller.reconcile([], job_progress={"j1": 77.0})  # paused
         report = controller.reconcile([target("j1", {"n1": (1, 1)})])
         assert report.checkpoints_restored == 1
+
+
+class TestSinglePodReadPerPass:
+    """Reconcile reads the pod table once per pass, however many jobs."""
+
+    @pytest.fixture
+    def pod_reads(self, monkeypatch):
+        calls = []
+        list_pods = APIServer.list_pods
+
+        def spy(self, *args, **kwargs):
+            calls.append((args, kwargs))
+            return list_pods(self, *args, **kwargs)
+
+        monkeypatch.setattr(APIServer, "list_pods", spy)
+        return calls
+
+    def test_steady_state_pass(self, api, controller, pod_reads):
+        targets = [target(f"j{i}", {f"n{i % 4}": (1, 0)}) for i in range(8)]
+        controller.reconcile(targets)
+        pod_reads.clear()
+        report = controller.reconcile(targets, job_progress={"j0": 1.0})
+        assert len(pod_reads) == 1
+        assert (report.pods_created, report.pods_deleted) == (0, 0)
+        assert report.progress_updates == 1
+
+    def test_launch_rescale_and_teardown_pass(self, api, controller, pod_reads):
+        controller.reconcile(
+            [
+                target("keep", {"n0": (1, 0)}),
+                target("grow", {"n1": (1, 0)}),
+                target("gone", {"n2": (1, 0)}),
+            ]
+        )
+        pod_reads.clear()
+        report = controller.reconcile(
+            [
+                target("keep", {"n0": (1, 0)}),
+                target("grow", {"n1": (1, 0), "n3": (1, 0)}),
+                target("new", {"n2": (1, 0)}),
+            ]
+        )
+        assert len(pod_reads) == 1
+        assert report.jobs_scaled == ("grow", "new")
+        assert (report.pods_created, report.pods_deleted) == (3, 2)
+        assert {p.job_id for p in api.list_pods()} == {"keep", "grow", "new"}

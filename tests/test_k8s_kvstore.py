@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import KVStoreError
+from repro.faults.kv import RetryingKVStore
+from repro.k8s.election import FencedKVStore, LeaderElection
 from repro.k8s.kvstore import KVStore
 
 
@@ -76,6 +78,26 @@ class TestQueries:
         store.put("/pods/b", "2")
         store.put("/nodes/x", "3")
         assert store.list_prefix("/pods/") == {"/pods/a": "1", "/pods/b": "2"}
+
+    @pytest.mark.parametrize("front", ["plain", "fenced", "retrying"])
+    def test_list_prefix_exact_matches_sorted(self, store, front):
+        # Inserted out of order, with near-prefixes on both sides of the
+        # matching range.
+        for key in ("/podsx", "/pods/b/1", "/nodes/n1", "/pods/a", "/pod",
+                    "/pods/", "/pods/b", "/nodes/n0", "/pods/a/0", "/podsx/a"):
+            store.put(key, key.upper())
+        if front == "fenced":
+            election = LeaderElection(store, "a", ttl=5.0)
+            election.campaign(0.0)
+            store = FencedKVStore(store, election)
+        elif front == "retrying":
+            store = RetryingKVStore(store)
+        listed = store.list_prefix("/pods/")
+        expected = ["/pods/", "/pods/a", "/pods/a/0", "/pods/b", "/pods/b/1"]
+        assert list(listed) == expected
+        assert listed == {key: key.upper() for key in expected}
+        assert list(store.list_prefix("/nodes/")) == ["/nodes/n0", "/nodes/n1"]
+        assert store.list_prefix("/missing/") == {}
 
     def test_keys_glob(self, store):
         store.put("/pods/a", "1")

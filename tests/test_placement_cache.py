@@ -10,6 +10,8 @@ layout no longer fits the live cluster.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster import Cluster, cpu_mem
 from repro.core.placement import PlacementCache, PlacementRequest
 from repro.obs import MetricsRegistry
@@ -92,6 +94,16 @@ class TestPlacementCacheUnit:
     def test_validate_rejects_unknown_server(self):
         cache = PlacementCache()
         assert not cache.validate(cluster(), request(), {"node-99": (3, 2)})
+
+    def test_validate_propagates_other_errors(self, monkeypatch):
+        # Only an unknown server means "not replayable"; any other failure
+        # of the lookup is a bug and must surface, not read as a miss.
+        def broken(self, name):
+            raise RuntimeError("lookup bug")
+
+        monkeypatch.setattr(Cluster, "server", broken)
+        with pytest.raises(RuntimeError, match="lookup bug"):
+            PlacementCache().validate(cluster(), request(), {"node-0": (3, 2)})
 
     def test_validate_rejects_full_server(self):
         c = cluster()
