@@ -78,6 +78,9 @@ class ResourceVector(Mapping[str, float]):
     def items(self) -> Iterable[Tuple[str, float]]:
         return self._amounts.items()
 
+    def values(self) -> Iterable[float]:
+        return self._amounts.values()
+
     def types(self) -> Tuple[str, ...]:
         """Resource types with a strictly positive amount."""
         return tuple(self._amounts)
@@ -139,7 +142,11 @@ class ResourceVector(Mapping[str, float]):
         return all(abs(self.get(n) - other.get(n)) <= 1e-9 for n in names)
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted((k, round(v, 9)) for k, v in self._amounts.items())))
+        # Consistent with __eq__'s 1e-9 tolerance: equal vectors always have
+        # the same key set (stored amounts exceed 1e-9, missing ones count
+        # as 0), whereas any rounding of the amounts can split two equal
+        # vectors across a rounding boundary.
+        return hash(frozenset(self._amounts))
 
     def is_zero(self) -> bool:
         return not self._amounts

@@ -46,6 +46,8 @@ class Server:
     #: Cached ``capacity - used``; recomputed lazily after place/release.
     #: ResourceVector is immutable, so sharing the cached instance is safe.
     _available: ResourceVector = field(default=None, repr=False, compare=False)
+    #: Cached :attr:`availability_rank`, reset together with ``_available``.
+    _rank: Tuple[float, float, str] = field(default=None, repr=False, compare=False)
 
     def copy(self) -> "Server":
         """An independent clone: the immutable vectors are shared and only
@@ -57,6 +59,7 @@ class Server:
             self._used,
             dict(self._tasks),
             self._available,
+            self._rank,
         )
 
     @property
@@ -70,6 +73,18 @@ class Server:
         if self._available is None:
             self._available = self.capacity - self._used
         return self._available
+
+    @property
+    def availability_rank(self) -> Tuple[float, float, str]:
+        """Sort key putting the most-available servers first (§4.2).
+
+        ``(-available CPU, -sum of available amounts, name)``: the heap key
+        of :func:`repro.core.placement.place_jobs`.
+        """
+        if self._rank is None:
+            available = self.available
+            self._rank = (-available.get("cpu"), -sum(available.values()), self.name)
+        return self._rank
 
     @property
     def task_keys(self) -> Tuple[TaskKey, ...]:
@@ -108,6 +123,7 @@ class Server:
         self._tasks[key] = demand
         self._used = self._used + demand
         self._available = None
+        self._rank = None
 
     def release(self, key: TaskKey) -> ResourceVector:
         """Free the resources of task *key* and return its demand."""
@@ -117,6 +133,7 @@ class Server:
             raise CapacityError(f"task {key} is not placed on {self.name}") from None
         self._used = self._used - demand
         self._available = None
+        self._rank = None
         return demand
 
     def release_job(self, job_id: str) -> int:

@@ -26,12 +26,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.resources import ResourceVector
-from repro.common.errors import SchedulingError
+from repro.common.errors import FittingError, SchedulingError
 from repro.obs.ledger import active_ledger
 from repro.obs.registry import active_registry
 
@@ -106,10 +106,17 @@ class AllocationResult:
 
 
 def _safe_speed(fn: SpeedFn, p: int, w: int) -> float:
-    """Evaluate a fitted speed function defensively (fits can degenerate)."""
+    """Evaluate a fitted speed function defensively (fits can degenerate).
+
+    A :class:`~repro.common.errors.FittingError` -- the typed failure of a
+    degenerate fit -- counts as ``est.fallback.speed_eval`` and makes the
+    configuration unusable (speed 0, infinite completion time), as does a
+    non-positive or NaN value. Any other exception is a bug and propagates.
+    """
     try:
         value = fn(p, w)
-    except Exception:
+    except FittingError:
+        active_registry().counter("est.fallback.speed_eval").inc()
         return 0.0
     if value is None or value <= 0 or value != value:  # NaN check
         return 0.0
@@ -123,54 +130,18 @@ def _completion_time(request: AllocationRequest, p: int, w: int) -> float:
     return request.remaining_work / speed
 
 
-class _BatchEvaluator:
-    """Vectorized completion-time evaluation for one request's speed function.
-
-    Candidate ``(p, w)`` configurations are evaluated in a single numpy call
-    when the speed function supports it -- either through a ``predict_many``
-    attribute (fitted models) or by accepting ndarray arguments elementwise.
-    The first failure (exception, or a non-elementwise result shape) flips
-    the evaluator to per-config scalar calls permanently, so arbitrary
-    Python speed functions keep the exact :func:`_safe_speed` semantics.
-    """
-
-    __slots__ = ("request", "_vectorized")
-
-    def __init__(self, request: AllocationRequest) -> None:
-        self.request = request
-        self._vectorized = True
-
-    def completion_times(self, configs: Sequence[Tuple[int, int]]) -> List[float]:
-        request = self.request
-        if self._vectorized and len(configs) > 1:
-            fn = getattr(request.speed, "predict_many", None) or request.speed
-            ps = np.array([c[0] for c in configs], dtype=float)
-            ws = np.array([c[1] for c in configs], dtype=float)
-            try:
-                speeds = np.asarray(fn(ps, ws), dtype=float)
-                if speeds.shape != ps.shape:
-                    raise TypeError("speed function is not elementwise")
-            except Exception:
-                self._vectorized = False
-            else:
-                work = request.remaining_work
-                return [
-                    work / value if value > 0 and value == value else float("inf")
-                    for value in speeds.tolist()
-                ]
-        return [_completion_time(request, p, w) for p, w in configs]
-
-
 class WeightedSpeed:
     """A speed function scaled by an elementwise ``weight(p, w)`` factor.
 
     Policies that rank configurations by something other than raw speed
     (e.g. the Pollux-style goodput allocator, which discounts speed by
     statistical efficiency) wrap the fitted speed function in one of these
-    and feed it straight to :func:`allocate`. The wrapper preserves the
-    vectorized fast path: when the base function (or its ``predict_many``)
-    accepts ndarrays, so does this one, so :class:`_BatchEvaluator` still
-    scores both +1-task candidates of a grant in a single numpy call.
+    and feed it straight to :func:`allocate`. The wrapper always exposes
+    ``predict_many``, so :func:`allocate` scores both +1-task candidates of
+    a grant in one numpy call. That call needs a base that accepts
+    ndarrays elementwise (or has its own ``predict_many``); any other base
+    makes it raise ``TypeError``, and the allocator then scores this job
+    with scalar calls for the rest of the round.
 
     ``weight`` must accept scalars *and* ndarrays elementwise and return
     strictly finite values; non-positive products simply make the
@@ -190,8 +161,6 @@ class WeightedSpeed:
         fn = getattr(self.base, "predict_many", None) or self.base
         speeds = np.asarray(fn(ps, ws), dtype=float)
         if speeds.shape != np.shape(ps):
-            # Same contract as _BatchEvaluator: a non-elementwise base flips
-            # the evaluator to per-config scalar calls.
             raise TypeError("base speed function is not elementwise")
         return speeds * self.weight(ps, ws)
 
@@ -265,6 +234,96 @@ def _marginal_gain(
     )
 
 
+#: Capacity checks of one demand: ``(resource, amount, capacity + 1e-9)``.
+_Checks = Tuple[Tuple[str, float, float], ...]
+
+
+class _Bidder:
+    """One active job's state in the grant loop, as plain numbers.
+
+    The speed-evaluation path is chosen once per request: ``many`` is the
+    speed's ``predict_many``, which scores both +1-task candidates in one
+    numpy call, or ``None`` for a plain callable -- and it becomes ``None``
+    for the rest of the round if the call cannot take arrays. Scalar calls
+    go through :func:`_safe_speed`, and a vectorized value is mapped the
+    same way (non-positive or NaN means an infinite completion time), so
+    both paths give the times :func:`_completion_time` would.
+    """
+
+    __slots__ = (
+        "request",
+        "job_id",
+        "work",
+        "speed",
+        "many",
+        "priority",
+        "max_workers",
+        "max_ps",
+        "worker_checks",
+        "ps_checks",
+        "dom_worker",
+        "dom_ps",
+        "workers",
+        "ps",
+        "base",
+        "version",
+    )
+
+    def __init__(
+        self,
+        request: AllocationRequest,
+        worker_checks: _Checks,
+        ps_checks: _Checks,
+        dom_worker: float,
+        dom_ps: float,
+    ) -> None:
+        self.request = request
+        self.job_id = request.job_id
+        self.work = request.remaining_work
+        self.speed = request.speed
+        self.many = getattr(request.speed, "predict_many", None)
+        self.priority = request.priority
+        self.max_workers = request.max_workers
+        self.max_ps = request.max_ps
+        self.worker_checks = worker_checks
+        self.ps_checks = ps_checks
+        self.dom_worker = dom_worker
+        self.dom_ps = dom_ps
+        self.workers = 1
+        self.ps = 1
+        self.base = float("inf")
+        self.version = 0
+
+    def completion_time(self, p: int, w: int) -> float:
+        speed = _safe_speed(self.speed, p, w)
+        return self.work / speed if speed > 0 else float("inf")
+
+    def candidate_times(self) -> Tuple[float, float]:
+        """Completion times with one more worker, and with one more PS."""
+        p, w = self.ps, self.workers
+        if self.many is not None:
+            try:
+                speeds = np.asarray(
+                    self.many(
+                        np.array((p, p + 1), dtype=float),
+                        np.array((w + 1, w), dtype=float),
+                    ),
+                    dtype=float,
+                )
+            except (TypeError, ValueError):  # the speed cannot take arrays
+                speeds = None
+            if speeds is not None and speeds.shape == (2,):
+                v_worker, v_ps = speeds.tolist()
+                work = self.work
+                inf = float("inf")
+                return (  # NaN fails "> 0" too
+                    work / v_worker if v_worker > 0 else inf,
+                    work / v_ps if v_ps > 0 else inf,
+                )
+            self.many = None
+        return self.completion_time(p, w + 1), self.completion_time(p + 1, w)
+
+
 def allocate(
     requests: Iterable[AllocationRequest],
     capacity: ResourceVector,
@@ -302,32 +361,44 @@ def allocate(
     if ledger:
         ledger.begin_round()
 
-    # Capacity accounting on plain dicts: ``fits``/``consume`` run once per
-    # heap pop and per starter, so avoiding a ResourceVector allocation per
-    # check matters at fleet scale.
+    # Capacity accounting on plain numbers: each demand becomes a tuple of
+    # ``(name, amount, capacity + 1e-9)`` checks, built once per round, so
+    # the per-pop ``fits``/``consume`` never touch a ResourceVector.
     used: Dict[str, float] = {}
     cap = dict(capacity.items())
-    allocations: Dict[str, TaskAllocation] = {}
-    starved: List[str] = []
-    active: Dict[str, AllocationRequest] = {}
 
-    def fits(demand: ResourceVector) -> bool:
-        for name, value in demand.items():
-            if used.get(name, 0.0) + value > cap.get(name, 0.0) + 1e-9:
+    def checks_of(demand: ResourceVector) -> _Checks:
+        return tuple(
+            (name, amount, cap.get(name, 0.0) + 1e-9)
+            for name, amount in demand.items()
+        )
+
+    def fits(checks: _Checks) -> bool:
+        for name, amount, limit in checks:
+            if used.get(name, 0.0) + amount > limit:
                 return False
         return True
 
-    def consume(demand: ResourceVector) -> None:
-        for name, value in demand.items():
-            used[name] = used.get(name, 0.0) + value
+    def consume(checks: _Checks) -> None:
+        for name, amount, _ in checks:
+            used[name] = used.get(name, 0.0) + amount
 
     # Phase 1: anti-starvation starter allocations.
+    bidders: List[_Bidder] = []
+    starved: List[str] = []
     for request in requests:
-        starter = request.worker_demand + request.ps_demand
+        starter = checks_of(request.worker_demand + request.ps_demand)
         if fits(starter):
             consume(starter)
-            allocations[request.job_id] = TaskAllocation(workers=1, ps=1)
-            active[request.job_id] = request
+            bidders.append(
+                _Bidder(
+                    request,
+                    checks_of(request.worker_demand),
+                    checks_of(request.ps_demand),
+                    _dominant_amount(request.worker_demand, capacity),
+                    _dominant_amount(request.ps_demand, capacity),
+                )
+            )
         else:
             starved.append(request.job_id)
             if ledger:
@@ -339,109 +410,104 @@ def allocate(
     # entries carry the candidate completion times, so a grant reuses the
     # already-evaluated time as the job's new base instead of re-deriving
     # it -- only the two +1-task candidates of the granted job are
-    # recomputed (in one vectorized call when the speed function allows).
+    # recomputed. Stale entries are recognised by the bidder's version.
+    inf = float("inf")
     counter = itertools.count()
-    versions: Dict[str, int] = {job_id: 0 for job_id in active}
-    heap: List[Tuple[float, int, str, str, int, float, float]] = []
-    evaluators = {job_id: _BatchEvaluator(req) for job_id, req in active.items()}
-    dominants = {
-        job_id: (
-            _dominant_amount(req.worker_demand, capacity),
-            _dominant_amount(req.ps_demand, capacity),
-        )
-        for job_id, req in active.items()
-    }
-    base_times: Dict[str, float] = {}
+    heap: List[Tuple[float, int, _Bidder, str, int, float, float]] = []
 
-    def push(job_id: str) -> None:
-        request = active[job_id]
-        alloc = allocations[job_id]
-        base = base_times[job_id]
-        t_worker, t_ps = evaluators[job_id].completion_times(
-            [(alloc.ps, alloc.workers + 1), (alloc.ps + 1, alloc.workers)]
-        )
-        dom_worker, dom_ps = dominants[job_id]
-        gain, kind = _gain_from_times(
-            request, alloc, base, t_worker, t_ps, dom_worker, dom_ps
-        )
-        if gain > 0 and gain != float("inf"):
+    def push(bidder: _Bidder) -> None:
+        t_worker, t_ps = bidder.candidate_times()
+        base = bidder.base
+        # Eqn 9, term for term as in _gain_from_times.
+        gain_worker = -inf
+        gain_ps = -inf
+        if bidder.workers < bidder.max_workers:
+            if base != inf or t_worker != inf:
+                reduction = (base - t_worker) if base != inf else 0.0
+                gain_worker = reduction / bidder.dom_worker
+        if bidder.ps < bidder.max_ps:
+            if base != inf or t_ps != inf:
+                reduction = (base - t_ps) if base != inf else 0.0
+                gain_ps = reduction / bidder.dom_ps
+        if gain_worker >= gain_ps:
+            gain, kind = gain_worker * bidder.priority, "worker"
+        else:
+            gain, kind = gain_ps * bidder.priority, "ps"
+        if gain > 0 and gain != inf:
             heapq.heappush(
                 heap,
-                (-gain, next(counter), job_id, kind, versions[job_id], t_worker, t_ps),
+                (-gain, next(counter), bidder, kind, bidder.version, t_worker, t_ps),
             )
         elif ledger:
             # Non-positive (or degenerate infinite) marginal gain: the job
             # stops bidding voluntarily. Jobs at their task caps land here
             # too (their gain is -inf by construction).
             ledger.record_denial(
-                job_id,
+                bidder.job_id,
                 "converged_yield",
-                workers=alloc.workers,
-                ps=alloc.ps,
-                gain=gain if gain == gain and abs(gain) != float("inf") else None,
+                workers=bidder.workers,
+                ps=bidder.ps,
+                gain=gain if gain == gain and abs(gain) != inf else None,
             )
 
-    for job_id in active:
-        alloc = allocations[job_id]
-        base_times[job_id] = evaluators[job_id].completion_times(
-            [(alloc.ps, alloc.workers)]
-        )[0]
-        push(job_id)
+    for bidder in bidders:
+        bidder.base = bidder.completion_time(1, 1)
+        push(bidder)
 
     granted = 0
     stop_reason = "gains"
     grant_log: List[Grant] = []
     limit = max_total_tasks if max_total_tasks is not None else 10_000_000
     while heap:
-        neg_gain, _, job_id, kind, version, t_worker, t_ps = heapq.heappop(heap)
-        if versions[job_id] != version:
+        neg_gain, _, bidder, kind, version, t_worker, t_ps = heapq.heappop(heap)
+        if bidder.version != version:
             continue  # stale entry
-        request = active[job_id]
-        alloc = allocations[job_id]
-        demand = request.worker_demand if kind == "worker" else request.ps_demand
-        if not fits(demand):
+        checks = bidder.worker_checks if kind == "worker" else bidder.ps_checks
+        if not fits(checks):
             # Try the other task kind before giving up on this job.
-            other = request.ps_demand if kind == "worker" else request.worker_demand
-            if kind == "worker" and alloc.ps < request.max_ps and fits(other):
-                kind, demand = "ps", other
-            elif kind == "ps" and alloc.workers < request.max_workers and fits(other):
-                kind, demand = "worker", other
+            if kind == "worker" and bidder.ps < bidder.max_ps and fits(
+                bidder.ps_checks
+            ):
+                kind, checks = "ps", bidder.ps_checks
+            elif kind == "ps" and bidder.workers < bidder.max_workers and fits(
+                bidder.worker_checks
+            ):
+                kind, checks = "worker", bidder.worker_checks
             else:
                 # Fires at most once per job per round: the job is not
                 # re-pushed, and its version stamp kills stale entries.
                 if ledger:
                     ledger.record_denial(
-                        job_id,
+                        bidder.job_id,
                         "capacity_exhausted",
                         stage="grow",
-                        workers=alloc.workers,
-                        ps=alloc.ps,
+                        workers=bidder.workers,
+                        ps=bidder.ps,
                     )
                 continue  # job can't grow; others may still fit
-        consume(demand)
+        consume(checks)
         if kind == "worker":
-            alloc = TaskAllocation(alloc.workers + 1, alloc.ps)
-            base_times[job_id] = t_worker
+            bidder.workers += 1
+            bidder.base = t_worker
         else:
-            alloc = TaskAllocation(alloc.workers, alloc.ps + 1)
-            base_times[job_id] = t_ps
-        allocations[job_id] = alloc
-        versions[job_id] += 1
+            bidder.ps += 1
+            bidder.base = t_ps
+        bidder.version += 1
         granted += 1
         if ledger:
             # Peek the next-best bidder. Discarding stale entries here is
             # amortized-free: the pop loop would skip them anyway.
-            while heap and versions[heap[0][2]] != heap[0][4]:
+            while heap and heap[0][2].version != heap[0][4]:
                 heapq.heappop(heap)
             gain = -neg_gain
-            runner_up = heap[0][2] if heap else None
+            runner_up = heap[0][2].job_id if heap else None
             runner_gain = -heap[0][0] if heap else None
             ledger.record_grant(
-                job_id,
+                bidder.job_id,
                 kind,
                 gain,
-                alloc.workers,
-                alloc.ps,
+                bidder.workers,
+                bidder.ps,
                 runner_up=runner_up,
                 runner_up_gap=(
                     gain - runner_gain if runner_gain is not None else None
@@ -450,32 +516,30 @@ def allocate(
         if trace:
             grant_log.append(
                 Grant(
-                    job_id=job_id,
+                    job_id=bidder.job_id,
                     kind=kind,
                     gain=-neg_gain,
-                    allocation_after=alloc,
+                    allocation_after=TaskAllocation(bidder.workers, bidder.ps),
                 )
             )
         if granted >= limit:
             stop_reason = "capacity"
             break
-        push(job_id)
+        push(bidder)
 
     if not heap and granted < limit:
         # Heap drained: either gains went non-positive or nothing else fit.
         smallest = min(
             (
                 min(
-                    r.worker_demand.dominant_share(capacity),
-                    r.ps_demand.dominant_share(capacity),
+                    b.request.worker_demand.dominant_share(capacity),
+                    b.request.ps_demand.dominant_share(capacity),
                 )
-                for r in active.values()
+                for b in bidders
             ),
             default=0.0,
         )
-        any_fits = any(
-            fits(r.worker_demand) or fits(r.ps_demand) for r in active.values()
-        )
+        any_fits = any(fits(b.worker_checks) or fits(b.ps_checks) for b in bidders)
         stop_reason = "gains" if any_fits and smallest > 0 else "capacity"
 
     if ledger:
@@ -490,7 +554,7 @@ def allocate(
         metrics.gauge("allocation.last_jobs").set(float(len(requests)))
 
     return AllocationResult(
-        allocations=allocations,
+        allocations={b.job_id: TaskAllocation(b.workers, b.ps) for b in bidders},
         starved=tuple(starved),
         stop_reason=stop_reason,
         leftover=capacity - ResourceVector(used),

@@ -194,34 +194,65 @@ def _greedy_layout(
     Tasks are dealt one at a time to the server with the most remaining
     room, worker and parameter server alternately so each server keeps a
     balanced mix (the principle behind Theorem 1's proof).
-    """
-    remaining: Dict[str, ResourceVector] = {s.name: s.available for s in servers}
-    counts: Dict[str, List[int]] = {s.name: [0, 0] for s in servers}
 
-    tasks: List[Tuple[int, ResourceVector]] = []
+    Each server's remaining room is a plain dict, updated in place by the
+    rule of ``ResourceVector.__sub__`` (an amount at or below 1e-9 is
+    dropped, the rest keep their order), so the room score and the two fit
+    flags -- recomputed only for the server that just received a task --
+    are exactly what the vector arithmetic would give.
+    """
+    demands = (request.worker_demand, request.ps_demand)
+    rooms = [dict(server.available.items()) for server in servers]
+    counts = [[0, 0] for _ in servers]
+
+    def fits(role_idx: int, room: Dict[str, float]) -> bool:
+        # ResourceVector.fits_within, with its default 1e-9 slack.
+        for name, value in demands[role_idx].items():
+            if not value <= room.get(name, 0.0) + 1e-9:
+                return False
+        return True
+
+    def score(room: Dict[str, float]) -> float:
+        return room.get("cpu", 0.0) + sum(room.values()) * 1e-6
+
+    scores = [score(room) for room in rooms]
+    fit_flags = (
+        [fits(0, room) for room in rooms],
+        [fits(1, room) for room in rooms],
+    )
+
+    roles: List[int] = []  # 0 = worker, 1 = ps, dealt alternately
     for i in range(max(request.workers, request.ps)):
         if i < request.workers:
-            tasks.append((0, request.worker_demand))
+            roles.append(0)
         if i < request.ps:
-            tasks.append((1, request.ps_demand))
+            roles.append(1)
 
-    for role_idx, demand in tasks:
-        best: Optional[str] = None
+    for role_idx in roles:
+        best = -1
         best_room = -1.0
-        for server in servers:
-            room = remaining[server.name]
-            if demand.fits_within(room):
-                score = room.get("cpu") + sum(room.values()) * 1e-6
-                if score > best_room:
-                    best_room = score
-                    best = server.name
-        if best is None:
+        for idx, (fit, room_score) in enumerate(zip(fit_flags[role_idx], scores)):
+            if fit and room_score > best_room:
+                best_room = room_score
+                best = idx
+        if best < 0:
             return None
-        remaining[best] = remaining[best] - demand
+        room = rooms[best]
+        for name, value in demands[role_idx].items():
+            remaining = room.get(name, 0.0) - value
+            if remaining > 1e-9:
+                room[name] = remaining
+            else:
+                room.pop(name, None)
         counts[best][role_idx] += 1
+        scores[best] = score(room)
+        fit_flags[0][best] = fits(0, room)
+        fit_flags[1][best] = fits(1, room)
 
     return {
-        name: (c[0], c[1]) for name, c in counts.items() if c[0] or c[1]
+        server.name: (c[0], c[1])
+        for server, c in zip(servers, counts)
+        if c[0] or c[1]
     }
 
 
@@ -243,12 +274,6 @@ def _apply_layout(
                 server_name, (request.job_id, ROLE_PS, ps_idx), request.ps_demand
             )
             ps_idx += 1
-
-
-def _server_rank(server: Server) -> Tuple[float, float, str]:
-    """Heap key: most-available servers first (available CPU, then total)."""
-    available = server.available
-    return (-available.get("cpu"), -sum(available.values()), server.name)
 
 
 def place_jobs(
@@ -291,10 +316,9 @@ def place_jobs(
     unplaced: List[str] = []
 
     servers_by_name = {server.name: server for server in cluster}
-    heap: List[Tuple[Tuple[float, float, str], str]] = [
-        (_server_rank(server), server.name) for server in cluster
-    ]
-    heapq.heapify(heap)
+    # Built when a request first passes the aggregate precheck: most calls
+    # with a single request (shrink retries) fail it, and need no heap.
+    heap: Optional[List[Tuple[Tuple[float, float, str], str]]] = None
     remaining_total = cluster.total_available
     # Memo of full-drain failures: once a job with slot shape D found only
     # S optimistic slots in the whole cluster, any later job with the same
@@ -309,6 +333,9 @@ def place_jobs(
         if not total_demand.fits_within(remaining_total):
             unplaced.append(request.job_id)
             continue
+        if heap is None:
+            heap = [(server.availability_rank, server.name) for server in cluster]
+            heapq.heapify(heap)
         # Per-server slot bound: an optimistic count of how many of this
         # job's tasks one server could host, using the cheaper of the two
         # task shapes per resource. Summed over the candidate set it is a
@@ -353,8 +380,8 @@ def place_jobs(
         while heap:
             rank, name = heapq.heappop(heap)
             server = servers_by_name[name]
-            if rank != _server_rank(server):
-                heapq.heappush(heap, (_server_rank(server), name))
+            if rank != server.availability_rank:
+                heapq.heappush(heap, (server.availability_rank, name))
                 continue  # stale entry: reinsert with its current rank
             selected.append(server)
             for res_name, value in server.available.items():
@@ -383,7 +410,7 @@ def place_jobs(
             if not heap:  # full drain: remember this shape's slot ceiling
                 drain_slots[bound_demand] = slots
         for server in selected:
-            heapq.heappush(heap, (_server_rank(server), server.name))
+            heapq.heappush(heap, (server.availability_rank, server.name))
 
     metrics = active_registry()
     if metrics:

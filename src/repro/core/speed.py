@@ -120,9 +120,9 @@ class SpeedEstimator:
 
         The allocator evaluates the speed function many times inside one
         scheduling interval; freezing avoids refit churn mid-decision. The
-        returned callable also exposes ``predict_many`` so the allocator's
-        batch evaluator can score candidate configurations in one numpy
-        call instead of per-config Python calls.
+        returned callable also exposes ``predict_many`` so the allocator
+        can score candidate configurations in one numpy call instead of
+        per-config Python calls.
         """
         return _FrozenSpeedFn(self.fit())
 

@@ -22,6 +22,19 @@ import numpy as np
 from repro.common.errors import FittingError
 
 
+def dual_tolerance(A: np.ndarray, b: np.ndarray) -> float:
+    """The default optimality tolerance of :func:`nnls` on the dual vector.
+
+    :func:`nnls` stops once no inactive coordinate has a dual component
+    ``w_j = (A^T (b - A x))_j`` above this value, which scales with the
+    problem size and the magnitudes of ``A`` and ``b``.
+    """
+    m, n = np.shape(A)
+    return 10 * max(m, n) * np.finfo(float).eps * max(
+        float(np.abs(A).max(initial=0.0)), 1.0
+    ) * max(float(np.abs(b).max(initial=0.0)), 1.0)
+
+
 def nnls(
     A: np.ndarray,
     b: np.ndarray,
@@ -39,8 +52,9 @@ def nnls(
     max_iter:
         Iteration cap; defaults to ``3 * n``.
     tol:
-        Optimality tolerance on the dual vector; defaults to a scale-aware
-        value derived from machine epsilon.
+        Optimality tolerance on the dual vector; defaults to
+        :func:`dual_tolerance`, a scale-aware value derived from machine
+        epsilon.
 
     Returns
     -------
@@ -67,9 +81,7 @@ def nnls(
     if max_iter is None:
         max_iter = max(3 * n, 30)
     if tol is None:
-        tol = 10 * max(m, n) * np.finfo(float).eps * max(
-            float(np.abs(A).max(initial=0.0)), 1.0
-        ) * max(float(np.abs(b).max(initial=0.0)), 1.0)
+        tol = dual_tolerance(A, b)
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)  # the "P" set

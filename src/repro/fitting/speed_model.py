@@ -86,9 +86,10 @@ class SpeedModelFit:
         """Vectorized :meth:`predict` over parallel arrays of configurations.
 
         Where :meth:`predict` raises (``p``/``w`` < 1, or a degenerate
-        non-positive step time) this returns 0.0 instead, which downstream
-        defensive consumers (:func:`repro.core.allocation._safe_speed`) map
-        to the same "unusable configuration" outcome. The arithmetic is
+        non-positive step time) this returns 0.0 instead. The allocator
+        maps a 0.0 from this batch path, and a ``FittingError`` from the
+        scalar path (:func:`repro.core.allocation._safe_speed`), to the
+        same "unusable configuration" outcome. The arithmetic is
         kept term-by-term identical to :func:`_design_row` + ``np.dot`` so
         batch and scalar predictions agree bitwise.
         """

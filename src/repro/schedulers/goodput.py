@@ -22,8 +22,9 @@ marginal-gain objective:
 
 * the **staleness discount** is worker-dependent -- it reshapes the speed
   curve, peaking goodput at a finite worker count -- so it wraps the
-  fitted speed function in :class:`~repro.core.allocation.WeightedSpeed`
-  (keeping the vectorized ``predict_many`` fast path). Past the peak the
+  fitted speed function in :class:`~repro.core.allocation.WeightedSpeed`,
+  whose ``predict_many`` lets the allocator score both +1-task candidates
+  in one numpy call when the fitted function has one. Past the peak the
   marginal gain of another worker goes non-positive and the heap simply
   stops scaling the job out.
 * the **loss-curve term** is a uniform multiplier, and uniformly slowing
@@ -60,8 +61,8 @@ from repro.workloads.speed import MODE_SYNC
 class _EfficiencyWeight:
     """Elementwise ``weight(p, w)`` implementing the staleness discount.
 
-    Accepts scalars and ndarrays (the :class:`WeightedSpeed` contract) so
-    the allocator's vectorized candidate evaluation keeps working.
+    Accepts scalars and ndarrays (the :class:`WeightedSpeed` contract), so
+    the same weight serves scalar calls and ``predict_many``.
     """
 
     __slots__ = ("staleness",)

@@ -92,6 +92,35 @@ class TestComparison:
     def test_hash_consistent_with_eq(self):
         assert hash(vec(cpu=4, memory=2)) == hash(vec(memory=2, cpu=4))
 
+    def test_equal_vectors_across_a_rounding_boundary_hash_alike(self):
+        # The two amounts differ by 2e-14 but round to different 9-decimal
+        # values; equal vectors must still land in one set slot.
+        a = vec(cpu=0.12345678949999)
+        b = vec(cpu=0.12345678950001)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(["cpu", "memory", "gpu"]),
+            st.tuples(
+                st.floats(min_value=1e-6, max_value=1e6),
+                st.floats(min_value=-5e-10, max_value=5e-10),
+            ),
+            max_size=3,
+        )
+    )
+    def test_equal_implies_equal_hash(self, entries):
+        a = ResourceVector({k: amount for k, (amount, _) in entries.items()})
+        b = ResourceVector({k: amount + delta for k, (amount, delta) in entries.items()})
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_values_follow_items(self):
+        v = ResourceVector({"memory": 8, "cpu": 2.5, "gpu": 0})
+        assert list(v.values()) == [value for _, value in v.items()] == [8.0, 2.5]
+
 
 class TestDominantShare:
     def test_basic(self):

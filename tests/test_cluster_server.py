@@ -76,3 +76,39 @@ class TestQueries:
         key = ("j1", ROLE_WORKER, 0)
         server.place(key, DEMAND)
         assert server.task_keys == (key,)
+
+
+def fresh_rank(server):
+    available = server.capacity - server.used
+    return (-available.get("cpu"), -sum(available.values()), server.name)
+
+
+class TestAvailabilityRank:
+    """The cached most-available-first heap key of §4.2 placement."""
+
+    def test_initial_rank(self, server):
+        assert server.availability_rank == (-16.0, -80.0, "node-0")
+
+    def test_reset_by_place_release_and_release_job(self, server):
+        server.availability_rank  # warm the cache
+        server.place(("j1", ROLE_WORKER, 0), DEMAND)
+        assert server.availability_rank == fresh_rank(server) == (-11.0, -65.0, "node-0")
+        server.place(("j1", ROLE_PS, 0), DEMAND)
+        server.place(("j2", ROLE_WORKER, 0), DEMAND)
+        assert server.availability_rank == fresh_rank(server)
+        server.release(("j2", ROLE_WORKER, 0))
+        assert server.availability_rank == fresh_rank(server) == (-6.0, -50.0, "node-0")
+        server.release_job("j1")
+        assert server.availability_rank == fresh_rank(server) == (-16.0, -80.0, "node-0")
+
+    def test_copy_is_independent(self, server):
+        server.place(("j1", ROLE_WORKER, 0), DEMAND)
+        original_rank = server.availability_rank
+        clone = server.copy()
+        assert clone.availability_rank == original_rank
+        clone.place(("j2", ROLE_WORKER, 0), DEMAND)
+        assert clone.availability_rank == fresh_rank(clone) == (-6.0, -50.0, "node-0")
+        assert server.availability_rank == fresh_rank(server) == original_rank
+        server.release(("j1", ROLE_WORKER, 0))
+        assert server.availability_rank == (-16.0, -80.0, "node-0")
+        assert clone.availability_rank == (-6.0, -50.0, "node-0")

@@ -1,15 +1,29 @@
 """Tests for the marginal-gain resource allocator (§4.1)."""
 
+import collections
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.resources import ResourceVector, cpu_mem
-from repro.common.errors import SchedulingError
+from repro.common.errors import FittingError, SchedulingError
 from repro.core.allocation import (
     AllocationRequest,
     TaskAllocation,
+    WeightedSpeed,
     allocate,
     estimated_time,
+)
+from repro.core.speed import _FrozenSpeedFn
+from repro.fitting.speed_model import SpeedModelFit
+from repro.obs import (
+    DecisionLedger,
+    MetricsRegistry,
+    RecordingTracer,
+    use_ledger,
+    use_registry,
 )
 from repro.workloads import MODEL_ZOO, StepTimeModel
 
@@ -126,15 +140,75 @@ class TestMarginalGainBehaviour:
 
     def test_broken_speed_function_tolerated(self):
         def broken(p, w):
-            raise RuntimeError("fit exploded")
+            raise FittingError("degenerate speed fit")
 
-        result = allocate(
-            [request("bad", 1000, broken), request("ok", 1000, truth_speed())],
-            cpu_mem(60, 120),
-        )
+        metrics = MetricsRegistry()
+        with use_registry(metrics):
+            result = allocate(
+                [request("bad", 1000, broken), request("ok", 1000, truth_speed())],
+                cpu_mem(60, 120),
+            )
         # The broken job keeps its starter; the healthy one grows.
         assert result.allocations["bad"] == TaskAllocation(1, 1)
         assert result.allocations["ok"].total > 2
+        # One typed fallback per evaluation: the starter base and the two
+        # +1-task candidates.
+        assert metrics.counter("est.fallback.speed_eval").value == 3
+
+    def test_unusable_base_yields_with_zero_gain(self):
+        # No speed at (1, 1) but one at (1, 2) and (2, 1): the base time is
+        # infinite, so Eqn 9 counts no reduction and the job yields at gain 0.
+        def unusable_at_starter(p, w):
+            if p + w < 3:
+                raise FittingError("degenerate speed fit")
+            return float(w)
+
+        tracer = RecordingTracer()
+        with use_ledger(DecisionLedger(tracer, MetricsRegistry(), mode="full")):
+            result = allocate([request("j", 1000, unusable_at_starter)], cpu_mem(60, 120))
+        assert result.allocations["j"] == TaskAllocation(1, 1)
+        (denial,) = [e for e in tracer.events if e.get("kind") == "deny"]
+        assert denial["reason"] == "converged_yield"
+        assert denial["gain"] == 0.0
+
+    def test_plain_callables_get_scalar_arguments_only(self):
+        seen = set()
+
+        def speed(p, w):
+            seen.add((type(p), type(w)))
+            return w / (1.0 + 2.0 * w / p)
+
+        allocate([request("j", 1e6, speed)], cpu_mem(60, 120))
+        assert seen == {(int, int)}
+
+    def test_scalar_only_base_is_probed_once_per_round(self):
+        # WeightedSpeed exposes predict_many, but its base cannot take
+        # arrays: the first batch call fails and the job stays on scalar
+        # calls for the rest of the round.
+        probes = []
+
+        def scalar_only(p, w):
+            if not isinstance(p, int):
+                probes.append(p)
+                raise TypeError("scalars only")
+            return w / (1.0 + 2.0 * w / p)
+
+        speed = WeightedSpeed(scalar_only, lambda p, w: 1.0 / (1.0 + 0.05 * (w - 1)))
+        result = allocate([request("j", 1e6, speed)], cpu_mem(60, 120))
+        assert result.allocations["j"].total > 3
+        assert len(probes) == 1
+
+    def test_other_speed_errors_propagate(self):
+        # Only a FittingError is an estimator fallback; anything else is a
+        # bug and must not be mapped to a zero speed.
+        def buggy(p, w):
+            raise RuntimeError("not a fitting failure")
+
+        with pytest.raises(RuntimeError, match="not a fitting failure"):
+            allocate(
+                [request("bad", 1000, buggy), request("ok", 1000, truth_speed())],
+                cpu_mem(60, 120),
+            )
 
     def test_chooses_worker_vs_ps_by_gain(self):
         # Speed that only improves with workers: no extra ps granted.
@@ -294,3 +368,129 @@ class TestGrantTrace:
         # The very first grant goes to the job with the larger gain -- the
         # large job, whose absolute time reduction dominates.
         assert result.grants[0].job_id == "large"
+
+
+def pinned_fleet():
+    """Thirteen jobs covering every branch of the grant loop.
+
+    Speed sources: the scalar-only ground truth, a frozen fit with
+    ``predict_many``, ``WeightedSpeed`` over each (the one over the ground
+    truth falls back to scalar calls), a declining speed (converged yield)
+    and one raising ``FittingError``. Priorities below 1, a job that
+    reaches its PS cap, a starter that cannot fit, GPU workers next to CPU
+    parameter servers, and a capacity that runs out mid-round.
+    """
+    fitted = _FrozenSpeedFn(
+        SpeedModelFit("async", (0.75, 1.5, 0.015625, 0.03125), residual=0.0, num_samples=7)
+    )
+
+    def staleness(p, w):
+        return 1.0 / (1.0 + 0.05 * (w - 1))
+
+    def declining(p, w):
+        return 1.0 / (p + w)
+
+    def broken(p, w):
+        raise FittingError("degenerate speed fit")
+
+    truth = {
+        (model, mode): StepTimeModel(MODEL_ZOO[model], mode).speed
+        for model in ("resnet-50", "cnn-rand", "dssm")
+        for mode in ("sync", "async")
+    }
+    gpu_worker = ResourceVector({"cpu": 2, "memory": 6, "gpu": 1})
+    small = cpu_mem(1, 2)
+    rows = [
+        ("truth-sync", 4e5, truth["resnet-50", "sync"], gpu_worker, small, 1.0, 100, 100),
+        ("truth-async", 3e5, truth["cnn-rand", "async"], cpu_mem(3, 4), small, 1.0, 100, 100),
+        ("fitted", 2e5, fitted, cpu_mem(2, 4), cpu_mem(1, 3), 1.0, 100, 100),
+        ("weighted-fitted", 2.5e5, WeightedSpeed(fitted, staleness), cpu_mem(2, 4), small,
+         1.0, 100, 100),
+        ("weighted-truth", 3e5, WeightedSpeed(truth["dssm", "async"], staleness),
+         cpu_mem(2, 5), small, 1.0, 100, 100),
+        ("young", 5e5, truth["dssm", "sync"], gpu_worker, small, 0.5, 100, 100),
+        ("capped", 9e5, truth["cnn-rand", "sync"], cpu_mem(2, 3), small, 1.0, 3, 2),
+        ("declining", 1e5, declining, cpu_mem(1, 1), small, 1.0, 100, 100),
+        ("broken", 1e5, broken, cpu_mem(1, 1), small, 1.0, 100, 100),
+        ("nearly-done", 50.0, truth["resnet-50", "async"], cpu_mem(2, 2), small, 0.95, 100, 100),
+        ("huge-a", 8e5, truth["cnn-rand", "async"], cpu_mem(24, 40), cpu_mem(8, 8), 1.0, 100, 100),
+        ("giant", 1e6, truth["dssm", "async"], cpu_mem(250, 10), small, 1.0, 100, 100),
+        ("huge-b", 8e5, truth["resnet-50", "sync"], cpu_mem(30, 40), cpu_mem(8, 8), 1.0, 100, 100),
+    ]
+    requests = [
+        AllocationRequest(
+            job_id=job_id,
+            remaining_work=work,
+            speed=speed,
+            worker_demand=worker_demand,
+            ps_demand=ps_demand,
+            priority=priority,
+            max_workers=max_workers,
+            max_ps=max_ps,
+        )
+        for job_id, work, speed, worker_demand, ps_demand, priority, max_workers, max_ps in rows
+    ]
+    return requests, ResourceVector({"cpu": 240.0, "memory": 600.0, "gpu": 8.0})
+
+
+def sha256_of(records):
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedDecisions:
+    """Grant logs and ledger records recorded before the grant loop moved
+    to plain numbers; the rewrite must reproduce them bit for bit."""
+
+    def test_trace_grant_log(self):
+        requests, capacity = pinned_fleet()
+        result = allocate(requests, capacity, trace=True)
+        assert [
+            (g.job_id, g.kind, g.gain, tuple(g.allocation_after)) for g in result.grants[:4]
+        ] == [
+            ("truth-sync", "ps", 78240000.0, (1, 2)),
+            ("weighted-fitted", "ps", 43125000.0, (1, 2)),
+            ("capped", "ps", 40608000.00000006, (1, 2)),
+            ("huge-b", "worker", 34060800.000000015, (2, 1)),
+        ]
+        log = [
+            [g.job_id, g.kind, g.gain.hex(), g.allocation_after.workers, g.allocation_after.ps]
+            for g in result.grants
+        ]
+        assert len(log) == 29
+        assert sha256_of(log) == (
+            "e9814ec384680c34a8a0a3257b59d136e862a02f5038c556aaf288c24d259d33"
+        )
+        assert {job: tuple(a) for job, a in result.allocations.items()} == {
+            "truth-sync": (3, 9),
+            "truth-async": (1, 2),
+            "fitted": (2, 3),
+            "weighted-fitted": (2, 4),
+            "weighted-truth": (2, 1),
+            "young": (1, 1),
+            "capped": (1, 2),
+            "declining": (1, 1),
+            "broken": (1, 1),
+            "nearly-done": (1, 1),
+            "huge-a": (1, 1),
+            "huge-b": (3, 8),
+        }
+        assert result.starved == ("giant",)
+        assert result.stop_reason == "capacity"
+        assert result.leftover == ResourceVector({"gpu": 4, "memory": 254})
+
+    def test_full_ledger_grants_and_denials(self):
+        requests, capacity = pinned_fleet()
+        tracer = RecordingTracer()
+        with use_ledger(DecisionLedger(tracer, MetricsRegistry(), mode="full")):
+            allocate(requests, capacity)
+        events = [e for e in tracer.events if e.get("event") == "decision"]
+        kinds = collections.Counter((e["kind"], e.get("reason"), e.get("stage")) for e in events)
+        assert kinds == {
+            ("grant", None, None): 29,
+            ("deny", "capacity_exhausted", "grow"): 10,
+            ("deny", "converged_yield", None): 2,
+            ("deny", "capacity_exhausted", "starter"): 1,
+        }
+        assert sha256_of(events) == (
+            "0158a6d024fb0e64f08789c951e0b288a3a4c95d539554626dafff5d966434ec"
+        )

@@ -76,8 +76,9 @@ class TestWeightedSpeed:
         np.testing.assert_allclose(vectorized, scalar, rtol=1e-12)
 
     def test_non_elementwise_base_raises_typeerror(self):
-        # The _BatchEvaluator contract: a base that cannot broadcast makes
-        # predict_many raise, flipping the allocator to scalar calls.
+        # A base that cannot take arrays makes predict_many raise
+        # TypeError; allocate then scores the job with scalar calls for
+        # the rest of the round.
         v = view("j", mode="async")
         weighted = goodput_speed(v)
         assert isinstance(weighted, WeightedSpeed)

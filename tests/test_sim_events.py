@@ -17,22 +17,26 @@ Two equivalence contracts are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
 from repro.cluster.resources import ResourceVector
+from repro.common.errors import FittingError
 from repro.core.allocation import (
     AllocationRequest,
     TaskAllocation,
+    WeightedSpeed,
     _marginal_gain,
     allocate,
 )
 from repro.faults.config import FaultConfig
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
 from repro.schedulers import make_scheduler
 from repro.sim import ENGINES, SimConfig, default_engine, simulate
 from repro.workloads import make_job, uniform_arrivals
@@ -318,3 +322,147 @@ class TestIncrementalAllocatorEquivalence:
         assert result.allocations == ref_allocations
         assert result.starved == ref_starved
         assert len(ref_starved) > 0  # the scenario actually starves jobs
+
+    def assert_matches_reference(self, requests, capacity):
+        result = allocate(requests, capacity)
+        ref_allocations, ref_starved = reference_allocate(requests, capacity)
+        assert list(result.allocations.items()) == list(ref_allocations.items())
+        assert result.starved == ref_starved
+        return result
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_with_predict_many_speeds(self, seed):
+        """``predict_many`` sources: frozen fits, ``WeightedSpeed`` over a
+        fit, and ``WeightedSpeed`` over the scalar-only ground truth, whose
+        ``predict_many`` raises ``TypeError`` and moves that job to scalar
+        calls for the rest of the round."""
+        from repro.core.speed import SpeedEstimator
+        from repro.workloads import MODEL_ZOO, StepTimeModel
+
+        rng = random.Random(seed)
+        requests = []
+        for i, request in enumerate(random_fleet(rng, 9)):
+            estimator = SpeedEstimator(mode="async", global_batch=128.0)
+            a, b = 0.5 + rng.random(), 1.0 + 2.0 * rng.random()
+            for p, w in [(1, 1), (1, 2), (2, 2), (2, 4), (3, 6), (4, 8), (4, 12)]:
+                estimator.add_sample(p, w, w / (a + b * w / p + 0.01 * w))
+            fitted = estimator.speed_function()
+            decay = 0.02 + 0.1 * rng.random()
+
+            def staleness(p, w, decay=decay):
+                return 1.0 / (1.0 + decay * (w - 1))
+
+            def cliff(p, w, knee=3 + i % 4, drop=(0.0, -1.0, np.nan)[i % 3]):
+                # From `knee` tasks on, the batch values are zero, negative
+                # or NaN: they must map to "unusable" as _safe_speed does.
+                return np.where(np.asarray(p) + np.asarray(w) >= knee, drop, 1.0)
+
+            truth = StepTimeModel(MODEL_ZOO["cnn-rand"], "async").speed
+            speed = (
+                fitted,
+                WeightedSpeed(fitted, staleness),
+                WeightedSpeed(truth, staleness),
+                WeightedSpeed(fitted, cliff),
+            )[i % 4]
+            requests.append(dataclasses.replace(request, speed=speed))
+        capacity = ResourceVector({"cpu": 120.0, "memory": 360.0})
+        self.assert_matches_reference(requests, capacity)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_when_task_caps_bind(self, seed):
+        rng = random.Random(100 + seed)
+        requests = [
+            dataclasses.replace(
+                r, max_workers=1 + rng.randrange(3), max_ps=1 + rng.randrange(3)
+            )
+            for r in random_fleet(rng, 8)
+        ]
+        capacity = ResourceVector({"cpu": 1000.0, "memory": 3000.0})
+        result = self.assert_matches_reference(requests, capacity)
+        at_cap = [
+            r.job_id
+            for r in requests
+            if result.allocations[r.job_id] == TaskAllocation(r.max_workers, r.max_ps)
+        ]
+        assert at_cap  # the caps, not capacity, stopped some jobs
+
+    @pytest.mark.parametrize("wide", ["worker", "ps"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_when_caps_meet_a_full_cluster(self, seed, wide):
+        # Wide tasks of one kind next to narrow ones of the other on a
+        # tight cluster: when the preferred wide task no longer fits, the
+        # fallback to the narrow kind must still respect that kind's cap.
+        rng = random.Random(400 + seed)
+        requests = []
+        for r in random_fleet(rng, 8):
+            wide_demand = cpu_mem(3 + rng.randrange(3), 4)
+            narrow_cap = 1 + rng.randrange(2)
+            wide_cap = 2 + rng.randrange(6)
+            if wide == "ps":
+                r = dataclasses.replace(
+                    r,
+                    worker_demand=cpu_mem(1, 1),
+                    ps_demand=wide_demand,
+                    max_workers=narrow_cap,
+                    max_ps=wide_cap,
+                    speed=lambda p, w, base=r.speed: base(w, p),  # PS-hungry
+                )
+            else:
+                r = dataclasses.replace(
+                    r,
+                    worker_demand=wide_demand,
+                    ps_demand=cpu_mem(1, 1),
+                    max_workers=wide_cap,
+                    max_ps=narrow_cap,
+                )
+            requests.append(r)
+        capacity = ResourceVector({"cpu": 30.0 + rng.randrange(20), "memory": 200.0})
+        self.assert_matches_reference(requests, capacity)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_with_fractional_demands(self, seed):
+        # Sums of 0.1-multiples miss the capacity by an ulp, so the 1e-9
+        # slack of the capacity check decides the last grants.
+        rng = random.Random(500 + seed)
+        requests = [
+            dataclasses.replace(
+                r,
+                worker_demand=cpu_mem(0.1 * (1 + rng.randrange(3)), 0.3),
+                ps_demand=cpu_mem(0.1, 0.7),
+            )
+            for r in random_fleet(rng, 8)
+        ]
+        capacity = ResourceVector({"cpu": 0.1 * (20 + rng.randrange(20)), "memory": 100.0})
+        result = self.assert_matches_reference(requests, capacity)
+        assert result.leftover.get("cpu") <= 0.1  # the CPU ran out
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_with_priorities(self, seed):
+        rng = random.Random(200 + seed)
+        requests = [
+            dataclasses.replace(r, priority=(0.3, 0.5, 0.95, 1.0)[i % 4])
+            for i, r in enumerate(random_fleet(rng, 10))
+        ]
+        capacity = ResourceVector({"cpu": 80.0, "memory": 240.0})
+        self.assert_matches_reference(requests, capacity)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_with_fitting_errors(self, seed):
+        """A speed that raises ``FittingError`` past some configuration
+        scores those configurations as unusable, as ``_safe_speed`` does."""
+        rng = random.Random(300 + seed)
+        requests = []
+        for i, request in enumerate(random_fleet(rng, 8)):
+            limit = 2 + rng.randrange(6) if i % 2 else 0
+
+            def speed(p, w, base=request.speed, limit=limit):
+                if p + w > limit:
+                    raise FittingError("degenerate speed fit")
+                return base(p, w)
+
+            requests.append(dataclasses.replace(request, speed=speed if limit else request.speed))
+        capacity = ResourceVector({"cpu": 100.0, "memory": 300.0})
+        metrics = MetricsRegistry()
+        with use_registry(metrics):
+            self.assert_matches_reference(requests, capacity)
+        assert metrics.counter("est.fallback.speed_eval").value > 0
