@@ -28,8 +28,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from repro.cluster.resources import ResourceVector
 from repro.common.errors import FittingError, SchedulingError
 from repro.obs.ledger import active_ledger
@@ -131,38 +129,26 @@ def _completion_time(request: AllocationRequest, p: int, w: int) -> float:
 
 
 class WeightedSpeed:
-    """A speed function scaled by an elementwise ``weight(p, w)`` factor.
+    """A speed function scaled by a ``weight(p, w)`` factor.
 
     Policies that rank configurations by something other than raw speed
     (e.g. the Pollux-style goodput allocator, which discounts speed by
     statistical efficiency) wrap the fitted speed function in one of these
-    and feed it straight to :func:`allocate`. The wrapper always exposes
-    ``predict_many``, so :func:`allocate` scores both +1-task candidates of
-    a grant in one numpy call. That call needs a base that accepts
-    ndarrays elementwise (or has its own ``predict_many``); any other base
-    makes it raise ``TypeError``, and the allocator then scores this job
-    with scalar calls for the rest of the round.
+    and feed it straight to :func:`allocate`. Like every speed source it is
+    a scalar ``f(p, w) -> float``.
 
-    ``weight`` must accept scalars *and* ndarrays elementwise and return
-    strictly finite values; non-positive products simply make the
-    configuration unattractive (``_safe_speed`` maps them to 0).
+    ``weight`` must return finite values; non-positive products simply
+    make the configuration unattractive (``_safe_speed`` maps them to 0).
     """
 
     __slots__ = ("base", "weight")
 
-    def __init__(self, base: SpeedFn, weight: Callable) -> None:
+    def __init__(self, base: SpeedFn, weight: Callable[[int, int], float]) -> None:
         self.base = base
         self.weight = weight
 
     def __call__(self, p: int, w: int) -> float:
         return self.base(p, w) * self.weight(p, w)
-
-    def predict_many(self, ps, ws):
-        fn = getattr(self.base, "predict_many", None) or self.base
-        speeds = np.asarray(fn(ps, ws), dtype=float)
-        if speeds.shape != np.shape(ps):
-            raise TypeError("base speed function is not elementwise")
-        return speeds * self.weight(ps, ws)
 
 
 def estimated_time(request: AllocationRequest, allocation: TaskAllocation) -> float:
@@ -241,13 +227,8 @@ _Checks = Tuple[Tuple[str, float, float], ...]
 class _Bidder:
     """One active job's state in the grant loop, as plain numbers.
 
-    The speed-evaluation path is chosen once per request: ``many`` is the
-    speed's ``predict_many``, which scores both +1-task candidates in one
-    numpy call, or ``None`` for a plain callable -- and it becomes ``None``
-    for the rest of the round if the call cannot take arrays. Scalar calls
-    go through :func:`_safe_speed`, and a vectorized value is mapped the
-    same way (non-positive or NaN means an infinite completion time), so
-    both paths give the times :func:`_completion_time` would.
+    Speeds are scalar calls through :func:`_safe_speed`, so every time is
+    the one :func:`_completion_time` would give.
     """
 
     __slots__ = (
@@ -255,7 +236,6 @@ class _Bidder:
         "job_id",
         "work",
         "speed",
-        "many",
         "priority",
         "max_workers",
         "max_ps",
@@ -281,7 +261,6 @@ class _Bidder:
         self.job_id = request.job_id
         self.work = request.remaining_work
         self.speed = request.speed
-        self.many = getattr(request.speed, "predict_many", None)
         self.priority = request.priority
         self.max_workers = request.max_workers
         self.max_ps = request.max_ps
@@ -301,26 +280,6 @@ class _Bidder:
     def candidate_times(self) -> Tuple[float, float]:
         """Completion times with one more worker, and with one more PS."""
         p, w = self.ps, self.workers
-        if self.many is not None:
-            try:
-                speeds = np.asarray(
-                    self.many(
-                        np.array((p, p + 1), dtype=float),
-                        np.array((w + 1, w), dtype=float),
-                    ),
-                    dtype=float,
-                )
-            except (TypeError, ValueError):  # the speed cannot take arrays
-                speeds = None
-            if speeds is not None and speeds.shape == (2,):
-                v_worker, v_ps = speeds.tolist()
-                work = self.work
-                inf = float("inf")
-                return (  # NaN fails "> 0" too
-                    work / v_worker if v_worker > 0 else inf,
-                    work / v_ps if v_ps > 0 else inf,
-                )
-            self.many = None
         return self.completion_time(p, w + 1), self.completion_time(p + 1, w)
 
 

@@ -116,29 +116,9 @@ class SpeedEstimator:
         return self.fit().predict(p, w)
 
     def speed_function(self) -> Callable[[int, int], float]:
-        """A frozen ``f(p, w)`` closure over the *current* fit.
+        """A frozen ``f(p, w)`` over the *current* fit: its bound ``predict``.
 
         The allocator evaluates the speed function many times inside one
-        scheduling interval; freezing avoids refit churn mid-decision. The
-        returned callable also exposes ``predict_many`` so the allocator
-        can score candidate configurations in one numpy call instead of
-        per-config Python calls.
+        scheduling interval; freezing avoids refit churn mid-decision.
         """
-        return _FrozenSpeedFn(self.fit())
-
-
-class _FrozenSpeedFn:
-    """A fitted speed function frozen at one point in time.
-
-    Callable like the plain ``fit.predict`` bound method it replaces, with
-    the fit's vectorized ``predict_many`` carried along for batch scoring.
-    """
-
-    __slots__ = ("fit", "predict_many")
-
-    def __init__(self, fit) -> None:
-        self.fit = fit
-        self.predict_many = fit.predict_many
-
-    def __call__(self, p: int, w: int) -> float:
-        return self.fit.predict(p, w)
+        return self.fit().predict

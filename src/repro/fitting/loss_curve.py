@@ -136,16 +136,20 @@ def _nnls_for_beta2(
     losses: np.ndarray,
     beta2: float,
     line: Optional[LineNNLS],
+    min_step: float,
+    min_loss: float,
 ) -> Optional[Tuple[float, float, float]]:
     """NNLS solve of ``1/(l - b2) = b0*k + b1``; returns (b0, b1, rmse).
 
     *line* solves it exactly; without one (a degenerate design, every step
-    equal) the general Lawson–Hanson solver does.
+    equal) the general Lawson–Hanson solver does. Both admissibility
+    checks run on scalars computed once per fit: rounding is monotone, so
+    ``min(l - b2) == min(l) - b2`` and, with ``b0 >= 0``,
+    ``min(b0*k + b1) == b0*min(k) + b1``.
     """
-    shifted = losses - beta2
-    if shifted.min() <= 1e-9:
+    if min_loss - beta2 <= 1e-9:
         return None
-    y = 1.0 / shifted
+    y = 1.0 / (losses - beta2)
     if line is not None:
         beta0, beta1 = line.solve(y)
     else:
@@ -155,10 +159,9 @@ def _nnls_for_beta2(
         except FittingError:
             return None
     beta0, beta1 = float(beta0), float(beta1)
-    denom = beta0 * steps + beta1
-    if denom.min() <= 1e-12:
+    if beta0 * min_step + beta1 <= 1e-12:
         return None
-    error = 1.0 / denom + beta2 - losses
+    error = 1.0 / (beta0 * steps + beta1) + beta2 - losses
     return beta0, beta1, math.sqrt(np.square(error).sum() / losses.size)
 
 
@@ -167,6 +170,8 @@ def _nnls_for_grid(
     losses: np.ndarray,
     grid: np.ndarray,
     line: Optional[LineNNLS],
+    min_step: float,
+    min_loss: float,
 ) -> List[Optional[Tuple[float, float, float]]]:
     """:func:`_nnls_for_beta2` at every ``b2`` in *grid*.
 
@@ -174,14 +179,16 @@ def _nnls_for_grid(
     ``(grid, m)`` matrix.
     """
     if line is None:
-        return [_nnls_for_beta2(steps, losses, b2, None) for b2 in grid]
+        return [
+            _nnls_for_beta2(steps, losses, b2, None, min_step, min_loss) for b2 in grid
+        ]
+    ok = min_loss - grid > 1e-9
     shifted = losses - grid[:, None]
-    ok = shifted.min(axis=1) > 1e-9
     if not ok.all():
         shifted = np.where(ok[:, None], shifted, 1.0)
     beta0, beta1 = line.solve(1.0 / shifted)
+    ok &= beta0 * min_step + beta1 > 1e-12
     denom = beta0[:, None] * steps + beta1[:, None]
-    ok &= denom.min(axis=1) > 1e-12
     if not ok.all():
         denom = np.where(ok[:, None], denom, 1.0)
     error = 1.0 / denom + grid[:, None] - losses
@@ -235,6 +242,7 @@ def fit_loss_curve(
         raise FittingError("losses must be positive")
 
     min_loss = float(vals.min())
+    min_step = float(k.min())
     upper = min_loss * 0.999
 
     try:
@@ -254,11 +262,12 @@ def fit_loss_curve(
         return rmse
 
     def consider(beta2: float) -> float:
-        return record(beta2, _nnls_for_beta2(k, vals, beta2, line))
+        return record(beta2, _nnls_for_beta2(k, vals, beta2, line, min_step, min_loss))
 
     grid = np.linspace(0.0, upper, grid_size)
     scores = [
-        record(b2, result) for b2, result in zip(grid, _nnls_for_grid(k, vals, grid, line))
+        record(b2, result)
+        for b2, result in zip(grid, _nnls_for_grid(k, vals, grid, line, min_step, min_loss))
     ]
 
     # Golden-section refinement around the best coarse cell.

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.common.errors import FittingError
 
@@ -25,6 +26,13 @@ def remove_outliers(
     values: Sequence[float], window: int = 5, margin: float = 0.05
 ) -> List[float]:
     """Replace neighbourhood-range violations by the neighbourhood mean.
+
+    The previous-window maximum and next-window minimum of every point are
+    computed at once over sliding windows padded with -inf / +inf, and only
+    the flagged points pay a Python step. Each replacement is the mean of
+    the *original* neighbours, so one outlier never shifts the range of the
+    next. For finite values the result equals the per-point loop over
+    ``max(values[i - window:i])`` and ``min(values[i + 1:i + 1 + window])``.
 
     Parameters
     ----------
@@ -45,16 +53,16 @@ def remove_outliers(
     if n <= 2:
         return data
 
+    span = min(window, n)  # a wider window sees the same neighbours
+    arr = np.array(data)
+    pad = np.full(span, np.inf)
+    # prev_max[i] = max(data[i - span:i]); next_min[i] = min(data[i + 1:i + 1 + span]).
+    prev_max = sliding_window_view(np.concatenate((-pad, arr)), span).max(axis=1)[:n]
+    next_min = sliding_window_view(np.concatenate((arr, pad)), span).min(axis=1)[1:]
+    flagged = (arr > prev_max * (1.0 + margin)) | (arr < next_min * (1.0 - margin))
     cleaned = list(data)
-    for i in range(n):
-        prev_window = data[max(0, i - window) : i]
-        next_window = data[i + 1 : i + 1 + window]
-        if not prev_window or not next_window:
-            continue  # boundary points keep their value
-        upper = max(prev_window) * (1.0 + margin)
-        lower = min(next_window) * (1.0 - margin)
-        if data[i] > upper or data[i] < lower:
-            cleaned[i] = float(np.mean(prev_window + next_window))
+    for i in np.flatnonzero(flagged[1:-1]) + 1:  # boundary points keep their value
+        cleaned[i] = float(np.mean(data[max(0, i - window) : i] + data[i + 1 : i + 1 + window]))
     return cleaned
 
 

@@ -66,11 +66,24 @@ class SpeedModelFit:
     global_batch: float = 0.0
 
     def step_seconds(self, p: int, w: int) -> float:
-        """Predicted seconds per step (the bracketed term of Eqn 3/4)."""
+        """Predicted seconds per step (the bracketed term of Eqn 3/4).
+
+        Plain floats, summed left to right in the term order of
+        :func:`_design_row`.
+        """
         if p < 1 or w < 1:
             raise FittingError("p and w must be >= 1")
-        row = _design_row(self.mode, float(p), float(w), self.global_batch)
-        value = float(np.dot(self.thetas, row))
+        th = self.thetas
+        if self.mode == MODE_ASYNC:
+            value = th[0] + th[1] * (w / p) + th[2] * w + th[3] * p
+        else:
+            value = (
+                th[0] * (self.global_batch / w)
+                + th[1]
+                + th[2] * (w / p)
+                + th[3] * w
+                + th[4] * p
+            )
         if value <= 0:
             raise FittingError("degenerate speed fit (non-positive step time)")
         return value
@@ -81,36 +94,6 @@ class SpeedModelFit:
         if self.mode == MODE_ASYNC:
             return w / seconds
         return 1.0 / seconds
-
-    def predict_many(self, ps: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`predict` over parallel arrays of configurations.
-
-        Where :meth:`predict` raises (``p``/``w`` < 1, or a degenerate
-        non-positive step time) this returns 0.0 instead. The allocator
-        maps a 0.0 from this batch path, and a ``FittingError`` from the
-        scalar path (:func:`repro.core.allocation._safe_speed`), to the
-        same "unusable configuration" outcome. The arithmetic is
-        kept term-by-term identical to :func:`_design_row` + ``np.dot`` so
-        batch and scalar predictions agree bitwise.
-        """
-        ps = np.asarray(ps, dtype=float)
-        ws = np.asarray(ws, dtype=float)
-        th = self.thetas
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.mode == MODE_ASYNC:
-                seconds = th[0] + th[1] * (ws / ps) + th[2] * ws + th[3] * ps
-                speed = ws / seconds
-            else:
-                seconds = (
-                    th[0] * (self.global_batch / ws)
-                    + th[1]
-                    + th[2] * (ws / ps)
-                    + th[3] * ws
-                    + th[4] * ps
-                )
-                speed = 1.0 / seconds
-            usable = (ps >= 1) & (ws >= 1) & (seconds > 0)
-            return np.where(usable, speed, 0.0)
 
 
 def fit_speed_model(

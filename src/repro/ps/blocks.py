@@ -43,10 +43,12 @@ class ServerLoad:
     #: (block name, assigned parameter count) -- a sliced block appears once
     #: per slice, on the servers holding its slices.
     pieces: List[Tuple[str, float]] = field(default_factory=list)
+    #: Running total of the piece sizes, kept by :meth:`add`: the same
+    #: left-to-right sum as ``sum(size for _, size in pieces)``.
+    assigned_size: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def assigned_size(self) -> float:
-        return sum(size for _, size in self.pieces)
+    def __post_init__(self) -> None:
+        self.assigned_size = sum(size for _, size in self.pieces)
 
     @property
     def num_requests(self) -> int:
@@ -61,7 +63,9 @@ class ServerLoad:
     def add(self, block_name: str, size: float) -> None:
         if size <= 0:
             raise ConfigurationError("piece size must be positive")
-        self.pieces.append((block_name, float(size)))
+        size = float(size)
+        self.pieces.append((block_name, size))
+        self.assigned_size += size
 
 
 @dataclass

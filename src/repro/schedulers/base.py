@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.core.allocation import TaskAllocation
+from repro.core.allocation import TaskAllocation, _safe_speed
 from repro.core.placement import JobLayout
 from repro.obs.registry import (
     NULL_PROFILER,
@@ -71,14 +71,16 @@ class JobView:
         return self.spec.job_id
 
     def estimated_time(self, workers: int, ps: int) -> float:
-        """Estimated completion time under a hypothetical allocation."""
+        """Estimated completion time under a hypothetical allocation.
+
+        A degenerate fit (``FittingError``, counted as
+        ``est.fallback.speed_eval``) or a non-positive or NaN speed gives
+        an infinite time; any other exception propagates.
+        """
         if workers < 1 or ps < 1:
             return float("inf")
-        try:
-            speed = self.speed(ps, workers)
-        except Exception:
-            return float("inf")
-        if not speed or speed <= 0:
+        speed = _safe_speed(self.speed, ps, workers)
+        if speed <= 0:
             return float("inf")
         return self.remaining_steps / speed
 
@@ -103,14 +105,12 @@ class JobView:
 
         ``speed(p, w) * statistical_efficiency(w)``: what the Pollux-style
         allocator maximises the marginal gain of, instead of raw speed.
+        Unusable speeds give 0, as in :meth:`estimated_time`.
         """
         if workers < 1 or ps < 1:
             return 0.0
-        try:
-            speed = self.speed(ps, workers)
-        except Exception:
-            return 0.0
-        if not speed or speed <= 0:
+        speed = _safe_speed(self.speed, ps, workers)
+        if speed <= 0:
             return 0.0
         return speed * self.statistical_efficiency(workers)
 

@@ -23,8 +23,7 @@ marginal-gain objective:
 * the **staleness discount** is worker-dependent -- it reshapes the speed
   curve, peaking goodput at a finite worker count -- so it wraps the
   fitted speed function in :class:`~repro.core.allocation.WeightedSpeed`,
-  whose ``predict_many`` lets the allocator score both +1-task candidates
-  in one numpy call when the fitted function has one. Past the peak the
+  a scalar ``f(p, w)`` like every other speed source. Past the peak the
   marginal gain of another worker goes non-positive and the heap simply
   stops scaling the job out.
 * the **loss-curve term** is a uniform multiplier, and uniformly slowing
@@ -42,8 +41,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-
 from repro.cluster.resources import ResourceVector
 from repro.core.allocation import (
     AllocationRequest,
@@ -59,30 +56,25 @@ from repro.workloads.speed import MODE_SYNC
 
 
 class _EfficiencyWeight:
-    """Elementwise ``weight(p, w)`` implementing the staleness discount.
-
-    Accepts scalars and ndarrays (the :class:`WeightedSpeed` contract), so
-    the same weight serves scalar calls and ``predict_many``.
-    """
+    """The ``weight(p, w)`` implementing the staleness discount, on floats."""
 
     __slots__ = ("staleness",)
 
     def __init__(self, staleness: float) -> None:
         self.staleness = staleness
 
-    def __call__(self, p, w):
+    def __call__(self, p: int, w: int) -> float:
         eff = 1.0
         if self.staleness > 0.0:
-            extra = np.maximum(np.asarray(w, dtype=float) - 1.0, 0.0)
-            eff = eff / (1.0 + self.staleness * extra)
-        return np.maximum(eff, MIN_STATISTICAL_EFFICIENCY)
+            eff = eff / (1.0 + self.staleness * max(w - 1.0, 0.0))
+        return max(eff, MIN_STATISTICAL_EFFICIENCY)
 
 
 def goodput_speed(view: JobView):
     """*view*'s fitted speed function discounted by gradient staleness.
 
     Synchronous jobs pay no staleness, so their speed passes through
-    untouched (preserving any ``predict_many`` the estimator exposes).
+    untouched.
     """
     if view.spec.mode == MODE_SYNC:
         return view.speed

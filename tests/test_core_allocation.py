@@ -16,7 +16,6 @@ from repro.core.allocation import (
     allocate,
     estimated_time,
 )
-from repro.core.speed import _FrozenSpeedFn
 from repro.fitting.speed_model import SpeedModelFit
 from repro.obs import (
     DecisionLedger,
@@ -180,23 +179,6 @@ class TestMarginalGainBehaviour:
 
         allocate([request("j", 1e6, speed)], cpu_mem(60, 120))
         assert seen == {(int, int)}
-
-    def test_scalar_only_base_is_probed_once_per_round(self):
-        # WeightedSpeed exposes predict_many, but its base cannot take
-        # arrays: the first batch call fails and the job stays on scalar
-        # calls for the rest of the round.
-        probes = []
-
-        def scalar_only(p, w):
-            if not isinstance(p, int):
-                probes.append(p)
-                raise TypeError("scalars only")
-            return w / (1.0 + 2.0 * w / p)
-
-        speed = WeightedSpeed(scalar_only, lambda p, w: 1.0 / (1.0 + 0.05 * (w - 1)))
-        result = allocate([request("j", 1e6, speed)], cpu_mem(60, 120))
-        assert result.allocations["j"].total > 3
-        assert len(probes) == 1
 
     def test_other_speed_errors_propagate(self):
         # Only a FittingError is an estimator fallback; anything else is a
@@ -373,16 +355,15 @@ class TestGrantTrace:
 def pinned_fleet():
     """Thirteen jobs covering every branch of the grant loop.
 
-    Speed sources: the scalar-only ground truth, a frozen fit with
-    ``predict_many``, ``WeightedSpeed`` over each (the one over the ground
-    truth falls back to scalar calls), a declining speed (converged yield)
+    Speed sources: the ground truth, a frozen fit's ``predict``,
+    ``WeightedSpeed`` over each, a declining speed (converged yield)
     and one raising ``FittingError``. Priorities below 1, a job that
     reaches its PS cap, a starter that cannot fit, GPU workers next to CPU
     parameter servers, and a capacity that runs out mid-round.
     """
-    fitted = _FrozenSpeedFn(
-        SpeedModelFit("async", (0.75, 1.5, 0.015625, 0.03125), residual=0.0, num_samples=7)
-    )
+    fitted = SpeedModelFit(
+        "async", (0.75, 1.5, 0.015625, 0.03125), residual=0.0, num_samples=7
+    ).predict
 
     def staleness(p, w):
         return 1.0 / (1.0 + 0.05 * (w - 1))

@@ -1,6 +1,8 @@
 """Tests for the Eqn-1 convergence-curve fitter."""
 
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -250,3 +252,156 @@ class TestClosedFormSearch:
         # step is the mean of the transformed targets 1 / l.
         assert fit.beta2 == 0.0
         assert fit.beta0 * 5 + fit.beta1 == pytest.approx(np.mean(1.0 / losses))
+
+
+def seeded_eqn1(seed, m, k_max, outliers, scale=1.0):
+    """``m`` distinct steps in ``[0, k_max]`` of a random Eqn-1 curve with
+    2% multiplicative noise, ``outliers`` spikes or dips, times *scale*."""
+    rng = random.Random(seed)
+    b0 = 10 ** rng.uniform(-5, -2)
+    b1 = rng.uniform(0.5, 2.0)
+    b2 = rng.uniform(0.0, 0.4)
+    steps = sorted(rng.sample(range(0, int(k_max) + 1), m))
+    losses = [
+        scale * (1.0 / (b0 * k + b1) + b2) * (1.0 + rng.gauss(0.0, 0.02)) for k in steps
+    ]
+    for _ in range(outliers):
+        losses[rng.randrange(m)] *= rng.choice((3.0, 0.2))
+    return steps, losses
+
+
+def superlinear(m, k_max, c, power, offset):
+    """``1/(l - offset)`` grows like ``k**power``: the least-squares line has
+    a negative intercept, so candidates clamp to ``b1 = 0`` and fail the
+    ``b0*k + b1 > 0`` check at ``k = 0``."""
+    steps = [k_max * i / (m - 1) for i in range(m)]
+    return steps, [1.0 / (c * k**power / k_max ** (power - 2) + 1.0) + offset for k in steps]
+
+
+def degenerate_design():
+    """Every step equal: the general Lawson-Hanson solver handles it."""
+    rng = random.Random(12)
+    return [250.0] * 9, [0.5 * (1.0 + rng.gauss(0.0, 0.05)) for _ in range(9)]
+
+
+#: name -> (observations, preprocess).
+EXACT_CASES = {
+    "m4-pre": (seeded_eqn1(0, 4, 10, 0), True),
+    "m4-raw": (seeded_eqn1(1, 4, 10, 0), False),
+    "m12-spike-pre": (seeded_eqn1(2, 12, 500, 1), True),
+    "m12-spike-raw": (seeded_eqn1(3, 12, 500, 1), False),
+    "m40-pre": (seeded_eqn1(4, 40, 5_000, 2), True),
+    "m40-raw": (seeded_eqn1(5, 40, 5_000, 0), False),
+    "m125-pre": (seeded_eqn1(6, 125, 20_000, 4), True),
+    "m125-raw": (seeded_eqn1(7, 125, 20_000, 4), False),
+    "m250-pre": (seeded_eqn1(8, 250, 60_000, 6), True),
+    "m250-raw": (seeded_eqn1(9, 250, 100_000, 0), False),
+    "m400-pre": (seeded_eqn1(10, 400, 100_000, 10), True),
+    "m400-raw": (seeded_eqn1(11, 400, 100_000, 10), False),
+    # Golden-section candidates fail the ``min(l) - b2 > 1e-9`` check.
+    "tiny-losses-raw": (seeded_eqn1(14, 60, 30_000, 2, scale=2e-8), False),
+    # Grid candidates, and one golden-section candidate, fail the
+    # ``b0*min(k) + b1 > 1e-12`` check.
+    "quadratic-pre": (superlinear(50, 1e4, 1e-6, 2, 0.05), True),
+    "quadratic-raw": (superlinear(50, 1e4, 1e-6, 2, 0.05), False),
+    "cubic-raw": (superlinear(50, 1e4, 1e-4, 3, 0.05), False),
+    # Every candidate fails: no fit.
+    "quadratic-no-floor-raw": (superlinear(50, 1e4, 1e-6, 2, 0.0), False),
+    "degenerate-pre": (degenerate_design(), True),
+    "degenerate-raw": (degenerate_design(), False),
+}
+
+#: ``(beta0, beta1, beta2, residual)`` as float hex, recorded when every
+#: candidate's admissibility was checked with full-array ``min`` reductions.
+EXACT_FITS = {
+    'cubic-raw': (
+        '0x1.ef8f71e134442p-5', '0x1.fcbe9370f5800p-1',
+        '0x1.8a37ee279493ap-5', '0x1.34b5cd8cd197ap-3',
+    ),
+    'degenerate-pre': (
+        '0x1.1ee9fa4d2bbc2p-8', '0x0.0p+0',
+        '0x0.0p+0', '0x1.4a6bd6f9b9202p-5',
+    ),
+    'degenerate-raw': (
+        '0x1.068034033ae64p-7', '0x0.0p+0',
+        '0x0.0p+0', '0x1.687e9e4ccfefcp-6',
+    ),
+    'm12-spike-pre': (
+        '0x0.0p+0', '0x1.adbf15403c630p+0',
+        '0x0.0p+0', '0x1.c9e8e3ebd6a34p-3',
+    ),
+    'm12-spike-raw': (
+        '0x1.b52599853e10ap-11', '0x1.ada6aa20fec4ap-1',
+        '0x0.0p+0', '0x1.071d5d4e76993p-1',
+    ),
+    'm125-pre': (
+        '0x1.bfb705cf509fep-10', '0x1.4f45869dbc190p+0',
+        '0x1.08ace235ede3ap-2', '0x1.c64d9aa7509c9p-8',
+    ),
+    'm125-raw': (
+        '0x1.c59944d3d1dc9p-15', '0x1.51ba54c9860d0p-1',
+        '0x0.0p+0', '0x1.152018b7aba02p-2',
+    ),
+    'm250-pre': (
+        '0x1.9554dee108ceap-16', '0x1.14f7921d96642p+0',
+        '0x1.daf2b4d383ef8p-5', '0x1.c70ef9b3cf450p-7',
+    ),
+    'm250-raw': (
+        '0x1.ffa201182cfcap-13', '0x1.132af8f6aeee0p+0',
+        '0x1.c3ddaa27fe2b9p-5', '0x1.40a7038a5356ap-8',
+    ),
+    'm4-pre': (
+        '0x1.9e4a8b99ed165p-3', '0x1.f8bb8d5e0e642p+1',
+        '0x1.8e2398ef11e6cp-1', '0x1.0669934c4779dp-6',
+    ),
+    'm4-raw': (
+        '0x0.0p+0', '0x1.25639e5b65af9p+0',
+        '0x0.0p+0', '0x1.a6180a2325d96p-7',
+    ),
+    'm40-pre': (
+        '0x1.1e8dbdf6f67eap-14', '0x1.0115b3136913ep+0',
+        '0x0.0p+0', '0x1.2ac2eb334e04bp-6',
+    ),
+    'm40-raw': (
+        '0x1.82edefda430dcp-11', '0x1.9359a946e4f35p+0',
+        '0x1.4223fd02e24bcp-2', '0x1.906e83da2053cp-7',
+    ),
+    'm400-pre': (
+        '0x1.04decfe265e8cp-11', '0x1.2633b6126bfd0p+0',
+        '0x1.d7a071a1d4d79p-3', '0x1.d08d0893c67fdp-8',
+    ),
+    'm400-raw': (
+        '0x1.d6018dc35d96cp-17', '0x1.894513e0d4792p+0',
+        '0x0.0p+0', '0x1.f6a4107a6acf6p-4',
+    ),
+    'quadratic-no-floor-raw': None,
+    'quadratic-pre': (
+        '0x1.20402b553e98ap-9', '0x1.baf9d17a0ba80p-1',
+        '0x1.11993101019a3p-7', '0x1.59c1d09d0029fp-4',
+    ),
+    'quadratic-raw': (
+        '0x1.1286417eb67dap-9', '0x1.a5e1bc111b540p-1',
+        '0x1.1f473f60b96d3p-7', '0x1.6b0b8171a6929p-4',
+    ),
+    'tiny-losses-raw': (
+        '0x1.6a0023205ff10p+14', '0x1.2a34d9306c818p+26',
+        '0x1.c72fb429dbd7ap-27', '0x1.990ec9b75c789p-28',
+    ),
+}
+
+
+class TestScalarCandidateChecks:
+    """The b2 candidates' admissibility checks run on per-fit scalars
+    (``min(l) - b2`` and ``b0*min(k) + b1``); every fit must be exactly the
+    one the array reductions chose."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_CASES))
+    def test_fit_is_bit_identical(self, name):
+        (steps, losses), preprocess = EXACT_CASES[name]
+        if EXACT_FITS[name] is None:
+            with pytest.raises(FittingError, match="could not fit"):
+                fit_loss_curve(steps, losses, preprocess=preprocess)
+            return
+        fit = fit_loss_curve(steps, losses, preprocess=preprocess)
+        got = tuple(float(v).hex() for v in (fit.beta0, fit.beta1, fit.beta2, fit.residual))
+        assert got == EXACT_FITS[name]

@@ -1,5 +1,6 @@
 """Tests for the §3.1 preprocessing pipeline."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +56,74 @@ class TestRemoveOutliers:
         assert len(cleaned) == len(values)
         assert min(cleaned) >= min(values) - 1e-9
         assert max(cleaned) <= max(values) + 1e-9
+
+
+def loop_remove_outliers(values, window=5, margin=0.05):
+    """The per-point loop that ``remove_outliers`` replaced, kept verbatim
+    as its reference."""
+    data = [float(v) for v in values]
+    n = len(data)
+    if n <= 2:
+        return data
+    cleaned = list(data)
+    for i in range(n):
+        prev_window = data[max(0, i - window) : i]
+        next_window = data[i + 1 : i + 1 + window]
+        if not prev_window or not next_window:
+            continue
+        upper = max(prev_window) * (1.0 + margin)
+        lower = min(next_window) * (1.0 - margin)
+        if data[i] > upper or data[i] < lower:
+            cleaned[i] = float(np.mean(prev_window + next_window))
+    return cleaned
+
+
+@st.composite
+def loss_series(draw):
+    """Decaying noisy losses, some spiked or dipped, some tied, of length
+    0..60; values are drawn from a coarse grid so ties are common."""
+    n = draw(st.integers(0, 60))
+    base = draw(st.floats(0.5, 10.0))
+    noise = st.sampled_from([0.0, 0.01, 0.02, 0.05])
+    values = [
+        round(base / (1.0 + 0.1 * i) * (1.0 + draw(noise) * draw(st.sampled_from([-1, 1]))), 2)
+        for i in range(n)
+    ]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 4))):  # spikes and dips
+            i = draw(st.integers(0, n - 1))
+            values[i] *= draw(st.sampled_from([5.0, 3.0, 0.2, 0.01]))
+        for _ in range(draw(st.integers(0, 3))):  # ties with the previous point
+            i = draw(st.integers(1, n - 1))
+            values[i] = values[i - 1]
+    return values
+
+
+class TestWindowedOutlierPass:
+    """The sliding-window pass must reproduce the per-point loop exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=loss_series(),
+        window=st.integers(1, 8),
+        margin=st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.2]) | st.floats(0.0, 0.2),
+    )
+    def test_matches_loop(self, values, window, margin):
+        assert remove_outliers(values, window, margin) == loop_remove_outliers(
+            values, window, margin
+        )
+
+    @pytest.mark.parametrize("window", [1, 2, 5, 8, 60])
+    def test_edges_and_wide_windows(self, window):
+        # A spike right after the first point and a dip right before the
+        # last: the ∓inf padding must leave both windows their real values.
+        values = [10.0, 40.0, 8.0, 7.0, 7.0, 6.0, 5.5, 0.1, 5.0]
+        cleaned = remove_outliers(values, window)
+        assert cleaned == loop_remove_outliers(values, window)
+        assert cleaned[1] != 40.0 and cleaned[-2] != 0.1
+
+    def test_all_equal_values_unchanged(self):
+        assert remove_outliers([3.0] * 12, window=4, margin=0.0) == [3.0] * 12
 
 
 class TestNormalize:

@@ -1,5 +1,7 @@
 """Tests for parameter-block partitioning (§5.3): PAA vs MXNet default."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -187,3 +189,70 @@ class TestProperties:
         pa = paa_partition(blocks, num_servers)
         mx = mxnet_partition(blocks, num_servers, seed=0)
         assert pa.total_requests <= mx.total_requests
+
+
+def reference_paa(blocks, num_servers, tiny_fraction=0.01):
+    """PAA as it was written when every load read re-summed the server's
+    pieces; returns each server's piece list."""
+    pieces = [[] for _ in range(num_servers)]
+
+    def size(i):
+        return sum(s for _, s in pieces[i])
+
+    avg_size = sum(b.size for b in blocks) / num_servers
+    for block in sorted(blocks, key=lambda b: (-b.size, b.name)):
+        if block.size < tiny_fraction * avg_size:
+            target = min(range(num_servers), key=lambda i: (len(pieces[i]), size(i), i))
+            pieces[target].append((block.name, block.size))
+        elif block.size <= avg_size:
+            target = None
+            for i in range(num_servers):
+                remaining = avg_size - size(i)
+                if remaining + 1e-9 >= block.size:
+                    if target is None or remaining < avg_size - size(target):
+                        target = i
+            if target is None:
+                target = min(range(num_servers), key=lambda i: (size(i), i))
+            pieces[target].append((block.name, block.size))
+        else:
+            count = max(math.ceil(block.size / avg_size - 1e-9), 1)
+            remaining = block.size
+            for n in range(count):
+                piece = remaining if n == count - 1 else min(avg_size, remaining)
+                if piece <= 0:
+                    break
+                remaining -= piece
+                target = min(range(num_servers), key=lambda i: (size(i), i))
+                pieces[target].append((f"{block.name}/slice-{n}", piece))
+    return pieces
+
+
+class TestRunningLoads:
+    """``ServerLoad.assigned_size`` is a running total; it must equal the
+    left-to-right ``sum`` of the pieces exactly, and PAA must place every
+    piece where the re-summing version did."""
+
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_paa_matches_reference_for_every_ps_count(self, model):
+        blocks = blocks_from_sizes(MODEL_ZOO[model].parameter_blocks())
+        for num_servers in range(1, 33):
+            assignment = paa_partition(blocks, num_servers)
+            assert [s.pieces for s in assignment.servers] == reference_paa(blocks, num_servers)
+            for server in assignment.servers:
+                assert server.assigned_size == sum(size for _, size in server.pieces)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(1e-3, 1e7, allow_nan=False), max_size=40))
+    def test_total_after_each_add(self, sizes):
+        load = ServerLoad(0)
+        assert load.assigned_size == 0
+        for i, size in enumerate(sizes):
+            load.add(f"b{i}", size)
+            assert load.assigned_size == sum(s for _, s in load.pieces)
+
+    def test_constructed_with_pieces(self):
+        load = ServerLoad(3, [("a", 0.1), ("b", 0.2), ("c", 0.3)])
+        assert load.assigned_size == 0.1 + 0.2 + 0.3
+        load.add("d", 0.4)
+        assert load.assigned_size == 0.1 + 0.2 + 0.3 + 0.4
+        assert load == ServerLoad(3, list(load.pieces))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
-from repro.common.errors import SchedulingError
+from repro.common.errors import FittingError, SchedulingError
 from repro.schedulers import (
     CompositeScheduler,
     DRFScheduler,
@@ -139,7 +139,7 @@ class TestJobViewHelpers:
         assert v.estimated_time(0, 1) == float("inf")
 
         def broken(p, w):
-            raise RuntimeError
+            raise FittingError("degenerate speed fit")
 
         v_broken = JobView(spec=v.spec, remaining_steps=10, speed=broken)
         assert v_broken.estimated_time(1, 1) == float("inf")

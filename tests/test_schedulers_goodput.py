@@ -1,10 +1,13 @@
 """Tests for the Pollux-style goodput allocator."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
+from repro.common.errors import FittingError
 from repro.core.allocation import WeightedSpeed
+from repro.obs import MetricsRegistry, use_registry
 from repro.schedulers import JobView, make_scheduler
 from repro.schedulers.base import MIN_STATISTICAL_EFFICIENCY
 from repro.schedulers.goodput import goodput_allocation, goodput_speed
@@ -61,29 +64,58 @@ class TestStatisticalEfficiency:
         assert v.goodput(4, 0) == 0.0
 
 
+class TestJobViewSpeedErrors:
+    """``estimated_time`` and ``goodput`` treat only a degenerate fit as an
+    unusable configuration; any other error is a bug and propagates."""
+
+    def test_fitting_error_is_a_counted_fallback(self):
+        def degenerate(p, w):
+            raise FittingError("degenerate speed fit")
+
+        v = dataclasses.replace(view("j"), speed=degenerate)
+        metrics = MetricsRegistry()
+        with use_registry(metrics):
+            assert v.estimated_time(4, 2) == float("inf")
+            assert v.goodput(2, 4) == 0.0
+        assert metrics.counter("est.fallback.speed_eval").value == 2
+
+    @pytest.mark.parametrize("method", ["estimated_time", "goodput"])
+    def test_other_errors_propagate(self, method):
+        def buggy(p, w):
+            raise RuntimeError("not a fitting failure")
+
+        v = dataclasses.replace(view("j"), speed=buggy)
+        with pytest.raises(RuntimeError, match="not a fitting failure"):
+            getattr(v, method)(2, 2)
+
+
 class TestWeightedSpeed:
-    def test_vectorized_matches_scalar(self):
+    def test_weight_is_the_staleness_discount(self):
         v = view("j", mode="async")
-        # An elementwise base (Eqn-3 form), standing in for a fitted model.
-        elementwise = WeightedSpeed(
-            lambda p, w: w / (2.0 + 3.0 * w / p + 0.02 * w),
-            goodput_speed(v).weight,
-        )
-        ps = np.array([1, 2, 3, 4])
-        ws = np.array([1, 2, 4, 8])
-        vectorized = elementwise.predict_many(ps, ws)
-        scalar = np.array([elementwise(p, w) for p, w in zip(ps, ws)])
-        np.testing.assert_allclose(vectorized, scalar, rtol=1e-12)
+
+        def base(p, w):  # Eqn-3-shaped, standing in for a fitted model
+            return w / (2.0 + 3.0 * w / p + 0.02 * w)
+
+        weighted = WeightedSpeed(base, goodput_speed(v).weight)
+        staleness = v.spec.profile.staleness_factor
+        for p, w in [(1, 1), (2, 2), (3, 4), (4, 8)]:
+            discount = max(1.0 / (1.0 + staleness * (w - 1)), MIN_STATISTICAL_EFFICIENCY)
+            assert type(weighted(p, w)) is float
+            assert weighted(p, w) == base(p, w) * discount
 
     def test_non_elementwise_base_raises_typeerror(self):
-        # A base that cannot take arrays makes predict_many raise
-        # TypeError; allocate then scores the job with scalar calls for
-        # the rest of the round.
-        v = view("j", mode="async")
-        weighted = goodput_speed(v)
-        assert isinstance(weighted, WeightedSpeed)
-        with pytest.raises(Exception):
-            weighted.predict_many(np.array([1, 2]), np.array([1, 2]))
+        # There is no batch path left to fall back from: a base that
+        # rejects its arguments raises through WeightedSpeed and out of
+        # the goodput allocator instead of being silently rescored.
+        def array_only(p, w):
+            raise TypeError("arrays only")
+
+        v = dataclasses.replace(view("j", mode="async"), speed=array_only)
+        assert isinstance(goodput_speed(v), WeightedSpeed)
+        with pytest.raises(TypeError, match="arrays only"):
+            goodput_speed(v)(1, 2)
+        with pytest.raises(TypeError, match="arrays only"):
+            goodput_allocation([v], CAPACITY)
 
     def test_weight_reduces_async_speed(self):
         v = view("j", mode="async")

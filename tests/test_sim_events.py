@@ -9,7 +9,7 @@ Two equivalence contracts are pinned here:
   crash-induced restarts) must match exactly, across seeds and with
   faults injected.
 * The heap-based incremental ``allocate`` (candidate completion times
-  carried in heap entries, vectorized evaluation) must grant exactly what
+  carried in heap entries) must grant exactly what
   a from-scratch reference -- same greedy control flow, but recomputing
   :func:`~repro.core.allocation._marginal_gain` fresh at every push --
   would grant.
@@ -18,11 +18,12 @@ Two equivalence contracts are pinned here:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import heapq
 import itertools
+import json
 import random
 
-import numpy as np
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
@@ -35,11 +36,12 @@ from repro.core.allocation import (
     _marginal_gain,
     allocate,
 )
+from repro.core.speed import SpeedEstimator
 from repro.faults.config import FaultConfig
 from repro.obs import MetricsRegistry, use_registry
 from repro.schedulers import make_scheduler
 from repro.sim import ENGINES, SimConfig, default_engine, simulate
-from repro.workloads import make_job, uniform_arrivals
+from repro.workloads import MODEL_ZOO, StepTimeModel, make_job, uniform_arrivals
 
 SEEDS = (3, 11, 42)
 
@@ -269,6 +271,48 @@ def random_fleet(rng, num_jobs):
     return requests
 
 
+def fitted_fleet(seed):
+    """Twelve jobs on §3.2 fits of noisy samples (thetas with full
+    mantissas, sync and async), ``WeightedSpeed`` over those fits and
+    ``WeightedSpeed`` over the ground truth, on a cluster that runs out."""
+    rng = random.Random(seed)
+    requests = []
+    for i in range(12):
+        mode = ("async", "sync")[i % 2]
+        estimator = SpeedEstimator(mode=mode, global_batch=256.0)
+        a, b, c = 0.2 + rng.random(), 0.5 + 2.0 * rng.random(), 0.02 * rng.random()
+        for p, w in [(1, 1), (1, 2), (2, 2), (2, 4), (3, 6), (4, 8), (4, 12), (6, 9)]:
+            seconds = a + b * w / p + c * w + 0.01 * p
+            noise = 1.0 + 0.05 * (rng.random() - 0.5)
+            estimator.add_sample(
+                p, w, noise * (w / seconds if mode == "async" else 1.0 / seconds)
+            )
+        fitted = estimator.speed_function()
+        decay = 0.02 + 0.1 * rng.random()
+
+        def staleness(p, w, decay=decay):
+            return 1.0 / (1.0 + decay * (w - 1))
+
+        model = ("cnn-rand", "dssm", "kaggle-ndsb")[i % 3]
+        truth = StepTimeModel(MODEL_ZOO[model], mode).speed
+        speed = (fitted, WeightedSpeed(fitted, staleness), WeightedSpeed(truth, staleness))[
+            i % 3
+        ]
+        requests.append(
+            AllocationRequest(
+                job_id=f"job-{i}",
+                remaining_work=1e4 * (1.0 + 9.0 * rng.random()),
+                speed=speed,
+                worker_demand=cpu_mem(1 + rng.randrange(4), 2 + rng.randrange(8)),
+                ps_demand=cpu_mem(1 + rng.randrange(2), 1 + rng.randrange(4)),
+                priority=(1.0, 0.95)[i % 5 == 0],
+                max_workers=4 + rng.randrange(12),
+                max_ps=4 + rng.randrange(12),
+            )
+        )
+    return requests, ResourceVector({"cpu": 150.0, "memory": 400.0})
+
+
 class TestIncrementalAllocatorEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_on_random_fleets(self, seed):
@@ -286,11 +330,9 @@ class TestIncrementalAllocatorEquivalence:
         assert result.allocations == ref_allocations
         assert result.starved == ref_starved
 
-    def test_matches_reference_with_vectorized_speed_model(self):
-        """The batch path (``predict_many``) must agree with the scalar
-        reference on a real fitted model, not just Python lambdas."""
-        from repro.core.speed import SpeedEstimator
-
+    def test_matches_reference_with_fitted_speed_model(self):
+        """The allocator must agree with the reference on a real fitted
+        model, not just Python lambdas."""
         estimator = SpeedEstimator(mode="async", global_batch=128.0)
         for p, w in [(1, 1), (1, 2), (2, 2), (2, 4), (3, 6), (4, 8), (4, 12)]:
             estimator.add_sample(p, w, w / (1.0 + 2.0 * w / p + 0.01 * w))
@@ -331,14 +373,11 @@ class TestIncrementalAllocatorEquivalence:
         return result
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_reference_with_predict_many_speeds(self, seed):
-        """``predict_many`` sources: frozen fits, ``WeightedSpeed`` over a
-        fit, and ``WeightedSpeed`` over the scalar-only ground truth, whose
-        ``predict_many`` raises ``TypeError`` and moves that job to scalar
-        calls for the rest of the round."""
-        from repro.core.speed import SpeedEstimator
-        from repro.workloads import MODEL_ZOO, StepTimeModel
-
+    def test_matches_reference_with_fitted_and_weighted_speeds(self, seed):
+        """Frozen fits, ``WeightedSpeed`` over a fit, ``WeightedSpeed`` over
+        the ground truth, and a weight that turns zero, negative or NaN
+        past a knee: those configurations must map to "unusable" as
+        ``_safe_speed`` does."""
         rng = random.Random(seed)
         requests = []
         for i, request in enumerate(random_fleet(rng, 9)):
@@ -352,10 +391,8 @@ class TestIncrementalAllocatorEquivalence:
             def staleness(p, w, decay=decay):
                 return 1.0 / (1.0 + decay * (w - 1))
 
-            def cliff(p, w, knee=3 + i % 4, drop=(0.0, -1.0, np.nan)[i % 3]):
-                # From `knee` tasks on, the batch values are zero, negative
-                # or NaN: they must map to "unusable" as _safe_speed does.
-                return np.where(np.asarray(p) + np.asarray(w) >= knee, drop, 1.0)
+            def cliff(p, w, knee=3 + i % 4, drop=(0.0, -1.0, float("nan"))[i % 3]):
+                return drop if p + w >= knee else 1.0
 
             truth = StepTimeModel(MODEL_ZOO["cnn-rand"], "async").speed
             speed = (
@@ -367,6 +404,32 @@ class TestIncrementalAllocatorEquivalence:
             requests.append(dataclasses.replace(request, speed=speed))
         capacity = ResourceVector({"cpu": 120.0, "memory": 360.0})
         self.assert_matches_reference(requests, capacity)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference_on_noisy_fits(self, seed):
+        """Real §3.2 fits on noisy samples (thetas with full mantissas), in
+        both modes, plain and under ``WeightedSpeed``."""
+        requests, capacity = fitted_fleet(seed)
+        self.assert_matches_reference(requests, capacity)
+
+    def test_noisy_fit_grant_log_is_pinned(self):
+        """The ``trace=True`` grant log of each noisy-fit fleet, recorded
+        when candidates were still scored through a batch ``predict_many``:
+        scalar evaluation must reproduce every grant and gain bit for bit."""
+        pinned = {
+            0: (59, "e4ede70b795249cbd7789c11b8ee0ba1e48169ab6c608f9de184c1e69bd61ac6"),
+            1: (50, "76d6e939118b39aa4b1128b04d0e82846021674d46f85582e61b645fb0059032"),
+            2: (55, "df9a0c7e03743d4ee89c9e48df6af9da1ab28e13fe8847cfafdec5c715ebb8d2"),
+        }
+        for seed, (count, digest) in pinned.items():
+            requests, capacity = fitted_fleet(seed)
+            result = allocate(requests, capacity, trace=True)
+            log = [
+                [g.job_id, g.kind, g.gain.hex(), *g.allocation_after]
+                for g in result.grants
+            ]
+            assert len(log) == count
+            assert hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference_when_task_caps_bind(self, seed):
