@@ -5,8 +5,8 @@ goodput, OASiS-style online primal-dual, DRF) on one seeded paper-scale
 trace via :func:`repro.sim.run_arena`, and writes the flat gate report
 (``ArenaReport.gate_dict``) that ``benchmarks/check_regression.py`` diffs
 against the committed ``BENCH_arena.json`` baseline. Because the trace,
-seed, and engine are pinned, every number is deterministic: any drift is
-a behaviour change in a policy or the engine, not noise.
+and seed are pinned, every number is deterministic: any drift is a
+behaviour change in a policy or the simulator, not noise.
 
 Run it directly to regenerate the baseline::
 
@@ -36,7 +36,7 @@ ARENA_POLICIES = ("optimus", "goodput", "oasis", "drf")
 ARENA_SEED = 42
 
 
-def run_headtohead(policies=ARENA_POLICIES, seed=ARENA_SEED, engine=None):
+def run_headtohead(policies=ARENA_POLICIES, seed=ARENA_SEED):
     """Race *policies* on the §6.1 trace; returns the :class:`ArenaReport`.
 
     Smoke mode (``BENCH_SMOKE=1``) shrinks the trace through
@@ -48,14 +48,13 @@ def run_headtohead(policies=ARENA_POLICIES, seed=ARENA_SEED, engine=None):
         paper_cluster,
         paper_workload(seed=seed),
         config=config,
-        engine=engine,
         baseline=policies[0],
     )
 
 
-def run_headtohead_gate(policies=ARENA_POLICIES, seed=ARENA_SEED, engine=None):
+def run_headtohead_gate(policies=ARENA_POLICIES, seed=ARENA_SEED):
     """The flat gate dictionary for ``check_regression.py``."""
-    return run_headtohead(policies, seed=seed, engine=engine).gate_dict()
+    return run_headtohead(policies, seed=seed).gate_dict()
 
 
 def main(argv=None):
@@ -69,14 +68,11 @@ def main(argv=None):
     )
     parser.add_argument("--seed", type=int, default=ARENA_SEED)
     parser.add_argument(
-        "--engine", default=None, help="simulation engine (tick|event)"
-    )
-    parser.add_argument(
         "--output", default=None, help="write the gate JSON here"
     )
     args = parser.parse_args(argv)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    arena = run_headtohead(policies, seed=args.seed, engine=args.engine)
+    arena = run_headtohead(policies, seed=args.seed)
     print(format_arena(arena))
     text = json.dumps(arena.gate_dict(), indent=2, sort_keys=True)
     print(text)

@@ -11,10 +11,10 @@ This bench has two parts:
   per job are capped at 28, so the largest point handles ~50k tasks; the
   paper's 100k-task point used a ps:worker grid we cap lower to keep the
   bench under a minute.
-* :func:`run_scale_scenario` runs a *full simulation* on the event-driven
-  engine at datacenter scale (thousands of GPUs, thousands of jobs) and
-  writes a ``BENCH_scale.json`` report that CI's ``benchmark-scale`` job
-  gates against a committed baseline. Run it directly::
+* :func:`run_scale_scenario` runs a *full simulation* at datacenter
+  scale (thousands of GPUs, thousands of jobs) and writes a
+  ``BENCH_scale.json`` report that CI's ``benchmark-scale`` job gates
+  against a committed baseline. Run it directly::
 
       python benchmarks/bench_fig12_scalability.py --gpus 1000 --jobs 2000 \\
           --output BENCH_scale.json
@@ -83,7 +83,7 @@ def run_sweep():
     }
 
 
-# -- full-simulation scale scenario (event engine) ---------------------------
+# -- full-simulation scale scenario ------------------------------------------
 
 GPUS_PER_NODE = 4
 NODE_SHAPE = ResourceVector({"cpu": 16, "memory": 80, "gpu": GPUS_PER_NODE})
@@ -116,8 +116,8 @@ def build_scale_workload(num_jobs, window):
 def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
     """Simulate *num_jobs* jobs on a *num_gpus*-GPU cluster, end to end.
 
-    Runs the event-driven engine with oracle estimators (so loss-curve
-    fitting does not drown out the engine/allocator/placement cost being
+    Runs the simulator with oracle estimators (so loss-curve fitting
+    does not drown out the event-loop/allocator/placement cost being
     measured) and the placement cache on. Returns the ``BENCH_scale.json``
     report dict; every numeric field is regression-gated by CI through
     ``benchmarks/check_regression.py``.
@@ -154,7 +154,6 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
         workload,
         config,
         metrics=registry,
-        engine="event",
     )
     wall = time.perf_counter() - start
 
@@ -182,7 +181,7 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Run the full-simulation scale scenario (event engine)."
+        description="Run the full-simulation scale scenario."
     )
     parser.add_argument("--gpus", type=int, default=5_000)
     parser.add_argument("--jobs", type=int, default=10_000)

@@ -178,7 +178,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             tracer=tracer,
             metrics=registry,
             timeseries=timeseries,
-            engine=args.engine,
         )
     finally:
         if tracer is not None:
@@ -187,11 +186,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"wrote trace to {args.trace_out}", file=sys.stderr)
         # Reproducibility manifest: everything a replay needs, pinned
         # next to the trace it belongs to.
-        from repro.sim import default_engine, manifest_path_for, run_manifest, write_manifest
+        from repro.sim import manifest_path_for, run_manifest, write_manifest
 
         manifest = run_manifest(
             config=config,
-            engine=args.engine if args.engine else default_engine(),
             policy=result.scheduler_name,
             jobs=jobs,
         )
@@ -568,10 +566,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             import dataclasses as _dc
 
             scenario = _dc.replace(scenario, seed=args.seed_override)
-        if args.engine:
-            import dataclasses as _dc
-
-            scenario = _dc.replace(scenario, engine=args.engine)
         outcome = run_soak(
             scenario,
             trace_out=args.trace_out,
@@ -593,7 +587,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         rows = [
             ["scenario", scenario.name],
             ["seed", scenario.seed],
-            ["engine", outcome.report["engine"]],
             ["policy", scenario.policy],
             ["jobs finished", f"{sim['finished']}/{sim['jobs']}"],
             ["makespan (h)", sim["makespan"] / 3600],
@@ -766,7 +759,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
             cluster_factory,
             jobs,
             config=config,
-            engine=args.engine,
             baseline=args.baseline,
             trace_prefix=args.trace_out,
         )
@@ -881,13 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arrivals", choices=("uniform", "poisson", "google"), default="uniform"
     )
     simulate_cmd.add_argument("--seed", type=int, default=0)
-    simulate_cmd.add_argument(
-        "--engine",
-        choices=("tick", "event"),
-        default=None,
-        help="loop core: fixed-tick or event-heap (identical results; "
-        "default honours REPRO_SIM_ENGINE, else tick)",
-    )
     simulate_cmd.add_argument(
         "--estimator", choices=("online", "oracle", "noisy"), default="online"
     )
@@ -1004,12 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the scenario's seed (--scenario mode)",
-    )
-    soak.add_argument(
-        "--engine",
-        choices=("tick", "event"),
-        default=None,
-        help="override the scenario's engine core",
     )
     soak.add_argument(
         "--recovery-slack",
@@ -1153,12 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     arena.add_argument("--seed", type=int, default=42)
     arena.add_argument(
         "--trace", help="replay a workload trace file instead of generating one"
-    )
-    arena.add_argument(
-        "--engine",
-        choices=("tick", "event"),
-        default=None,
-        help="loop core (default honours REPRO_SIM_ENGINE, else tick)",
     )
     arena.add_argument(
         "--estimator", choices=("online", "oracle", "noisy"), default="online"

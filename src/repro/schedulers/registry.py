@@ -28,8 +28,7 @@ built-ins. Lookups of unknown names raise :class:`SchedulingError` listing
 the registered alternatives -- never a bare :class:`KeyError`.
 
 The ``REPRO_POLICY`` environment variable overrides the *default* policy
-name (the one used when a caller passes ``None``), mirroring how
-``REPRO_SIM_ENGINE`` selects the simulator core.
+name (the one used when a caller passes ``None``).
 """
 
 from __future__ import annotations

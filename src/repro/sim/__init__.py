@@ -15,14 +15,11 @@ from repro.sim.arena import (
     score_result,
 )
 from repro.sim.engine import (
-    ENGINES,
-    default_engine,
     SimConfig,
     Simulation,
+    probe_accuracy,
     simulate,
-    simulation_for,
 )
-from repro.sim.events import EventDrivenSimulation, probe_accuracy
 from repro.sim.manifest import (
     config_digest,
     manifest_path_for,
@@ -72,13 +69,9 @@ __all__ = [
     "constant_load",
     "diurnal_load",
     "step_load",
-    "ENGINES",
-    "default_engine",
     "SimConfig",
     "Simulation",
-    "EventDrivenSimulation",
     "simulate",
-    "simulation_for",
     "SimulationResult",
     "JobRecord",
     "TimeSlot",

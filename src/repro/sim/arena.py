@@ -3,10 +3,10 @@
 Every policy registered with :mod:`repro.schedulers.registry` consumes the
 same observation surface and emits the same action surface, so any set of
 them can be raced on an identical workload: same job specs, same cluster
-shape, same seed, same engine core. :func:`run_arena` does exactly that and
-produces an :class:`ArenaReport` with the headline metrics per policy --
-JCT statistics over finished jobs, effective makespan, Jain's fairness
-index over the JCT distribution, and utilisation -- plus every metric
+shape, same seed. :func:`run_arena` does exactly that and produces an
+:class:`ArenaReport` with the headline metrics per policy -- JCT
+statistics over finished jobs, effective makespan, Jain's fairness index
+over the JCT distribution, and utilisation -- plus every metric
 normalised to a baseline policy (the first one, by default), which is how
 the paper's Fig.-11 style comparisons read.
 
@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.common.errors import SimulationError
-from repro.sim.engine import SimConfig, default_engine, simulation_for
+from repro.sim.engine import SimConfig, simulate
 from repro.sim.metrics import SimulationResult
 from repro.workloads.job import JobSpec
 
@@ -114,7 +114,6 @@ class ArenaReport:
     scores: Sequence[PolicyScore]
     baseline: str
     seed: int
-    engine: str
     servers: int
     jobs: int
     #: Per-policy divergence attribution vs the baseline (see
@@ -157,7 +156,6 @@ class ArenaReport:
         payload = {
             "baseline": self.baseline,
             "seed": self.seed,
-            "engine": self.engine,
             "servers": self.servers,
             "jobs": self.jobs,
             "policies": [
@@ -199,7 +197,6 @@ def run_arena(
     cluster_factory: Callable[[], Cluster],
     jobs: Sequence[JobSpec],
     config: Optional[SimConfig] = None,
-    engine: Optional[str] = None,
     baseline: Optional[str] = None,
     scheduler_kwargs: Optional[Dict[str, dict]] = None,
     trace_prefix: Optional[str] = None,
@@ -227,7 +224,6 @@ def run_arena(
     from repro.schedulers import make_scheduler
 
     config = config or SimConfig()
-    engine = engine if engine is not None else default_engine()
     baseline = baseline if baseline is not None else policies[0]
     if baseline not in policies:
         raise SimulationError(
@@ -247,15 +243,10 @@ def run_arena(
             from repro.obs.tracer import RecordingTracer
 
             tracer = RecordingTracer()
-        sim = simulation_for(
-            engine,
-            cluster_factory(),
-            schedulers[name],
-            list(jobs),
-            config,
-            tracer=tracer,
+        result = simulate(
+            cluster_factory(), schedulers[name], list(jobs), config, tracer=tracer
         )
-        scores.append(score_result(name, sim.run()))
+        scores.append(score_result(name, result))
         if tracer is not None:
             traces[name] = tracer.events
             from repro.sim.manifest import (
@@ -274,7 +265,6 @@ def run_arena(
                 manifest_path_for(path),
                 run_manifest(
                     config=config,
-                    engine=engine,
                     policy=name,
                     jobs=jobs,
                     extra={"arena_baseline": baseline},
@@ -295,7 +285,6 @@ def run_arena(
         scores=tuple(scores),
         baseline=baseline,
         seed=config.seed,
-        engine=engine,
         servers=len(list(cluster_factory().server_names)),
         jobs=len(jobs),
         divergence=divergence,
@@ -305,7 +294,7 @@ def run_arena(
 def format_arena(report: ArenaReport) -> str:
     """A printable head-to-head table (JCTs in hours, ratios vs baseline)."""
     lines = [
-        f"arena: seed={report.seed} engine={report.engine} "
+        f"arena: seed={report.seed} "
         f"servers={report.servers} jobs={report.jobs} "
         f"baseline={report.baseline}",
         f"{'policy':14s} {'done':>5s} {'JCT (h)':>9s} {'p95 (h)':>9s} "

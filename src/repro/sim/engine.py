@@ -15,14 +15,26 @@ configurations). This engine is that simulator:
   placement (Fig. 10 transfer accounting), the parameter-server imbalance of
   the configured partitioner (§5.3) and any injected stragglers (§5.2);
 * completions are solved exactly inside the interval.
+
+One event heap drives the run (:meth:`Simulation._run`). Events are ordered
+by ``(time, rank, seq)``: at one timestamp, arrivals (rank 0) are admitted
+before the scheduling point (rank 1), and completion probes (rank 2) come
+last. Schedule events chain themselves from boundary to boundary only while
+jobs are active, so an idle stretch of the timeline costs no work however
+long it is; the next arrival restarts the chain. A completion probe sits at
+the completion time an interval projected for a running job (only when
+estimator telemetry is attached) and scores that projection when popped:
+``sim.events_completion_confirmed`` if the job had finished, ``..._missed``
+if it had not, ``..._stale`` if a later interval superseded it.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.cluster import Cluster
 from repro.common.errors import SimulationError
@@ -76,6 +88,34 @@ from repro.sim.stragglers import (
     effective_interval_speed,
 )
 from repro.workloads.job import JobSpec
+
+#: Pop order within one timestamp: admissions, then the scheduling point,
+#: then completion probes.
+RANK_ARRIVAL = 0
+RANK_SCHEDULE = 1
+RANK_COMPLETION = 2
+
+
+def probe_accuracy(metrics: MetricsRegistry) -> Dict[str, float]:
+    """Summarise completion-probe outcomes from a metrics registry.
+
+    Returns the confirmed/stale/missed counts plus ``accuracy`` -- the
+    fraction of *scored* probes (stale ones superseded by a rescale are
+    excluded) whose job had really finished by its projected time. An
+    event-granular estimator-quality number: 1.0 means every surviving
+    projection was met. All zeros when the run attached no telemetry.
+    """
+    counters = metrics.snapshot().get("counters", {})
+    confirmed = float(counters.get("sim.events_completion_confirmed", 0))
+    stale = float(counters.get("sim.events_completion_stale", 0))
+    missed = float(counters.get("sim.events_completion_missed", 0))
+    scored = confirmed + missed
+    return {
+        "confirmed": confirmed,
+        "stale": stale,
+        "missed": missed,
+        "accuracy": confirmed / scored if scored > 0 else 0.0,
+    }
 
 
 @dataclass(frozen=True)
@@ -521,55 +561,95 @@ class Simulation:
 
     # -- the main loop --------------------------------------------------------------
     def run(self) -> SimulationResult:
-        # Both context managers cover the event engine too: it overrides
-        # only ``_run``, never ``run``.
         with use_registry(self.metrics), use_ledger(self.ledger):
             return self._run()
 
-    def _admit_one(self, spec: JobSpec, now: float, active: Dict[str, RuntimeJob]) -> None:
-        """Admit one job at scheduling boundary *now* (shared by both engines)."""
-        active[spec.job_id] = self._admit(spec)
-        if self.tracer:
-            self.tracer.emit(
-                EVENT_JOB_ARRIVED,
-                now,
-                job_id=spec.job_id,
-                model=spec.model_name,
-                mode=spec.mode,
-                arrival_time=spec.arrival_time,
-            )
-        self.metrics.counter("engine.jobs_admitted").inc()
-
     def _run(self) -> SimulationResult:
-        cfg = self.config
-        profiler = self.profiler
+        """Drive the run from the event heap (see the module docstring).
+
+        A schedule event is pending exactly while jobs are active, so at
+        most one is ever on the heap. Per job only the newest completion
+        probe is live.
+        """
+        interval = self.config.interval
+        max_time = self.config.max_time
+        metrics = self.metrics
         specs = self.specs
-        next_idx = 0
+
+        seq = itertools.count()
+        # Specs are sorted by arrival, so the list is already a heap.
+        heap: List[Tuple[float, int, int, object]] = [
+            (math.ceil(spec.arrival_time / interval) * interval, RANK_ARRIVAL, next(seq), spec)
+            for spec in specs
+        ]
         active: Dict[str, RuntimeJob] = {}
         done: Dict[str, RuntimeJob] = {}
         timeline: List[TimeSlot] = []
         decisions: List[Dict[str, TaskAllocation]] = []
-        now = 0.0
+        admitted = 0
+        events_processed = 0
+        heap_peak = len(heap)
+        probe_stamps: Dict[str, int] = {}
 
-        while (next_idx < len(specs) or active) and now <= cfg.max_time:
-            profiler.begin_interval()
-            while next_idx < len(specs) and specs[next_idx].arrival_time <= now:
-                self._admit_one(specs[next_idx], now, active)
-                next_idx += 1
+        while heap:
+            when, rank, _, payload = heapq.heappop(heap)
+            if when > max_time:
+                break
+            events_processed += 1
 
-            if not active:
-                # Idle cluster: fast-forward to the boundary after the next
-                # arrival instead of spinning through empty intervals.
-                next_arrival = specs[next_idx].arrival_time
-                now = math.ceil(next_arrival / cfg.interval) * cfg.interval
-                continue
+            if rank == RANK_ARRIVAL:
+                if not active:
+                    # Idle cluster: this arrival restarts the schedule chain.
+                    heapq.heappush(heap, (when, RANK_SCHEDULE, next(seq), None))
+                active[payload.job_id] = self._admit(payload)
+                admitted += 1
+                if self.tracer:
+                    self.tracer.emit(
+                        EVENT_JOB_ARRIVED,
+                        when,
+                        job_id=payload.job_id,
+                        model=payload.model_name,
+                        mode=payload.mode,
+                        arrival_time=payload.arrival_time,
+                    )
+                metrics.counter("engine.jobs_admitted").inc()
+                metrics.counter("sim.events_arrival").inc()
 
-            self._process_interval(
-                now, active, done, timeline, decisions, len(specs) - next_idx
-            )
-            now += cfg.interval
+            elif rank == RANK_SCHEDULE:
+                self.profiler.begin_interval()
+                metrics.counter("sim.events_schedule").inc()
+                predictions = self._process_interval(
+                    when, active, done, timeline, decisions, len(specs) - admitted
+                )
+                if active:
+                    heapq.heappush(heap, (when + interval, RANK_SCHEDULE, next(seq), None))
+                for job_id, projected in (predictions or {}).items():
+                    if job_id not in active:
+                        continue  # completed inside this interval
+                    stamp = probe_stamps.get(job_id, 0) + 1
+                    probe_stamps[job_id] = stamp
+                    heapq.heappush(
+                        heap,
+                        (max(projected, when), RANK_COMPLETION, next(seq), (job_id, stamp)),
+                    )
 
-        return self._finalize(active, done, specs[next_idx:], timeline, decisions)
+            else:
+                job_id, stamp = payload
+                if probe_stamps.get(job_id) != stamp:
+                    metrics.counter("sim.events_completion_stale").inc()
+                elif job_id in done:
+                    metrics.counter("sim.events_completion_confirmed").inc()
+                else:
+                    # Still running past its projection: the estimate was
+                    # optimistic (or the job was rescaled down).
+                    metrics.counter("sim.events_completion_missed").inc()
+
+            if len(heap) > heap_peak:
+                heap_peak = len(heap)
+
+        metrics.counter("sim.events_processed").inc(float(events_processed))
+        metrics.gauge("sim.event_heap_peak").set(float(heap_peak))
+        return self._finalize(active, done, specs[admitted:], timeline, decisions)
 
     def _process_interval(
         self,
@@ -582,12 +662,10 @@ class Simulation:
     ) -> Optional[Dict[str, float]]:
         """Run one scheduling interval starting at *now*.
 
-        This is the engine-agnostic interval body: the tick loop calls it at
-        every boundary with active jobs, the event engine from its schedule
-        events. Returns projected completion times (absolute seconds) for
-        the jobs whose speed was predicted this interval when estimator
-        telemetry is attached, else ``None`` -- the event engine turns those
-        into completion-probe events.
+        Returns projected completion times (absolute seconds) for the jobs
+        whose speed was predicted this interval when estimator telemetry is
+        attached, else ``None``; :meth:`_run` turns those into completion
+        probes.
         """
         cfg = self.config
         tracer = self.tracer
@@ -781,45 +859,6 @@ class Simulation:
         )
 
 
-#: The selectable engine cores: the fixed-tick loop above and the
-#: event-heap core of :mod:`repro.sim.events`. Both produce bit-identical
-#: results on the same trace (see ``tests/test_sim_events.py``).
-ENGINES = ("tick", "event")
-
-
-def default_engine() -> str:
-    """The engine :func:`simulate` uses when none is named.
-
-    Normally ``"tick"``; the ``REPRO_SIM_ENGINE`` environment variable
-    overrides it, which is how CI's nightly lane re-runs the whole
-    fault/chaos suite on the event core without touching every call site.
-    """
-    engine = os.environ.get("REPRO_SIM_ENGINE", "tick")
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"REPRO_SIM_ENGINE must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
-
-
-def simulation_for(
-    engine: str,
-    cluster: Cluster,
-    scheduler: Union[Scheduler, str],
-    jobs: Sequence[JobSpec],
-    config: Optional[SimConfig] = None,
-    **kwargs,
-) -> Simulation:
-    """Build a :class:`Simulation` for the named engine core."""
-    if engine not in ENGINES:
-        raise SimulationError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "event":
-        from repro.sim.events import EventDrivenSimulation
-
-        return EventDrivenSimulation(cluster, scheduler, jobs, config, **kwargs)
-    return Simulation(cluster, scheduler, jobs, config, **kwargs)
-
-
 def simulate(
     cluster: Cluster,
     scheduler: Union[Scheduler, str],
@@ -829,7 +868,6 @@ def simulate(
     metrics: Optional[MetricsRegistry] = None,
     fault_plan: Optional[FaultPlan] = None,
     timeseries: Optional[TimeSeriesDB] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Convenience one-shot wrapper around :class:`Simulation`.
 
@@ -838,13 +876,8 @@ def simulate(
     ``fault_plan`` scripts deterministic faults on top of
     ``config.faults`` (see :mod:`repro.faults`); ``timeseries`` attaches
     a :class:`~repro.obs.timeseries.TimeSeriesDB` sampled every interval.
-    ``engine`` selects the loop core: ``"tick"`` (fixed-interval loop) or
-    ``"event"`` (the :mod:`repro.sim.events` heap core; same results,
-    sparse timelines cost nothing). ``None`` means :func:`default_engine`
-    (``"tick"`` unless ``REPRO_SIM_ENGINE`` says otherwise).
     """
-    return simulation_for(
-        engine if engine is not None else default_engine(),
+    return Simulation(
         cluster,
         scheduler,
         jobs,

@@ -2,7 +2,7 @@
 
 A failed nightly soak is worthless unless it can be replayed exactly. The
 manifest is a small JSON file written next to every ``--trace-out`` that
-pins everything a replay needs: the seed, the engine core, the policy, the
+pins everything a replay needs: the seed, the policy, the
 fault plan, a stable hash of the :class:`~repro.sim.engine.SimConfig`, the
 workload size and the package version. ``repro soak`` additionally embeds
 the scenario spec itself.
@@ -82,8 +82,8 @@ def fault_plan_to_dict(plan: Optional[FaultPlan]) -> Optional[Dict]:
 def run_manifest(
     *,
     config: Optional[SimConfig] = None,
-    engine: str,
     policy: str,
+    engine: str = "simulator",
     seed: Optional[int] = None,
     jobs: Optional[Sequence[JobSpec]] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -94,7 +94,8 @@ def run_manifest(
 
     ``config`` may be omitted by runs that have no :class:`SimConfig`
     (the failover drill's control-plane loop); pass ``seed`` explicitly
-    then, and the config hash/dump fields are null.
+    then, and the config hash/dump fields are null. ``engine`` tells
+    simulator runs apart from control-loop drills (``"controlloop"``).
     """
     from repro import __version__
 

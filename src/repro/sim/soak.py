@@ -20,8 +20,8 @@ machine-readable violation report and the reproducibility manifest.
 Scenario format (all sections optional except ``workload``)::
 
     {
-      "name": "soak-48h", "seed": 0, "engine": "event",
-      "policy": "optimus", "servers": 13, "horizon": 172800,
+      "name": "soak-48h", "seed": 0, "policy": "optimus",
+      "servers": 13, "horizon": 172800,
       "interval": 600, "checkpoint_interval": 1800,
       "workload": [
         {"arrivals": "diurnal", "jobs": 36, "duration": 150000},
@@ -56,12 +56,7 @@ from repro.obs.tracer import (
     EVENT_RUN_COMPLETED,
     RecordingTracer,
 )
-from repro.sim.engine import (
-    ENGINES,
-    SimConfig,
-    default_engine,
-    simulate,
-)
+from repro.sim.engine import SimConfig, simulate
 from repro.sim.manifest import manifest_path_for, run_manifest, write_manifest
 from repro.sim.metrics import SimulationResult
 from repro.soak.checker import CheckerConfig, InvariantChecker
@@ -93,7 +88,6 @@ _GROUP_CONTROL_KEYS = ("arrivals", "jobs", "offset", "prefix", "seed", "path")
 _SCENARIO_KEYS = (
     "name",
     "seed",
-    "engine",
     "policy",
     "servers",
     "horizon",
@@ -133,7 +127,6 @@ class ScenarioSpec:
 
     name: str = "soak"
     seed: int = 0
-    engine: Optional[str] = None
     policy: str = "optimus"
     servers: int = 13
     horizon: float = 86_400.0
@@ -181,11 +174,6 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"workload group {i}: arrivals={kind!r} needs a 'path'"
                 )
-        engine = spec.get("engine")
-        if engine is not None and engine not in ENGINES:
-            raise ConfigurationError(
-                f"scenario 'engine' must be one of {ENGINES}, got {engine!r}"
-            )
         perturbation = spec.get("perturbation")
         if perturbation is not None:
             if not isinstance(perturbation, dict):
@@ -218,7 +206,6 @@ class ScenarioSpec:
         return cls(
             name=str(spec.get("name", "soak")),
             seed=seed,
-            engine=engine,
             policy=str(spec.get("policy", "optimus")),
             servers=servers,
             horizon=horizon,
@@ -672,7 +659,6 @@ def run_soak(
         faults=FaultConfig(**scenario.faults) if scenario.faults else FaultConfig(),
         speed_perturbation=perturbation_from_spec(scenario.perturbation),
     )
-    engine = scenario.engine if scenario.engine is not None else default_engine()
     cluster = Cluster.homogeneous(scenario.servers, cpu_mem(16, 80))
 
     tracer = _SoakTracer(trace_out)
@@ -684,7 +670,6 @@ def run_soak(
             config,
             tracer=tracer,
             fault_plan=fault_plan,
-            engine=engine,
         )
 
         drill_outcome: Dict[str, List[str]] = {
@@ -730,7 +715,6 @@ def run_soak(
 
     manifest = run_manifest(
         config=config,
-        engine=engine,
         policy=scenario.policy,
         jobs=jobs,
         fault_plan=fault_plan,
@@ -748,7 +732,6 @@ def run_soak(
         extra={
             "scenario": scenario.name,
             "seed": scenario.seed,
-            "engine": engine,
             "policy": scenario.policy,
             "sim": {
                 "jobs": int(summary["jobs"]),

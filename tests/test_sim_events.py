@@ -1,13 +1,12 @@
-"""The event-heap engine core and the incremental allocator.
+"""The simulator's event loop and the incremental allocator.
 
-Two equivalence contracts are pinned here:
+Two contracts are pinned here:
 
-* :class:`~repro.sim.events.EventDrivenSimulation` must produce results
-  bit-identical to the fixed-tick loop on the same seeded trace -- both
-  engines drive the same ``_process_interval`` body and consume the RNG
-  identically, so every per-job outcome (completion time, steps,
-  crash-induced restarts) must match exactly, across seeds and with
-  faults injected.
+* The event heap that drives :class:`~repro.sim.engine.Simulation` must
+  keep every per-job outcome (completion time, steps, crash-induced
+  restarts) on the digests recorded when a fixed-tick loop still ran
+  beside it and the two were checked bit-identical, across seeds and with
+  faults injected. Completion probes keep their recorded counts.
 * The heap-based incremental ``allocate`` (candidate completion times
   carried in heap entries) must grant exactly what
   a from-scratch reference -- same greedy control flow, but recomputing
@@ -40,7 +39,7 @@ from repro.core.speed import SpeedEstimator
 from repro.faults.config import FaultConfig
 from repro.obs import MetricsRegistry, use_registry
 from repro.schedulers import make_scheduler
-from repro.sim import ENGINES, SimConfig, default_engine, simulate
+from repro.sim import SimConfig, probe_accuracy, simulate
 from repro.workloads import MODEL_ZOO, StepTimeModel, make_job, uniform_arrivals
 
 SEEDS = (3, 11, 42)
@@ -48,7 +47,7 @@ SEEDS = (3, 11, 42)
 FAULTS = FaultConfig(node_mtbf=40_000.0, task_crash_rate=2e-5)
 
 
-def run_one(engine, seed, faults=None, metrics=None, workload=None):
+def run_one(seed, faults=None, metrics=None, workload=None):
     workload = workload or uniform_arrivals(num_jobs=8, window=8_000, seed=seed)
     config = SimConfig(seed=seed, faults=faults or FaultConfig())
     return simulate(
@@ -57,12 +56,11 @@ def run_one(engine, seed, faults=None, metrics=None, workload=None):
         workload,
         config,
         metrics=metrics,
-        engine=engine,
     )
 
 
 def job_fingerprints(result):
-    """Every per-job outcome that must be identical across engines."""
+    """Every per-job outcome the pinned digests cover."""
     return {
         job_id: (
             record.completion_time,
@@ -75,48 +73,53 @@ def job_fingerprints(result):
     }
 
 
-def completion_order(result):
-    return sorted(
-        (record.completion_time, job_id)
-        for job_id, record in result.jobs.items()
-        if record.completion_time is not None
+def fingerprint_digest(result):
+    """sha256 of the fingerprints, floats as exact hex."""
+    rows = sorted(
+        [job_id, *(v.hex() if isinstance(v, float) else v for v in fingerprint)]
+        for job_id, fingerprint in job_fingerprints(result).items()
     )
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 class TestEngineEquivalence:
+    """The event loop reproduces, bit for bit, the outcomes the former
+    fixed-tick and event-heap engines agreed on when the digests below were
+    recorded (before the tick loop was removed)."""
+
+    FAULT_FREE_DIGESTS = {
+        3: "dbfd9dee92182e4d2af6af216a524e6296cf7bde6f1e936f3b2f29a4aeb71232",
+        11: "398fd0431cbb71c607583d58b734ee7d4bdffefce70fab583160bbfa802a2a8a",
+        42: "dcd889222806e0faa3eaf4005d3bcac44506569f22e1efe0939dd194c731f1e0",
+    }
+    FAULT_DIGESTS = {
+        3: "79b032b5694ddd8c5931a949e7d259973a91fea2059a9ba6d37ffd13f894b633",
+        11: "1d86dbf2e362cb750472a28673b6644b06afae0a3a9df2f4a287375168d3c3d9",
+        42: "9678d5f5a86e8fd4b2699597236dbcc724edac2363656fc3cad3763259d9d0d5",
+    }
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bit_identical_fault_free(self, seed):
-        tick = run_one("tick", seed)
-        event = run_one("event", seed)
-        assert job_fingerprints(tick) == job_fingerprints(event)
-        assert completion_order(tick) == completion_order(event)
-        assert tick.average_jct == event.average_jct
+        assert fingerprint_digest(run_one(seed)) == self.FAULT_FREE_DIGESTS[seed]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bit_identical_under_faults(self, seed):
-        """Node crashes and task crashes replay identically: both engines
-        consume the fault RNG in the same order."""
-        tick = run_one("tick", seed, faults=FAULTS)
-        event = run_one("event", seed, faults=FAULTS)
-        assert job_fingerprints(tick) == job_fingerprints(event)
-        # The fault config is hot enough that restarts actually occur on
-        # at least one seed; the assertion above would vacuously pass on
-        # a config that never fires.
-        assert tick.average_jct == event.average_jct
+        """Node and task crashes draw the fault RNG in the recorded order."""
+        result = run_one(seed, faults=FAULTS)
+        assert fingerprint_digest(result) == self.FAULT_DIGESTS[seed]
 
     def test_faults_actually_fire(self):
+        # The fault digests would say little if the config never fired.
         restarts = 0
         for seed in SEEDS:
-            result = run_one("event", seed, faults=FAULTS)
+            result = run_one(seed, faults=FAULTS)
             restarts += sum(r.num_restarts for r in result.jobs.values())
         assert restarts > 0
 
     def test_idle_gaps_cost_no_schedule_events(self):
-        """Two jobs separated by a huge idle gap: neither engine may grind
-        through the empty intervals inside the gap, and both must agree on
-        the outcome. (The engines intentionally visit the *same* schedule
-        points -- that is what makes them bit-identical -- so the two
-        counters must also agree with each other.)"""
+        """Two jobs separated by a huge idle gap: the loop must not grind
+        through the empty intervals inside the gap. Every schedule event
+        runs exactly one interval."""
         gap = 400_000.0
         workload = [
             make_job("cnn-rand", mode="sync", job_id="early", arrival_time=0.0),
@@ -124,46 +127,44 @@ class TestEngineEquivalence:
                 "cnn-rand", mode="sync", job_id="late", arrival_time=gap
             ),
         ]
-        tick_metrics = MetricsRegistry()
-        event_metrics = MetricsRegistry()
-        tick = run_one("tick", 0, metrics=tick_metrics, workload=list(workload))
-        event = run_one("event", 0, metrics=event_metrics, workload=list(workload))
-        assert job_fingerprints(tick) == job_fingerprints(event)
+        metrics = MetricsRegistry()
+        result = run_one(0, metrics=metrics, workload=workload)
+        assert all(record.finished for record in result.jobs.values())
 
-        intervals = tick_metrics.snapshot()["counters"]["engine.intervals"]
-        schedules = event_metrics.snapshot()["counters"]["sim.events_schedule"]
+        counters = metrics.snapshot()["counters"]
+        intervals = counters["engine.intervals"]
+        schedules = counters["sim.events_schedule"]
+        assert schedules == intervals
         # The gap alone spans hundreds of interval boundaries; walking it
-        # would show up as hundreds of intervals / schedule events.
-        boundaries_in_gap = gap / tick.interval
+        # would show up as hundreds of schedule events.
+        boundaries_in_gap = gap / result.interval
         assert intervals < boundaries_in_gap / 10
         assert schedules < boundaries_in_gap / 10
-        assert schedules == intervals
 
     def test_event_counters_exported(self):
         metrics = MetricsRegistry()
-        run_one("event", 0, metrics=metrics)
+        run_one(0, metrics=metrics)
         counters = metrics.snapshot()["counters"]
         assert counters["sim.events_processed"] > 0
         assert counters["sim.events_arrival"] > 0
         assert counters["sim.events_schedule"] > 0
 
+    def test_completion_probe_counts_are_pinned(self):
+        """Seed 3 with a registry attached: the probe outcomes recorded
+        before the tick loop was removed."""
+        metrics = MetricsRegistry()
+        run_one(3, metrics=metrics)
+        counters = metrics.snapshot()["counters"]
+        assert counters["sim.events_completion_confirmed"] == 5
+        assert counters["sim.events_completion_missed"] == 4
+        assert counters["sim.events_completion_stale"] == 74
+        summary = probe_accuracy(metrics)
+        assert (summary["confirmed"], summary["missed"], summary["stale"]) == (5, 4, 74)
+        assert 0.0 <= summary["accuracy"] <= 1.0
+        assert summary["accuracy"] == 5 / 9
 
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(Exception, match="engine"):
-            run_one("warp", 0)
-
-    def test_engines_tuple(self):
-        assert ENGINES == ("tick", "event")
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert default_engine() == "tick"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "event")
-        assert default_engine() == "event"
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "bogus")
-        with pytest.raises(Exception, match="REPRO_SIM_ENGINE"):
-            default_engine()
+    def test_probe_accuracy_without_telemetry(self):
+        assert probe_accuracy(MetricsRegistry())["accuracy"] == 0.0
 
 
 # -- incremental allocator vs from-scratch reference -------------------------

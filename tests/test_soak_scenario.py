@@ -37,7 +37,6 @@ class TestScenarioSpec:
             {"workload": [{"arrivals": "uniform", "jobs": 2}]}
         )
         assert spec.policy == "optimus"
-        assert spec.engine is None
         assert spec.servers == 13
 
     def test_unknown_key(self):
@@ -59,7 +58,8 @@ class TestScenarioSpec:
             ScenarioSpec.from_dict({"workload": [{"arrivals": "trace"}]})
 
     def test_bad_engine(self):
-        with pytest.raises(ConfigurationError, match="engine"):
+        # The simulator has one loop; the old engine key is just unknown.
+        with pytest.raises(ConfigurationError, match="unknown key.*engine"):
             ScenarioSpec.from_dict(
                 {"workload": [{"arrivals": "uniform"}], "engine": "warp"}
             )
@@ -315,14 +315,12 @@ class TestSoakCli:
             [
                 "soak",
                 "--scenario", self._write_scenario(tmp_path),
-                "--engine", "tick",
                 "--seed", "11",
                 "--json",
             ]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["engine"] == "tick"
         assert payload["seed"] == 11
 
     def test_mode_conflict_exits_2(self, tmp_path, capsys):
