@@ -88,10 +88,14 @@ class FlakyKVStore:
         return self.inner.delete(key)
 
     def compare_and_swap(
-        self, key: str, expected: Optional[str], value: str
+        self,
+        key: str,
+        expected: Optional[str],
+        value: str,
+        lease: Optional[int] = None,
     ) -> bool:
         self._maybe_fail("compare_and_swap")
-        return self.inner.compare_and_swap(key, expected, value)
+        return self.inner.compare_and_swap(key, expected, value, lease=lease)
 
     def list_prefix(self, prefix: str) -> Dict[str, str]:
         self._maybe_fail("list_prefix")
@@ -126,6 +130,9 @@ class FlakyKVStore:
 
     def lease_remaining(self, lease_id: int, now: float) -> float:
         return self.inner.lease_remaining(lease_id, now)
+
+    def lease_ttl(self, lease_id: int) -> float:
+        return self.inner.lease_ttl(lease_id)
 
     def lease_keys(self, lease_id: int) -> List[str]:
         return self.inner.lease_keys(lease_id)
@@ -229,11 +236,15 @@ class RetryingKVStore:
         return self._call("delete", lambda: self.inner.delete(key))
 
     def compare_and_swap(
-        self, key: str, expected: Optional[str], value: str
+        self,
+        key: str,
+        expected: Optional[str],
+        value: str,
+        lease: Optional[int] = None,
     ) -> bool:
         return self._call(
             "compare_and_swap",
-            lambda: self.inner.compare_and_swap(key, expected, value),
+            lambda: self.inner.compare_and_swap(key, expected, value, lease=lease),
         )
 
     def list_prefix(self, prefix: str) -> Dict[str, str]:
@@ -264,6 +275,9 @@ class RetryingKVStore:
 
     def lease_remaining(self, lease_id: int, now: float) -> float:
         return self.inner.lease_remaining(lease_id, now)
+
+    def lease_ttl(self, lease_id: int) -> float:
+        return self.inner.lease_ttl(lease_id)
 
     def lease_keys(self, lease_id: int) -> List[str]:
         return self.inner.lease_keys(lease_id)

@@ -6,15 +6,22 @@ in etcd; the API server is a thin validating layer on top, with the node
 capacity accounting a real apiserver+scheduler would enforce at binding
 time. The Optimus deployment polls this API for cluster information and job
 states, as described in §5.5.
+
+Reads are served the way a Kubernetes informer serves them: from a decoded
+index of ``/pods/`` and ``/nodes/``, seeded by one ``list_prefix`` per
+prefix and kept current by store watches. The store runs watchers
+synchronously inside every completed write, so the index equals the store
+after each write -- whichever :class:`APIServer` (or raw caller) issued it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Callable, Dict, Generic, List, Optional, TypeVar
 
 from repro.cluster.resources import ResourceVector
 from repro.common.errors import KVStoreError
-from repro.k8s.kvstore import KVStore
+from repro.k8s.kvstore import KVEvent, KVStore
 from repro.k8s.objects import (
     PHASE_FAILED,
     PHASE_PENDING,
@@ -29,6 +36,52 @@ POD_PREFIX = "/pods/"
 #: disappearing (its lease expired) is what the health sweep keys off.
 HEARTBEAT_PREFIX = "/heartbeats/"
 
+T = TypeVar("T")
+
+
+class _WatchIndex(Generic[T]):
+    """The decoded objects under one key prefix, keyed by name.
+
+    Unseeded until the first read, which lists the prefix once; from then
+    on store events keep it equal to the store. Objects are frozen, so
+    readers share them without copies.
+    """
+
+    def __init__(self, prefix: str, decode: Callable[[str], T]):
+        self.prefix = prefix
+        self.decode = decode
+        self._items: Optional[Dict[str, T]] = None
+        self._sorted: Optional[List[T]] = None
+
+    def items(self, store: KVStore) -> Dict[str, T]:
+        if self._items is None:
+            cut = len(self.prefix)
+            payloads = store.list_prefix(self.prefix)
+            self._items = {
+                key[cut:]: self.decode(payload) for key, payload in payloads.items()
+            }
+            self._sorted = list(self._items.values())  # list_prefix sorts keys
+        return self._items
+
+    def values(self, store: KVStore) -> List[T]:
+        """Every object, in ``list_prefix``'s sorted key order."""
+        items = self.items(store)
+        if self._sorted is None:
+            self._sorted = [items[name] for name in sorted(items)]
+        return self._sorted
+
+    def on_event(self, event: KVEvent) -> None:
+        items = self._items
+        if items is None:
+            return  # the first read will list the store instead
+        name = event.key[len(self.prefix):]
+        # Drop first: a payload that fails to decode is then absent rather
+        # than served stale.
+        items.pop(name, None)
+        self._sorted = None
+        if event.type == "put":
+            items[name] = self.decode(event.value)
+
 
 class APIServer:
     """Validated CRUD over nodes and pods, backed by a KVStore."""
@@ -38,6 +91,14 @@ class APIServer:
         # defines __len__), replacing e.g. a fresh RetryingKVStore wrapper
         # with an unwrapped one.
         self.store = store if store is not None else KVStore()
+        self._pods: _WatchIndex[PodSpec] = _WatchIndex(POD_PREFIX, PodSpec.from_json)
+        self._nodes: _WatchIndex[NodeInfo] = _WatchIndex(
+            NODE_PREFIX, NodeInfo.from_json
+        )
+        # Every store wrapper forwards watch registration to the raw store,
+        # so the index sees all writes, fenced or not, from any caller.
+        self.store.watch(POD_PREFIX, self._pods.on_event)
+        self.store.watch(NODE_PREFIX, self._nodes.on_event)
 
     def fence_writes(self, election) -> None:
         """Guard every write through this server with a leadership check.
@@ -76,10 +137,8 @@ class APIServer:
         (the default), the node is trusted forever -- the pre-lease
         behaviour, bit-identical for existing configurations.
         """
-        key = NODE_PREFIX + name
-        payload = self.store.get(key)
-        if payload is not None:
-            node = NodeInfo.from_json(payload)
+        node = self._nodes.items(self.store).get(name)
+        if node is not None:
             if node.capacity != capacity:
                 raise KVStoreError(
                     f"node {name!r} already registered with capacity "
@@ -88,18 +147,20 @@ class APIServer:
             if lease_ttl is None and not node.cordoned:
                 return node
             # A re-announce revives the node: fresh lease, cordon lifted.
-            node.cordoned = False
-            node.lease_id = self._grant_node_lease(name, lease_ttl, now)
-            node.lease_ttl = lease_ttl
-            self._save_node(node)
-            return node
-        node = NodeInfo(
-            name=name,
-            capacity=capacity,
-            lease_id=self._grant_node_lease(name, lease_ttl, now),
-            lease_ttl=lease_ttl,
-        )
-        self.store.put(key, node.to_json())
+            node = replace(
+                node,
+                cordoned=False,
+                lease_id=self._grant_node_lease(name, lease_ttl, now),
+                lease_ttl=lease_ttl,
+            )
+        else:
+            node = NodeInfo(
+                name=name,
+                capacity=capacity,
+                lease_id=self._grant_node_lease(name, lease_ttl, now),
+                lease_ttl=lease_ttl,
+            )
+        self._save_node(node)
         return node
 
     def _grant_node_lease(
@@ -148,8 +209,9 @@ class APIServer:
             )
         if self.store.has_lease(node.lease_id):
             self.store.revoke_lease(node.lease_id)
-        node.lease_id = self._grant_node_lease(name, ttl, now)
-        node.lease_ttl = ttl
+        node = replace(
+            node, lease_id=self._grant_node_lease(name, ttl, now), lease_ttl=ttl
+        )
         self._save_node(node)
         return node
 
@@ -177,18 +239,17 @@ class APIServer:
         node = self.node(name)
         if node.cordoned:
             return node
-        node.cordoned = True
+        node = replace(node, cordoned=True)
         self._save_node(node)
         for pod in self.list_pods(node=name):
-            pod.phase = PHASE_FAILED
-            self.store.put(POD_PREFIX + pod.name, pod.to_json())
+            self._save_pod(replace(pod, phase=PHASE_FAILED))
         return node
 
     def uncordon_node(self, name: str) -> NodeInfo:
         """Return a cordoned node to service (its capacity becomes usable)."""
         node = self.node(name)
         if node.cordoned:
-            node.cordoned = False
+            node = replace(node, cordoned=False)
             self._save_node(node)
         return node
 
@@ -199,10 +260,9 @@ class APIServer:
         :meth:`delete_pod` tolerates the missing node when they are torn
         down. Returns ``True`` when the node existed.
         """
-        payload = self.store.get(NODE_PREFIX + name)
-        if payload is None:
+        node = self._nodes.items(self.store).get(name)
+        if node is None:
             return False
-        node = NodeInfo.from_json(payload)
         if node.lease_id is not None and self.store.has_lease(node.lease_id):
             self.store.revoke_lease(node.lease_id)
         else:
@@ -210,16 +270,13 @@ class APIServer:
         return self.store.delete(NODE_PREFIX + name)
 
     def node(self, name: str) -> NodeInfo:
-        payload = self.store.get(NODE_PREFIX + name)
-        if payload is None:
+        node = self._nodes.items(self.store).get(name)
+        if node is None:
             raise KVStoreError(f"unknown node {name!r}")
-        return NodeInfo.from_json(payload)
+        return node
 
     def list_nodes(self, include_cordoned: bool = True) -> List[NodeInfo]:
-        nodes = [
-            NodeInfo.from_json(payload)
-            for payload in self.store.list_prefix(NODE_PREFIX).values()
-        ]
+        nodes = list(self._nodes.values(self.store))
         if not include_cordoned:
             nodes = [node for node in nodes if not node.cordoned]
         return nodes
@@ -229,27 +286,23 @@ class APIServer:
 
     # -- pods --------------------------------------------------------------------
     def create_pod(self, pod: PodSpec) -> PodSpec:
-        key = POD_PREFIX + pod.name
-        if key in self.store:
+        if pod.name in self._pods.items(self.store):
             raise KVStoreError(f"pod {pod.name!r} already exists")
         if pod.bound:
             raise KVStoreError("pods must be created unbound; use bind_pod")
-        self.store.put(key, pod.to_json())
+        self._save_pod(pod)
         return pod
 
     def pod(self, name: str) -> PodSpec:
-        payload = self.store.get(POD_PREFIX + name)
-        if payload is None:
+        pod = self._pods.items(self.store).get(name)
+        if pod is None:
             raise KVStoreError(f"unknown pod {name!r}")
-        return PodSpec.from_json(payload)
+        return pod
 
     def list_pods(
         self, job_id: Optional[str] = None, node: Optional[str] = None
     ) -> List[PodSpec]:
-        pods = [
-            PodSpec.from_json(payload)
-            for payload in self.store.list_prefix(POD_PREFIX).values()
-        ]
+        pods = list(self._pods.values(self.store))
         if job_id is not None:
             pods = [p for p in pods if p.job_id == job_id]
         if node is not None:
@@ -271,11 +324,9 @@ class APIServer:
                 f"pod {pod_name!r} does not fit on node {node_name!r} "
                 f"(needs {pod.demand}, allocatable {node.allocatable})"
             )
-        node.allocated = node.allocated + pod.demand
-        self._save_node(node)
-        pod.node = node_name
-        pod.phase = PHASE_RUNNING
-        self.store.put(POD_PREFIX + pod.name, pod.to_json())
+        self._save_node(replace(node, allocated=node.allocated + pod.demand))
+        pod = replace(pod, node=node_name, phase=PHASE_RUNNING)
+        self._save_pod(pod)
         return pod
 
     def delete_pod(self, pod_name: str) -> bool:
@@ -283,30 +334,30 @@ class APIServer:
 
         A bound pod whose node record has vanished (a cordoned node that
         was since removed) still deletes cleanly -- there is no capacity
-        left to release. Only the *absence* of the record is tolerated; a
-        transient store failure while reading it still raises, so flaky-KV
-        runs never silently skip the release.
+        left to release.
         """
-        key = POD_PREFIX + pod_name
-        payload = self.store.get(key)
-        if payload is None:
+        pod = self._pods.items(self.store).get(pod_name)
+        if pod is None:
             return False
-        pod = PodSpec.from_json(payload)
         if pod.bound:
-            node_payload = self.store.get(NODE_PREFIX + pod.node)
-            if node_payload is not None:
-                node = NodeInfo.from_json(node_payload)
-                node.allocated = node.allocated - pod.demand
-                self._save_node(node)
-        return self.store.delete(key)
+            node = self._nodes.items(self.store).get(pod.node)
+            if node is not None:
+                self._save_node(replace(node, allocated=node.allocated - pod.demand))
+        return self.store.delete(POD_PREFIX + pod_name)
 
     def restart_pod(self, pod_name: str) -> PodSpec:
         """Mark a pod restarted in place (e.g. straggler replacement, §5.2)."""
         pod = self.pod(pod_name)
-        pod.restarts += 1
-        pod.phase = PHASE_RUNNING if pod.bound else PHASE_PENDING
-        self.store.put(POD_PREFIX + pod.name, pod.to_json())
+        pod = replace(
+            pod,
+            restarts=pod.restarts + 1,
+            phase=PHASE_RUNNING if pod.bound else PHASE_PENDING,
+        )
+        self._save_pod(pod)
         return pod
+
+    def _save_pod(self, pod: PodSpec) -> None:
+        self.store.put(POD_PREFIX + pod.name, pod.to_json())
 
     # -- aggregates --------------------------------------------------------------
     def cluster_allocated(self) -> ResourceVector:

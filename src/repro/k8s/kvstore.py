@@ -60,6 +60,7 @@ class KVStore:
         self._watch_id = 0
         self._leases: Dict[int, Lease] = {}
         self._lease_id = 0
+        self._key_lease: Dict[str, int] = {}  # key -> id of the lease holding it
 
     @property
     def revision(self) -> int:
@@ -80,6 +81,7 @@ class KVStore:
         self._detach_key(key)
         if target is not None:
             target.keys.add(key)
+            self._key_lease[key] = target.lease_id
         self._revision += 1
         self._data[key] = (str(value), self._revision)
         self._notify(KVEvent("put", key, str(value), self._revision))
@@ -224,10 +226,12 @@ class KVStore:
         return lease
 
     def _detach_key(self, key: str) -> None:
-        for lease in self._leases.values():
-            lease.keys.discard(key)
+        lease_id = self._key_lease.pop(key, None)
+        if lease_id is not None and lease_id in self._leases:
+            self._leases[lease_id].keys.discard(key)
 
     def _drop_lease_keys(self, lease: Lease) -> List[str]:
+        # Callers pop the lease first; each delete then unmaps its key.
         dropped = []
         for key in sorted(lease.keys):
             if self.delete(key):

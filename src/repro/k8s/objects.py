@@ -21,9 +21,14 @@ PHASE_FAILED = "Failed"
 PHASES = (PHASE_PENDING, PHASE_RUNNING, PHASE_SUCCEEDED, PHASE_FAILED)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PodSpec:
-    """One container of a training job (a worker or a parameter server)."""
+    """One container of a training job (a worker or a parameter server).
+
+    Frozen: the API server hands the same decoded object to every reader,
+    so a change is a new object (``dataclasses.replace``) written through
+    the store.
+    """
 
     name: str
     job_id: str
@@ -77,9 +82,9 @@ class PodSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeInfo:
-    """One cluster node as the API server sees it."""
+    """One cluster node as the API server sees it (frozen, like :class:`PodSpec`)."""
 
     name: str
     capacity: ResourceVector

@@ -1,5 +1,7 @@
 """Tests for the miniature API server."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster.resources import cpu_mem
@@ -57,8 +59,7 @@ class TestPods:
             api.create_pod(pod())
 
     def test_create_bound_rejected(self, api):
-        bad = pod()
-        bad.node = "n0"
+        bad = dataclasses.replace(pod(), node="n0")
         with pytest.raises(KVStoreError):
             api.create_pod(bad)
 

@@ -1,9 +1,11 @@
 """Tests for the etcd-like key/value store."""
 
+import inspect
+
 import pytest
 
 from repro.common.errors import KVStoreError
-from repro.faults.kv import RetryingKVStore
+from repro.faults.kv import FlakyKVStore, RetryingKVStore
 from repro.k8s.election import FencedKVStore, LeaderElection
 from repro.k8s.kvstore import KVStore
 
@@ -136,3 +138,56 @@ class TestWatches:
         store.watch("/pods/", b.append)
         store.put("/pods/x", "1")
         assert len(a) == 1 and len(b) == 1
+
+
+class TestLeaseAttachment:
+    def test_reput_moves_key_off_the_old_lease(self, store):
+        old = store.grant_lease(5.0, now=0.0)
+        new = store.grant_lease(5.0, now=0.0)
+        store.put("/a", "1", lease=old)
+        store.put("/b", "1", lease=old)
+        store.put("/a", "2", lease=new)
+        store.put("/b", "2")
+        assert store.lease_keys(old) == []
+        assert store.lease_keys(new) == ["/a"]
+        assert store.revoke_lease(old) == []
+        assert store.get("/a") == "2"
+        assert store.get("/b") == "2"
+        assert store.revoke_lease(new) == ["/a"]
+        assert store.get("/a") is None
+        assert store.get("/b") == "2"
+
+
+def _public_interface(cls):
+    names = {
+        name
+        for name, _ in inspect.getmembers(cls)
+        if not name.startswith("_") or name in ("__len__", "__contains__")
+    }
+    return {
+        name: (
+            None
+            if isinstance(getattr(cls, name), property)
+            else list(inspect.signature(getattr(cls, name)).parameters)
+        )
+        for name in names
+    }
+
+
+class TestWrapperParity:
+    @pytest.mark.parametrize(
+        "wrapper", [FlakyKVStore, RetryingKVStore, FencedKVStore]
+    )
+    def test_wrappers_expose_every_store_method(self, wrapper):
+        """Each wrapper offers every public KVStore method, same parameters."""
+        interface = _public_interface(wrapper)
+        for name, params in _public_interface(KVStore).items():
+            assert name in interface, f"{wrapper.__name__} lacks {name}"
+            assert interface[name] == params, f"{wrapper.__name__}.{name}"
+
+    def test_campaign_over_retrying_flaky_store(self):
+        store = RetryingKVStore(FlakyKVStore(KVStore()))
+        election = LeaderElection(store, "a", ttl=3.0)
+        assert election.campaign(0.0) == 1
+        assert election.is_leader(1.0)
+        assert store.lease_ttl(election.current_leader().lease_id) == 3.0
