@@ -21,6 +21,12 @@ from the gate forever. Keys only present in the current report are
 listed as informational (they join the gate once the baseline is
 regenerated).
 
+A lower-is-better time (a key ending ``_ms``, ``_s`` or ``_seconds``)
+that falls from a positive baseline to exactly ``0`` fails as well:
+"measurement vanished". A real run never takes zero time, and an empty
+histogram's quantile reads ``0.0``, so a zero means the phase stopped
+being timed -- not that it got infinitely faster.
+
 ``*_ratio`` keys are already relative measurements (e.g. BENCH_smoke's
 ``ledger_overhead_ratio``, full-ledger wall time over ledger-off wall
 time) and gate like any other lower-is-better metric: the check compares
@@ -54,6 +60,9 @@ HIGHER_IS_BETTER_KEYS = frozenset({"jobs_completed", "placement_cache_hits"})
 #: flake CI. It stays gated -- just against a proportionally wider band.
 QUANTILE_SLACK = 4.0
 QUANTILE_SUFFIXES = ("_p95_ms", "_p99_ms")
+
+#: Suffixes marking wall-clock measurements, which are never truly zero.
+TIME_SUFFIXES = ("_ms", "_s", "_seconds")
 
 
 def load(path: str) -> dict:
@@ -115,6 +124,16 @@ def main(argv=None) -> int:
         base_value = float(baseline[key])
         cur_value = float(current[key])
         inverted = higher_is_better(key)
+        vanished = (
+            not inverted
+            and key.endswith(TIME_SUFFIXES)
+            and base_value > 0.0
+            and cur_value == 0.0
+        )
+        if vanished:
+            print(f"  {key}: {base_value:g} -> 0 [VANISHED]")
+            failures.append(f"{key} (measurement vanished)")
+            continue
         if base_value == 0.0 or (inverted and cur_value == 0.0):
             status = "ok" if cur_value == base_value else "ungated (zero)"
             print(f"  {key}: {base_value:g} -> {cur_value:g} [{status}]")
@@ -130,13 +149,12 @@ def main(argv=None) -> int:
             f"(x{ratio:.3f} {direction}, limit x{limit:.2f}) [{verdict}]"
         )
         if ratio > limit:
-            failures.append((key, ratio))
+            failures.append(f"{key} (x{ratio:.2f})")
 
     if failures:
-        worst = ", ".join(f"{key} (x{ratio:.2f})" for key, ratio in failures)
         print(
             f"FAIL: {len(failures)} metric(s) beyond the regression "
-            f"budget: {worst}",
+            f"budget: {', '.join(failures)}",
             file=sys.stderr,
         )
         return 1

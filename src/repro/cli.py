@@ -3,7 +3,6 @@
 Subcommands:
 
 * ``arena`` -- race registered policies head-to-head on one seeded trace.
-* ``compare`` -- run the Fig-11 style scheduler comparison (arena alias).
 * ``simulate`` -- run one full simulation and dump metrics (optionally JSON).
 * ``scalability`` -- time a scheduling round at cluster scale (Fig 12).
 * ``trace`` -- summarise a JSONL event trace written by ``--trace-out``.
@@ -788,35 +787,6 @@ def _cmd_arena(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    """Fig.-11 style comparison: a thin alias of the arena runner.
-
-    Each repeat races all schedulers on its own seeded workload (the
-    paper's methodology of averaging reruns is preserved by printing one
-    head-to-head table per repeat).
-    """
-
-    def cluster_factory() -> Cluster:
-        return Cluster.homogeneous(args.servers, cpu_mem(16, 80))
-
-    for repeat in range(args.repeats):
-        seed = args.seed + repeat
-        jobs = uniform_arrivals(
-            num_jobs=args.jobs, window=args.window, seed=seed
-        )
-        report = run_arena(
-            args.schedulers,
-            cluster_factory,
-            jobs,
-            config=SimConfig(seed=seed, estimator_mode=args.estimator),
-            baseline=args.schedulers[0],
-        )
-        if args.repeats > 1:
-            print(f"# repeat {repeat} (seed {seed})")
-        print(format_arena(report))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optimus-repro",
@@ -1155,24 +1125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the first divergent decision per job",
     )
     arena.set_defaults(func=_cmd_arena)
-
-    compare = sub.add_parser(
-        "compare", help="run a scheduler comparison (arena alias)"
-    )
-    compare.add_argument(
-        "--schedulers",
-        nargs="+",
-        default=["optimus", "drf", "tetris"],
-    )
-    compare.add_argument("--jobs", type=int, default=9)
-    compare.add_argument("--servers", type=int, default=13)
-    compare.add_argument("--window", type=float, default=12_000.0)
-    compare.add_argument("--repeats", type=int, default=1)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument(
-        "--estimator", choices=("online", "oracle", "noisy"), default="online"
-    )
-    compare.set_defaults(func=_cmd_compare)
 
     drill = sub.add_parser(
         "drill",

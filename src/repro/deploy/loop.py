@@ -51,13 +51,7 @@ from repro.obs.estimators import (
     NULL_ESTIMATOR_TELEMETRY,
     EstimatorTelemetry,
 )
-from repro.obs.registry import (
-    NULL_PROFILER,
-    MetricsRegistry,
-    PhaseProfiler,
-    active_registry,
-    use_registry,
-)
+from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.spans import span_tracer_for
 from repro.obs.tracer import (
     EVENT_ALLOCATION_DECIDED,
@@ -146,14 +140,10 @@ class ControlLoop:
         # trace events are stamped with the 0-based step index.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else active_registry()
-        if self.tracer or self.metrics:
-            self.profiler = PhaseProfiler(self.metrics)
-        else:
-            self.profiler = NULL_PROFILER
-        # Causal span tracing: a ``step`` root per interval with sweep /
+        # Spans time every phase: a ``step`` root per interval with sweep /
         # snapshot / schedule / reconcile children; the controller opens
         # per-job checkpoint / teardown / launch grandchildren.
-        self.spans = span_tracer_for(self.tracer)
+        self.spans = span_tracer_for(self.tracer, self.metrics)
         if not self.controller.spans:
             self.controller.spans = self.spans
         # Prediction-quality telemetry: predictions recorded at decision
@@ -171,7 +161,6 @@ class ControlLoop:
         self.scheduler.instrument(
             tracer=self.tracer,
             metrics=self.metrics,
-            profiler=self.profiler,
             spans=self.spans,
         )
         # A recovered loop passes the dead predecessor's step index so the
@@ -216,21 +205,20 @@ class ControlLoop:
         tracer = self.tracer
         spans = self.spans
         spans.set_time(now)
-        self.profiler.begin_interval()
         managed = {view.job_id for view in views}
         with use_registry(self.metrics), spans.span(
             "step", step=self._step_index
         ):
-            with spans.span("sweep"), self.profiler.phase("sweep"):
+            with spans.span("sweep"):
                 self.sweep_node_leases(now)
             # Write-ahead: the store knows the loop owns these jobs
             # *before* any of their pods are touched, so a crash mid-pass
             # cannot orphan a half-managed job.
             for job_id in sorted(managed - self._known_jobs):
                 self.controller.adopt_job(job_id)
-            with spans.span("snapshot"), self.profiler.phase("snapshot"):
+            with spans.span("snapshot"):
                 cluster = cluster_from_api(self.api, managed_jobs=managed)
-            with spans.span("schedule"), self.profiler.phase("schedule"):
+            with spans.span("schedule"):
                 decision = self.scheduler.schedule(cluster, views)
 
             if tracer:
@@ -296,7 +284,7 @@ class ControlLoop:
                 )
             ):
                 self.election.sever(now)
-            with spans.span("reconcile"), self.profiler.phase("reconcile"):
+            with spans.span("reconcile"):
                 # Graceful degradation: a rescale failing mid-flight rolls
                 # that job back to its previous pods and the loop carries on
                 # with the rest, instead of tearing half the fleet down.
@@ -344,7 +332,7 @@ class ControlLoop:
                 running_jobs=len(decision.scheduled_jobs),
                 active_jobs=len(managed),
                 paused_jobs=len(paused),
-                phases=self.profiler.interval_timings(),
+                phases=spans.interval_timings(),
             )
         self._step_index += 1
         return StepReport(decision=decision, reconcile=report, paused=paused)

@@ -9,15 +9,18 @@ dependencies:
 * :mod:`repro.obs.tracer` -- typed JSONL event tracing
   (``job_arrived`` .. ``estimator_drift``); off by default via
   :data:`NULL_TRACER`.
-* :mod:`repro.obs.spans` -- causal span tracing over the same stream:
-  each scheduling interval / control-loop step becomes a flame tree
-  (``interval`` -> ``fit`` / ``allocate`` / ``place`` / ``rescale``).
+* :mod:`repro.obs.spans` -- the one timing mechanism: each scheduling
+  interval / control-loop step is a span tree (``interval`` -> ``fit`` /
+  ``snapshot`` / ``schedule`` -> ``allocate`` / ``place`` / ``progress``
+  -> ``rescale``) whose closed spans feed the ``phase.<name>``
+  histograms, ``interval_tick.phases``, the run's ``phase_timings`` and,
+  when traced, ``span`` events on the same stream; off by default via
+  :data:`NULL_SPAN_TRACER`.
 * :mod:`repro.obs.estimators` -- predicted-vs-actual tracking for the §3
   online models: per-job and fleet MAPE, signed bias, and a windowed
   drift detector that flags stale estimators.
-* :mod:`repro.obs.registry` -- counters, gauges, fixed-bucket histograms
-  (with interpolated quantiles), ``timer()`` context managers and the
-  per-interval :class:`PhaseProfiler`; off by default via
+* :mod:`repro.obs.registry` -- counters, gauges and fixed-bucket
+  histograms (with interpolated quantiles); off by default via
   :data:`NULL_REGISTRY`.
 * :mod:`repro.obs.timeseries` -- a fixed-memory ring-buffer TSDB sampling
   the registry once per interval, downsampling on overflow.
@@ -68,15 +71,12 @@ from repro.obs.ledger import (
 )
 from repro.obs.registry import (
     DEFAULT_TIME_BUCKETS,
-    NULL_PROFILER,
     NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullPhaseProfiler,
     NullRegistry,
-    PhaseProfiler,
     active_registry,
     install_registry,
     quantile_from_snapshot,
@@ -224,9 +224,6 @@ __all__ = [
     "install_registry",
     "use_registry",
     "quantile_from_snapshot",
-    "PhaseProfiler",
-    "NullPhaseProfiler",
-    "NULL_PROFILER",
     # timeseries
     "TimeSeries",
     "TimeSeriesDB",

@@ -7,9 +7,8 @@ the event half). It is deliberately tiny and dependency-free:
   allocation grants, pods created, ...).
 * :class:`Gauge` -- last-written values (active jobs, leftover CPU, ...).
 * :class:`Histogram` -- fixed-bucket distributions; the default buckets are
-  tuned for phase timings in seconds.
-* :meth:`MetricsRegistry.timer` -- a context manager that times its body
-  into a histogram, used for the per-interval phase profiling hooks.
+  tuned for phase timings in seconds (closed spans observe ``phase.<name>``,
+  see :mod:`repro.obs.spans`).
 
 A process-wide *active* registry lets leaf algorithms
 (:func:`repro.core.allocation.allocate`, :func:`repro.core.placement.place_jobs`)
@@ -22,9 +21,8 @@ hot paths cost one dict lookup and one no-op call when metrics are off.
 from __future__ import annotations
 
 import math
-import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -189,24 +187,6 @@ def quantile_from_snapshot(histogram_snapshot: Dict, q: float) -> float:
     return observed_max
 
 
-class _Timer:
-    """Context manager that observes its wall-clock body into a histogram."""
-
-    __slots__ = ("_histogram", "_start", "elapsed")
-
-    def __init__(self, histogram: Histogram):
-        self._histogram = histogram
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        self._histogram.observe(self.elapsed)
-
-
 class MetricsRegistry:
     """Named instruments, created lazily on first use."""
 
@@ -234,10 +214,6 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._histograms[name] = Histogram(bounds)
         return instrument
-
-    def timer(self, name: str) -> _Timer:
-        """Time a ``with`` body into the histogram called *name*."""
-        return _Timer(self.histogram(name))
 
     def snapshot(self) -> Dict:
         """A JSON-ready dump of every instrument."""
@@ -274,21 +250,7 @@ class _NullInstrument:
         pass
 
 
-class _NullTimer:
-    """Shared no-op timer context manager."""
-
-    __slots__ = ()
-    elapsed = 0.0
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
 _NULL_INSTRUMENT = _NullInstrument()
-_NULL_TIMER = _NullTimer()
 
 
 class NullRegistry(MetricsRegistry):
@@ -305,9 +267,6 @@ class NullRegistry(MetricsRegistry):
 
     def histogram(self, name, bounds=DEFAULT_TIME_BUCKETS):  # type: ignore[override]
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def timer(self, name: str):  # type: ignore[override]
-        return _NULL_TIMER
 
     def snapshot(self) -> Dict:
         return {}
@@ -347,81 +306,3 @@ def use_registry(registry: Optional[MetricsRegistry]) -> Iterator[MetricsRegistr
         yield active_registry()
     finally:
         install_registry(previous)
-
-
-class PhaseProfiler:
-    """Per-interval phase timing: the engine's profiling hook.
-
-    Each phase (snapshot, fit, allocate, place, reconcile, progress, ...)
-    is timed with a context manager. Durations land in two places: the
-    current interval's dict (reset by :meth:`begin_interval`, read by
-    :meth:`interval_timings` into the ``interval_tick`` trace event) and
-    the cumulative per-phase histograms of the attached registry under
-    ``phase.<name>``.
-    """
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._current: Dict[str, float] = {}
-        self._totals: Dict[str, List[float]] = {}  # name -> [count, total, max]
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._current[name] = self._current.get(name, 0.0) + elapsed
-            stats = self._totals.get(name)
-            if stats is None:
-                stats = self._totals[name] = [0, 0.0, 0.0]
-            stats[0] += 1
-            stats[1] += elapsed
-            stats[2] = max(stats[2], elapsed)
-            self.metrics.histogram(f"phase.{name}").observe(elapsed)
-
-    def begin_interval(self) -> None:
-        self._current = {}
-
-    def interval_timings(self) -> Dict[str, float]:
-        """This interval's phase durations (seconds), by phase name."""
-        return dict(self._current)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Cumulative per-phase stats: count, total, mean, max."""
-        return {
-            name: {
-                "count": stats[0],
-                "total": stats[1],
-                "mean": stats[1] / stats[0] if stats[0] else 0.0,
-                "max": stats[2],
-            }
-            for name, stats in sorted(self._totals.items())
-        }
-
-
-class NullPhaseProfiler(PhaseProfiler):
-    """Profiling disabled: ``phase`` is a shared no-op context manager."""
-
-    def __init__(self) -> None:
-        super().__init__(NULL_REGISTRY)
-
-    def phase(self, name: str):  # type: ignore[override]
-        return _NULL_TIMER
-
-    def begin_interval(self) -> None:
-        pass
-
-    def interval_timings(self) -> Dict[str, float]:
-        return {}
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        return {}
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Shared default instance.
-NULL_PROFILER = NullPhaseProfiler()

@@ -195,7 +195,8 @@ def render_span_flame(events: Sequence[Dict]) -> List[str]:
     """Indented flame-tree lines, deepest paths nested under their parents."""
     flame = span_flame(events)
     lines = []
-    for path in sorted(flame, key=lambda p: (p.count(" > "), p)):
+    # Sorting by path segments lists every subtree right below its parent.
+    for path in sorted(flame, key=lambda p: p.split(" > ")):
         stats = flame[path]
         depth = path.count(" > ")
         name = path.rsplit(" > ", 1)[-1]

@@ -17,12 +17,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.core.allocation import TaskAllocation, _safe_speed
 from repro.core.placement import JobLayout
-from repro.obs.registry import (
-    NULL_PROFILER,
-    NULL_REGISTRY,
-    MetricsRegistry,
-    PhaseProfiler,
-)
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_SPAN_TRACER, SpanTracer
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.workloads.job import JobSpec
@@ -159,14 +154,12 @@ class Scheduler(abc.ABC):
     #: instance (the engine and control loop call it automatically).
     tracer: Tracer = NULL_TRACER
     metrics: MetricsRegistry = NULL_REGISTRY
-    profiler: PhaseProfiler = NULL_PROFILER
     spans: SpanTracer = NULL_SPAN_TRACER
 
     def instrument(
         self,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[PhaseProfiler] = None,
         spans: Optional[SpanTracer] = None,
     ) -> "Scheduler":
         """Attach observability sinks; returns self for chaining."""
@@ -174,8 +167,6 @@ class Scheduler(abc.ABC):
             self.tracer = tracer
         if metrics is not None:
             self.metrics = metrics
-        if profiler is not None:
-            self.profiler = profiler
         if spans is not None:
             self.spans = spans
         return self

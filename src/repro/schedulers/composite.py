@@ -120,9 +120,7 @@ class CompositeScheduler(Scheduler):
         ledger = active_ledger()
         # Allocation works against what is actually free: foreign tenants'
         # pods or background reservations may already occupy the cluster.
-        with self.spans.span("allocate", jobs=len(jobs)), self.profiler.phase(
-            "allocate"
-        ):
+        with self.spans.span("allocate", jobs=len(jobs)):
             allocations: Dict[str, TaskAllocation] = self.allocation_policy(
                 jobs, cluster.total_available, **self.allocation_kwargs
             )
@@ -138,9 +136,7 @@ class CompositeScheduler(Scheduler):
             for job_id, alloc in allocations.items()
             if alloc.workers >= 1 and alloc.ps >= 1
         ]
-        with self.spans.span("place", requests=len(requests)), self.profiler.phase(
-            "place"
-        ):
+        with self.spans.span("place", requests=len(requests)):
             cache = self.placement_cache
             layouts: Dict[str, JobLayout] = {}
             fresh = requests

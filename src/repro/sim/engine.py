@@ -51,13 +51,7 @@ from repro.obs.ledger import (
     DecisionLedger,
     use_ledger,
 )
-from repro.obs.registry import (
-    NULL_PROFILER,
-    MetricsRegistry,
-    PhaseProfiler,
-    active_registry,
-    use_registry,
-)
+from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.spans import span_tracer_for
 from repro.obs.timeseries import TimeSeriesDB
 from repro.faults.config import FaultConfig
@@ -247,17 +241,13 @@ class Simulation:
         self._prev_layouts: Dict[str, dict] = {}
 
         # Observability (repro.obs). Both sinks default to off; with no
-        # tracer and no registry the profiler is the shared no-op, so the
-        # hot loop pays only truthiness checks.
+        # tracer and no registry the span tracer is the shared no-op, so
+        # the hot loop reads no clock and pays only truthiness checks.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else active_registry()
-        if self.tracer or self.metrics:
-            self.profiler = PhaseProfiler(self.metrics)
-        else:
-            self.profiler = NULL_PROFILER
-        # Causal span tracing (repro.obs.spans): rides on the event tracer,
-        # so it is exactly as on/off as the tracer itself.
-        self.spans = span_tracer_for(self.tracer)
+        # Spans time every phase (repro.obs.spans): live whenever either
+        # sink is attached; span events go out only with a tracer.
+        self.spans = span_tracer_for(self.tracer, self.metrics)
         # Prediction-quality telemetry (repro.obs.estimators): on whenever
         # either sink is attached; the null object otherwise.
         if self.tracer or self.metrics:
@@ -289,7 +279,6 @@ class Simulation:
         self.scheduler.instrument(
             tracer=self.tracer,
             metrics=self.metrics,
-            profiler=self.profiler,
             spans=self.spans,
         )
 
@@ -616,7 +605,6 @@ class Simulation:
                 metrics.counter("sim.events_arrival").inc()
 
             elif rank == RANK_SCHEDULE:
-                self.profiler.begin_interval()
                 metrics.counter("sim.events_schedule").inc()
                 predictions = self._process_interval(
                     when, active, done, timeline, decisions, len(specs) - admitted
@@ -670,7 +658,6 @@ class Simulation:
         cfg = self.config
         tracer = self.tracer
         metrics = self.metrics
-        profiler = self.profiler
 
         if self._faults:
             self._process_faults(now, active)
@@ -681,17 +668,16 @@ class Simulation:
         spans.set_time(now)
         self.ledger.set_time(now)
         with spans.span("interval", active_jobs=len(active)):
-            with spans.span("fit"), profiler.phase("fit"):
+            with spans.span("fit"):
                 views = [job.view() for job in active.values()]
-            with profiler.phase("snapshot"):
+            with spans.span("snapshot"):
                 work_cluster = self.cluster.snapshot()
                 self._reserve_background(work_cluster, now)
                 if self._faults:
                     self._block_down_servers(work_cluster)
-            # The scheduler itself times its "allocate" and "place"
-            # sub-phases through the shared profiler and opens matching
-            # child spans (see CompositeScheduler).
-            with profiler.phase("schedule"):
+            # The scheduler opens its "allocate" and "place" child spans
+            # on the shared span tracer (see CompositeScheduler).
+            with spans.span("schedule"):
                 decision = self.scheduler.schedule(work_cluster, views)
 
             if tracer:
@@ -735,7 +721,7 @@ class Simulation:
                             now + view.remaining_steps / speed_pred
                         )
 
-            with spans.span("progress"), profiler.phase("progress"):
+            with spans.span("progress"):
                 nic_shares = self._nic_shares(decision.layouts)
                 for job_id, job in active.items():
                     allocation = decision.allocations.get(job_id)
@@ -802,7 +788,7 @@ class Simulation:
                     running_jobs=len(decision.scheduled_jobs),
                     active_jobs=len(active),
                     pending_jobs=pending_count,
-                    phases=profiler.interval_timings(),
+                    phases=spans.interval_timings(),
                 )
         if self.timeseries is not None:
             self.timeseries.sample_registry(metrics, now)
@@ -847,7 +833,7 @@ class Simulation:
                 num_scalings=0,
                 chunks_moved=0,
             )
-        phase_timings = self.profiler.summary() or None
+        phase_timings = self.spans.summary() or None
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             jobs=records,

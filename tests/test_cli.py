@@ -20,11 +20,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["speed", "not-a-model"])
 
-    def test_compare_defaults(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.schedulers == ["optimus", "drf", "tetris"]
-        assert args.estimator == "online"
-
     def test_arena_defaults(self):
         args = build_parser().parse_args(["arena"])
         assert args.policies == "optimus,goodput,oasis,drf"
@@ -53,21 +48,6 @@ class TestCommands:
         assert main(["partition", "resnet-50", "--num-ps", "8"]) == 0
         out = capsys.readouterr().out
         assert "paa" in out and "mxnet" in out
-
-    def test_compare_tiny(self, capsys):
-        code = main(
-            [
-                "compare",
-                "--schedulers", "optimus", "drf",
-                "--jobs", "2",
-                "--servers", "4",
-                "--window", "600",
-                "--estimator", "oracle",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "optimus" in out and "drf" in out
 
     def test_arena_tiny_json(self, capsys, tmp_path):
         gate_path = tmp_path / "gate.json"

@@ -78,7 +78,7 @@ def fingerprint(result):
 
 
 def trace_fingerprint(tracer):
-    """Events minus wall-clock data (profiler timings, span durations)."""
+    """Events minus wall-clock data (phase timings, span durations)."""
     return [
         {k: v for k, v in event.items() if k not in ("phases", "duration")}
         for event in tracer.events

@@ -9,6 +9,8 @@ simulation itself.
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
+from repro.deploy import ControlLoop
+from repro.k8s import APIServer
 from repro.obs import (
     EVENT_ALLOCATION_DECIDED,
     EVENT_INTERVAL_TICK,
@@ -16,12 +18,13 @@ from repro.obs import (
     EVENT_JOB_COMPLETED,
     EVENT_JOB_RESCALED,
     EVENT_PLACEMENT_DECIDED,
+    EVENT_SPAN,
     MetricsRegistry,
     RecordingTracer,
 )
-from repro.schedulers import make_scheduler
+from repro.schedulers import JobView, make_scheduler
 from repro.sim import SimConfig, simulate
-from repro.workloads import uniform_arrivals
+from repro.workloads import make_job, uniform_arrivals
 
 
 def run_traced(seed=3, num_jobs=2, **cfg):
@@ -42,6 +45,41 @@ def run_traced(seed=3, num_jobs=2, **cfg):
 @pytest.fixture(scope="module")
 def traced():
     return run_traced()
+
+
+def assert_ticks_match_spans(events, root_name):
+    """Each tick's ``phases`` are exactly the spans beneath its root.
+
+    Keys equal the names of the span events under the interval's root
+    (the root itself excluded); each value equals their summed durations.
+    Ticks and roots pair up by their logical time.
+    """
+    spans = [e for e in events if e["event"] == EVENT_SPAN]
+    parent_of = {e["span_id"]: e["parent_id"] for e in spans}
+
+    def root_of(span_id):
+        while parent_of[span_id] is not None:
+            span_id = parent_of[span_id]
+        return span_id
+
+    beneath = {}
+    for event in spans:
+        if event["parent_id"] is None:
+            continue
+        sums = beneath.setdefault(root_of(event["span_id"]), {})
+        sums[event["name"]] = sums.get(event["name"], 0.0) + event["duration"]
+    roots = {
+        e["time"]: e["span_id"]
+        for e in spans
+        if e["parent_id"] is None and e["name"] == root_name
+    }
+    ticks = [e for e in events if e["event"] == EVENT_INTERVAL_TICK]
+    assert ticks
+    for tick in ticks:
+        expected = beneath.get(roots[tick["time"]], {})
+        assert set(tick["phases"]) == set(expected)
+        for name, seconds in tick["phases"].items():
+            assert seconds == pytest.approx(expected[name], abs=1e-9)
 
 
 class TestTwoJobTrace:
@@ -96,14 +134,35 @@ class TestTwoJobTrace:
         assert ticks
         for tick in ticks:
             assert tick["active_jobs"] >= 0
-            assert set(tick["phases"]) <= {
-                "fit", "snapshot", "schedule", "allocate", "place", "progress"
-            }
         busy = [t for t in ticks if t["running_jobs"] > 0]
         assert busy, "at least one interval should run jobs"
         for tick in busy:
             assert {"fit", "snapshot", "schedule", "progress"} <= set(tick["phases"])
             assert all(v >= 0.0 for v in tick["phases"].values())
+        assert_ticks_match_spans(tracer.events, "interval")
+
+    def test_control_loop_ticks_carry_phase_timings(self):
+        tracer = RecordingTracer()
+        api = APIServer()
+        for i in range(3):
+            api.register_node(f"n{i}", cpu_mem(16, 64))
+        loop = ControlLoop(api, make_scheduler("optimus"), tracer=tracer)
+        spec = make_job("resnet-50", mode="sync", job_id="job-a")
+        view = JobView(
+            spec=spec,
+            remaining_steps=10_000.0,
+            speed=lambda p, w: float(w),
+            observation_count=50,
+        )
+        loop.step([view], progress={"job-a": 0.0})
+        loop.step([], progress={"job-a": 500.0})
+        phases = [t["phases"] for t in tracer.of_type(EVENT_INTERVAL_TICK)]
+        assert {"sweep", "snapshot", "schedule", "allocate", "place", "reconcile"} <= set(
+            phases[0]
+        )
+        assert "launch" in phases[0]
+        assert "teardown" in phases[1]
+        assert_ticks_match_spans(tracer.events, "step")
 
     def test_seq_strictly_increasing_and_time_monotone(self, traced):
         _, tracer, _ = traced

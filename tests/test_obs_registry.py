@@ -1,13 +1,11 @@
-"""Tests for repro.obs.registry: metric math, null behaviour, profiler."""
+"""Tests for repro.obs.registry: metric math and null behaviour."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.obs import (
-    NULL_PROFILER,
     NULL_REGISTRY,
     MetricsRegistry,
-    PhaseProfiler,
     active_registry,
     install_registry,
     use_registry,
@@ -87,14 +85,6 @@ class TestRegistry:
         assert snap["gauges"]["b.level"] == 7
         assert snap["histograms"]["c.time"]["count"] == 1
 
-    def test_timer_observes_elapsed_time(self):
-        registry = MetricsRegistry()
-        with registry.timer("phase.test"):
-            pass
-        hist = registry.histogram("phase.test")
-        assert hist.count == 1
-        assert hist.max >= 0.0
-
     def test_bad_bounds_rejected(self):
         registry = MetricsRegistry()
         with pytest.raises(ConfigurationError):
@@ -109,8 +99,6 @@ class TestNullRegistry:
         NULL_REGISTRY.counter("a").inc(5)
         NULL_REGISTRY.gauge("b").set(1)
         NULL_REGISTRY.histogram("c").observe(2.0)
-        with NULL_REGISTRY.timer("d"):
-            pass
         assert NULL_REGISTRY.snapshot() == {}
 
 
@@ -144,43 +132,3 @@ class TestActiveRegistry:
             active_registry().counter("outer").inc()
         assert registry.snapshot()["counters"] == {"outer": 1}
 
-
-class TestPhaseProfiler:
-    def test_interval_timings_reset_per_interval(self):
-        profiler = PhaseProfiler(MetricsRegistry())
-        profiler.begin_interval()
-        with profiler.phase("fit"):
-            pass
-        with profiler.phase("schedule"):
-            pass
-        first = profiler.interval_timings()
-        assert set(first) == {"fit", "schedule"}
-        profiler.begin_interval()
-        assert profiler.interval_timings() == {}
-
-    def test_summary_accumulates_across_intervals(self):
-        profiler = PhaseProfiler(MetricsRegistry())
-        for _ in range(3):
-            profiler.begin_interval()
-            with profiler.phase("fit"):
-                pass
-        summary = profiler.summary()
-        assert summary["fit"]["count"] == 3
-        assert summary["fit"]["total"] >= 0.0
-        assert summary["fit"]["max"] <= summary["fit"]["total"] + 1e-12
-
-    def test_phases_feed_registry_histograms(self):
-        registry = MetricsRegistry()
-        profiler = PhaseProfiler(registry)
-        profiler.begin_interval()
-        with profiler.phase("place"):
-            pass
-        assert registry.histogram("phase.place").count == 1
-
-    def test_null_profiler_is_inert(self):
-        assert not NULL_PROFILER
-        NULL_PROFILER.begin_interval()
-        with NULL_PROFILER.phase("anything"):
-            pass
-        assert NULL_PROFILER.interval_timings() == {}
-        assert NULL_PROFILER.summary() == {}
