@@ -14,10 +14,11 @@ This bench has two parts:
 * :func:`run_scale_scenario` runs a *full simulation* at datacenter
   scale (thousands of GPUs, thousands of jobs) and writes a
   ``BENCH_scale.json`` report that CI's ``benchmark-scale`` job gates
-  against a committed baseline. Run it directly::
+  against a committed baseline. ``--online`` adds the same scenario with
+  the paper's online §3 estimators as ``online_*`` keys. Run it directly::
 
       python benchmarks/bench_fig12_scalability.py --gpus 1000 --jobs 2000 \\
-          --output BENCH_scale.json
+          --online --output BENCH_scale.json
 """
 
 import argparse
@@ -113,13 +114,19 @@ def build_scale_workload(num_jobs, window):
     return jobs
 
 
-def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
+#: Keys of an online run that ``--online`` adds, prefixed ``online_``.
+ONLINE_KEYS = ("wall_seconds", "fit_seconds", "average_jct_seconds", "jobs_completed")
+
+
+def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0, estimator_mode="oracle"):
     """Simulate *num_jobs* jobs on a *num_gpus*-GPU cluster, end to end.
 
-    Runs the simulator with oracle estimators (so loss-curve fitting
-    does not drown out the event-loop/allocator/placement cost being
-    measured) and the placement cache on. Returns the ``BENCH_scale.json``
-    report dict; every numeric field is regression-gated by CI through
+    Runs the simulator with the placement cache on and, by default, oracle
+    estimators, so loss-curve fitting does not drown out the
+    event-loop/allocator/placement cost being measured; ``"online"`` runs
+    the paper's §3 estimators and also reports ``fit_seconds``, the total
+    of the ``fit`` spans. Returns the ``BENCH_scale.json`` report dict;
+    every numeric field is regression-gated by CI through
     ``benchmarks/check_regression.py``.
     """
     from repro.obs import MetricsRegistry
@@ -136,7 +143,7 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
     # ledger cost that scales with grants shows up in the gated keys.
     config = SimConfig(
         seed=seed,
-        estimator_mode="oracle",
+        estimator_mode=estimator_mode,
         max_time=window + 2 * 86_400.0,
         ledger_mode="sampled",
     )
@@ -160,7 +167,7 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
     counters = registry.snapshot()["counters"]
     events = counters.get("sim.events_processed", 0.0)
     cache = scheduler.placement_cache
-    return {
+    scale_report = {
         "gpus": num_gpus,
         "jobs": num_jobs,
         "wall_seconds": round(wall, 4),
@@ -177,6 +184,9 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0):
         "placement_cache_hits": int(cache.hits if cache else 0),
         "average_jct_seconds": round(result.average_jct, 2),
     }
+    if estimator_mode != "oracle":  # oracle estimates are never fitted
+        scale_report["fit_seconds"] = round(registry.histogram("phase.fit").total, 4)
+    return scale_report
 
 
 def main(argv=None):
@@ -187,10 +197,20 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
+        "--online",
+        action="store_true",
+        help="also run the scenario with online estimators (online_* keys)",
+    )
+    parser.add_argument(
         "--output", default=None, help="write the report JSON here"
     )
     args = parser.parse_args(argv)
     scale_report = run_scale_scenario(args.gpus, args.jobs, seed=args.seed)
+    if args.online:
+        online = run_scale_scenario(
+            args.gpus, args.jobs, seed=args.seed, estimator_mode="online"
+        )
+        scale_report.update({f"online_{key}": online[key] for key in ONLINE_KEYS})
     text = json.dumps(scale_report, indent=2, sort_keys=True)
     print(text)
     if args.output:

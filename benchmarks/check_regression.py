@@ -52,7 +52,9 @@ HIGHER_IS_BETTER_SUFFIXES = (
 )
 
 #: Exact key names that are higher-is-better regardless of suffix.
-HIGHER_IS_BETTER_KEYS = frozenset({"jobs_completed", "placement_cache_hits"})
+HIGHER_IS_BETTER_KEYS = frozenset(
+    {"jobs_completed", "online_jobs_completed", "placement_cache_hits"}
+)
 
 #: Extra budget multiplier for tail-latency quantiles: a p95 estimated
 #: from a few dozen histogram samples swings several-fold between

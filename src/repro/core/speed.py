@@ -4,12 +4,16 @@ A :class:`SpeedEstimator` owns a job's ``(p, w, speed)`` sample set. Before
 the job starts, :meth:`bootstrap` runs the paper's short profiling runs on a
 small data sample (a caller-provided ``measure`` callable stands in for the
 10-second pre-runs); during training every interval's observed speed is fed
-back through :meth:`add_sample`, continuously calibrating the fit.
+back through :meth:`add_sample`, continuously calibrating the fit. Each
+refit hands the previous fit's support (``θ > 0``) to the NNLS solver as a
+warm start.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.common.errors import FittingError
 from repro.fitting.speed_model import (
@@ -103,10 +107,14 @@ class SpeedEstimator:
                 f"have {len(self._samples)}"
             )
         if force or self._dirty or self._fit is None:
+            # The previous fit's support usually survives a new sample, so
+            # it seeds the NNLS solve (same answer, fewer solves).
+            previous = self._fit
             self._fit = fit_speed_model(
                 self._samples,
                 self.mode,
                 global_batch=self.global_batch if self.mode == MODE_SYNC else None,
+                passive=None if previous is None else np.array(previous.thetas) > 0,
             )
             self._dirty = False
         return self._fit

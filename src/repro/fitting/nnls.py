@@ -6,7 +6,10 @@ active-set algorithm ourselves (the library must not silently depend on
 ``scipy.optimize.nnls`` internals) but verify it against SciPy in the test
 suite. The §3.1 loss-curve fit only ever solves the 2-column design
 ``[k, 1]``; :class:`LineNNLS` solves that one exactly, by KKT case analysis,
-for many targets at once.
+for one target or many at once. A refit whose solution support is known
+from the previous fit passes it as a ``passive`` hint: one least-squares
+solve on those columns, accepted only when it passes Lawson–Hanson's own
+termination test.
 
 Given ``A`` (m x n) and ``b`` (m,), solve::
 
@@ -40,6 +43,7 @@ def nnls(
     b: np.ndarray,
     max_iter: Optional[int] = None,
     tol: Optional[float] = None,
+    passive: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float]:
     """Lawson–Hanson non-negative least squares.
 
@@ -50,11 +54,20 @@ def nnls(
     b:
         Target vector of shape ``(m,)``.
     max_iter:
-        Iteration cap; defaults to ``3 * n``.
+        Iteration cap; defaults to ``max(3 * n, 30)``.
     tol:
         Optimality tolerance on the dual vector; defaults to
         :func:`dual_tolerance`, a scale-aware value derived from machine
         epsilon.
+    passive:
+        Optional boolean mask of length ``n`` guessing the solution's
+        support (for a refit, ``x > 0`` of the previous fit). The columns
+        it selects are solved by least squares once; the result is returned
+        when every coefficient is positive and no dual component off the
+        mask exceeds ``tol`` -- the test that ends Lawson–Hanson. Otherwise
+        the cold active-set iteration runs. Lawson–Hanson's answer is the
+        least-squares solve on its final passive set, so an accepted hint
+        returns the same bits whenever that set is unique.
 
     Returns
     -------
@@ -82,6 +95,19 @@ def nnls(
         max_iter = max(3 * n, 30)
     if tol is None:
         tol = dual_tolerance(A, b)
+    if passive is not None:
+        hint = np.asarray(passive, dtype=bool)
+        if hint.shape != (n,):
+            raise FittingError(f"passive must have shape ({n},), got {hint.shape}")
+        if hint.any():
+            cols = np.flatnonzero(hint)
+            z, *_ = np.linalg.lstsq(A[:, cols], b, rcond=None)
+            if np.all(z > 0):
+                x = np.zeros(n)
+                x[cols] = z
+                w = A.T @ (b - A @ x)
+                if not np.any(w[~hint] > tol):
+                    return x, float(np.linalg.norm(A @ x - b))
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)  # the "P" set
@@ -177,9 +203,15 @@ class LineNNLS:
         if not self._sxx > 0:
             raise FittingError("degenerate design: all k are equal")
 
-    def solve(self, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(b0, b1)`` for each row of *y*, shape ``(..., m)``."""
+    def solve(self, y: np.ndarray):
+        """``(b0, b1)`` for each row of *y*, shape ``(..., m)``.
+
+        A 1-D *y* gets plain floats, from the same operations in the same
+        order as a row of the array path.
+        """
         y = np.asarray(y, dtype=float)
+        if y.ndim == 1:
+            return self._solve_row(y)
         ybar = y.sum(axis=-1) / self._k.size
         b0 = (y @ self._dk) / self._sxx
         b1 = ybar - b0 * self._kbar
@@ -195,3 +227,17 @@ class LineNNLS:
         b0 = np.where(interior, b0, np.where(through_origin, slope, 0.0))
         b1 = np.where(interior, b1, np.where(through_origin, 0.0, level))
         return b0, b1
+
+    def _solve_row(self, y: np.ndarray) -> Tuple[float, float]:
+        m = self._k.size
+        ybar = float(y.sum()) / m
+        b0 = float(y @ self._dk) / self._sxx
+        b1 = ybar - b0 * self._kbar
+        if b0 >= 0.0 and b1 >= 0.0:
+            return b0, b1
+        ky = float(y @ self._k)
+        slope = max(ky, 0.0) / self._skk
+        level = max(ybar, 0.0)
+        if slope * ky > m * level * level:
+            return slope, 0.0
+        return 0.0, level

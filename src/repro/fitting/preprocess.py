@@ -24,7 +24,7 @@ from repro.common.errors import FittingError
 
 def remove_outliers(
     values: Sequence[float], window: int = 5, margin: float = 0.05
-) -> List[float]:
+) -> np.ndarray:
     """Replace neighbourhood-range violations by the neighbourhood mean.
 
     The previous-window maximum and next-window minimum of every point are
@@ -43,42 +43,46 @@ def remove_outliers(
     margin:
         Relative slack on the admissible range, so ordinary mini-batch noise
         at the range boundary is not flagged.
+
+    Returns
+    -------
+    A new float array of the cleaned values.
     """
     if window < 1:
         raise FittingError("window must be >= 1")
     if margin < 0:
         raise FittingError("margin must be non-negative")
-    data = [float(v) for v in values]
-    n = len(data)
+    arr = np.array(values, dtype=float)
+    n = arr.size
     if n <= 2:
-        return data
+        return arr
 
     span = min(window, n)  # a wider window sees the same neighbours
-    arr = np.array(data)
     pad = np.full(span, np.inf)
-    # prev_max[i] = max(data[i - span:i]); next_min[i] = min(data[i + 1:i + 1 + span]).
+    # prev_max[i] = max(arr[i - span:i]); next_min[i] = min(arr[i + 1:i + 1 + span]).
     prev_max = sliding_window_view(np.concatenate((-pad, arr)), span).max(axis=1)[:n]
     next_min = sliding_window_view(np.concatenate((arr, pad)), span).min(axis=1)[1:]
     flagged = (arr > prev_max * (1.0 + margin)) | (arr < next_min * (1.0 - margin))
-    cleaned = list(data)
+    cleaned = arr.copy()
     for i in np.flatnonzero(flagged[1:-1]) + 1:  # boundary points keep their value
-        cleaned[i] = float(np.mean(data[max(0, i - window) : i] + data[i + 1 : i + 1 + window]))
+        neighbours = np.concatenate((arr[max(0, i - window) : i], arr[i + 1 : i + 1 + window]))
+        cleaned[i] = neighbours.mean()
     return cleaned
 
 
-def normalize(values: Sequence[float]) -> Tuple[List[float], float]:
+def normalize(values: Sequence[float]) -> Tuple[np.ndarray, float]:
     """Divide by the maximum loss collected so far.
 
-    Returns the normalised values and the scale used, so predictions can be
-    mapped back to raw units.
+    Returns the normalised values (a new float array) and the scale used,
+    so predictions can be mapped back to raw units.
     """
-    data = [float(v) for v in values]
-    if not data:
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
         raise FittingError("cannot normalise an empty sequence")
-    scale = max(data)
+    scale = float(arr.max())
     if scale <= 0:
         raise FittingError("losses must contain a positive value")
-    return [v / scale for v in data], scale
+    return arr / scale, scale
 
 
 def preprocess_losses(
@@ -97,10 +101,9 @@ def preprocess_losses(
         raise FittingError("no data points")
     step_array = np.asarray(steps, dtype=float)
     order = np.argsort(step_array)
-    sorted_losses = np.asarray(losses, dtype=float)[order].tolist()
-    cleaned = remove_outliers(sorted_losses, window=window, margin=margin)
+    cleaned = remove_outliers(np.asarray(losses, dtype=float)[order], window=window, margin=margin)
     normalised, scale = normalize(cleaned)
-    return step_array[order], np.asarray(normalised), scale
+    return step_array[order], normalised, scale
 
 
 def subsample(

@@ -100,6 +100,7 @@ def fit_speed_model(
     samples: Sequence[SpeedSample],
     mode: str,
     global_batch: Optional[float] = None,
+    passive: Optional[np.ndarray] = None,
 ) -> SpeedModelFit:
     """Fit a speed function from ``(p, w, speed)`` profiling samples.
 
@@ -112,6 +113,9 @@ def fit_speed_model(
         ``"sync"`` or ``"async"``.
     global_batch:
         Required for synchronous fits (the ``M`` of Eqn 4).
+    passive:
+        Optional support hint for the θ solve, passed to :func:`nnls`: a
+        refit passes ``θ > 0`` of the previous fit.
     """
     validate_mode(mode)
     if mode == MODE_SYNC:
@@ -134,7 +138,7 @@ def fit_speed_model(
         # Transform speed to the linear target: seconds per step.
         targets.append(w / speed if mode == MODE_ASYNC else 1.0 / speed)
 
-    coeffs, _ = nnls(np.asarray(rows), np.asarray(targets))
+    coeffs, _ = nnls(np.asarray(rows), np.asarray(targets), passive=passive)
     fit = SpeedModelFit(
         mode=mode,
         thetas=tuple(float(c) for c in coeffs),

@@ -74,3 +74,12 @@ def test_higher_is_better_key_is_inverted(tmp_path):
         tmp_path, {"jobs_per_second": 100.0}, {"jobs_per_second": 500.0}
     )
     assert code == 0, out
+
+
+@pytest.mark.parametrize("key", ["jobs_completed", "online_jobs_completed"])
+def test_completed_job_counts_are_higher_is_better(tmp_path, key):
+    code, out = gate(tmp_path, {key: 2000}, {key: 1000})
+    assert code == 1
+    assert "higher-is-better" in out
+    code, out = gate(tmp_path, {key: 1000}, {key: 2000})
+    assert code == 0, out

@@ -1,9 +1,13 @@
 """Tests for the online speed estimator (§3.2)."""
 
+import numpy as np
 import pytest
 
+import repro.fitting.speed_model as speed_model
 from repro.common.errors import FittingError
 from repro.core.speed import SpeedEstimator
+from repro.fitting.nnls import nnls
+from repro.fitting.speed_model import MIN_SAMPLES, SpeedModelFit
 from repro.workloads import MODEL_ZOO, StepTimeModel
 
 
@@ -104,3 +108,59 @@ class TestFitAndPredict:
             est.add_sample(10, 10, truth.speed(10, 10))
         err_after = abs(est.predict(10, 10) - truth.speed(10, 10)) / truth.speed(10, 10)
         assert err_after <= err_before + 1e-9
+
+
+def random_stream(seed, mode):
+    """A seeded ``(p, w, speed)`` stream from a random Eqn-3/4 model whose
+    θ has zeros, with 5% multiplicative noise; a few configurations repeat,
+    as a running job's do."""
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.01, 1.0, size=MIN_SAMPLES[mode])
+    thetas[rng.random(thetas.size) < 0.3] = 0.0
+    thetas[0] += 0.05  # keep every step time positive
+    fit = SpeedModelFit(mode, tuple(thetas), 0.0, 0, global_batch=256.0)
+    configs = [tuple(int(v) for v in rng.integers(1, 13, size=2)) for _ in range(12)]
+    for _ in range(40):
+        p, w = configs[int(rng.integers(len(configs)))]
+        yield p, w, fit.predict(p, w) * float(rng.uniform(0.95, 1.05))
+
+
+class TestWarmStartedRefits:
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hinted_solve_equals_cold_solve(self, monkeypatch, mode, seed):
+        solves = []
+
+        def checking(A, b, passive=None):
+            warm = nnls(A, b, passive=passive)
+            cold = nnls(A, b)
+            assert warm[0].tobytes() == cold[0].tobytes() and warm[1] == cold[1]
+            solves.append(passive is not None)
+            return warm
+
+        monkeypatch.setattr(speed_model, "nnls", checking)
+        estimator = SpeedEstimator(mode, global_batch=256, max_samples=25)
+        for p, w, speed in random_stream(seed, mode):
+            estimator.add_sample(p, w, speed)
+            if estimator.can_fit:
+                estimator.fit()
+        assert solves and not solves[0] and all(solves[1:])
+
+    def test_unchanged_support_refits_in_one_solve(self, monkeypatch, truth):
+        estimator = SpeedEstimator("sync", global_batch=256)
+        estimator.bootstrap(measure=lambda p, w: truth.speed(p, w), num_samples=8, seed=2)
+        support = np.array(estimator.fit().thetas) > 0
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        # A sample on the fitted curve leaves the least-squares solution,
+        # and so the support, where it was.
+        estimator.add_sample(4, 4, estimator.predict(4, 4))
+        refit = estimator.fit()
+        assert (np.array(refit.thetas) > 0).tolist() == support.tolist()
+        assert calls == [(9, int(support.sum()))]

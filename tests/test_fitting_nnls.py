@@ -236,3 +236,73 @@ class TestOptimality:
         active = x <= 1e-12
         assert np.all(gradient[active] >= -tol)
         assert np.all(np.abs(gradient[~active]) <= tol)
+
+
+def counted_lstsq(monkeypatch):
+    """Count ``np.linalg.lstsq`` calls (one per Lawson–Hanson solve)."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+def same_bits(left, right):
+    (x, r), (y, s) = left, right
+    return x.tobytes() == y.tobytes() and r == s
+
+
+class TestPassiveHint:
+    def test_correct_hint_is_one_solve(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        A = rng.uniform(0.5, 2.0, size=(12, 3))
+        b = A @ np.array([1.0, 0.0, 2.0]) - 0.01 * A[:, 1]
+        cold = nnls(A, b)
+        hint = cold[0] > 0
+        calls = counted_lstsq(monkeypatch)
+        assert same_bits(nnls(A, b, passive=hint), cold)
+        assert calls == [(12, 2)]
+
+    def test_negative_least_squares_coefficient_falls_back(self, monkeypatch):
+        A = np.eye(2)
+        b = np.array([1.0, -1.0])
+        cold = nnls(A, b)
+        calls = counted_lstsq(monkeypatch)
+        warm = nnls(A, b, passive=np.array([True, True]))
+        assert same_bits(warm, cold)
+        np.testing.assert_array_equal(warm[0], [1.0, 0.0])
+        assert calls[0] == (2, 2) and len(calls) > 1  # the hint, then the cold path
+
+    def test_failed_dual_test_falls_back(self, monkeypatch):
+        # The hint's fit is positive, but the column it leaves out still
+        # reduces the residual: its dual component is 1 > tol.
+        A = np.eye(2)
+        b = np.array([1.0, 1.0])
+        cold = nnls(A, b)
+        calls = counted_lstsq(monkeypatch)
+        warm = nnls(A, b, passive=np.array([True, False]))
+        assert same_bits(warm, cold)
+        np.testing.assert_array_equal(warm[0], [1.0, 1.0])
+        assert calls[0] == (2, 1) and len(calls) > 1
+
+    def test_all_false_hint_is_the_cold_path(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(10, 4))
+        b = rng.normal(size=10)
+        cold_calls = counted_lstsq(monkeypatch)
+        cold = nnls(A, b)
+        cold_count = len(cold_calls)
+        assert same_bits(nnls(A, b, passive=np.zeros(4, dtype=bool)), cold)
+        assert len(cold_calls) == 2 * cold_count
+
+    def test_wrong_length_hint_rejected(self):
+        A = np.eye(3)
+        b = np.ones(3)
+        with pytest.raises(FittingError, match="passive"):
+            nnls(A, b, passive=np.array([True, True]))
+        with pytest.raises(FittingError, match="passive"):
+            nnls(A, b, passive=np.ones((3, 1), dtype=bool))
