@@ -1,8 +1,8 @@
 """Control-plane failover: takeover latency and fenced-write accounting.
 
 The HA counterpart of the fault benchmarks: run the hot/standby drill
-(:mod:`repro.deploy.failover`) across seeds and kill modes and report the
-numbers the CI gate cares about:
+(:func:`repro.deploy.run_failover_drill`) across seeds and kill modes and
+report the numbers the CI gate cares about:
 
 * **takeover latency** -- lease-expiry to the successor's first completed
   post-recovery schedule, in step units. The acceptance bound is 2x the
@@ -26,7 +26,7 @@ import json
 import sys
 
 from bench_common import report
-from repro.deploy.failover import FailoverConfig, run_failover_drill
+from repro.deploy import FailoverConfig, run_failover_drill
 from repro.faults import CRASH_MID_STEP_DEPOSED
 
 SEEDS = (0, 1, 2)

@@ -22,7 +22,9 @@ import time
 from typing import List, Optional
 
 from repro.cluster import Cluster, cpu_mem
+from repro.common.errors import ConfigurationError
 from repro.common.units import format_duration
+from repro.faults import CRASH_POINTS, RECONCILE_CRASH_POINTS
 from repro.ps import blocks_from_sizes, mxnet_partition, paa_partition
 from repro.report import bar_chart, format_table, result_to_json, sparkline
 from repro.sim import (
@@ -264,152 +266,33 @@ def _cmd_drill(args: argparse.Namespace) -> int:
     the desired layouts, no orphaned pods, node capacity consistent with
     bound pods, and per-job progress loss bounded by one interval.
     """
-    from repro.common.errors import ControllerCrashed
-    from repro.deploy import ControlLoop
-    from repro.faults import ControllerCrash, CrashPointInjector
-    from repro.k8s import APIServer
-    from repro.obs import MetricsRegistry, RecordingTracer
-    from repro.schedulers import JobView, make_scheduler
-    from repro.workloads import StepTimeModel, make_job
+    from repro.deploy import CrashDrillConfig, run_crash_drill
 
-    models = sorted(MODEL_ZOO)
-    specs = [
-        make_job(
-            models[(i + args.seed) % len(models)], mode="sync", job_id=f"job-{i}"
-        )
-        for i in range(args.jobs)
-    ]
-    truths = {s.job_id: StepTimeModel(s.profile, "sync") for s in specs}
-    progress = {s.job_id: 0.0 for s in specs}
-
-    def views():
-        return [
-            JobView(
-                spec=spec,
-                remaining_steps=max(50_000.0 - progress[spec.job_id], 1_000.0),
-                speed=lambda p, w, t=truths[spec.job_id]: t.speed(p, w),
-                observation_count=100,
-            )
-            for spec in specs
-        ]
-
-    api = APIServer()
-    ttl = args.lease_ttl if args.lease_ttl > 0 else None
-    node_names = [f"n{i}" for i in range(args.servers)]
-    for name in node_names:
-        api.register_node(name, cpu_mem(16, 64), lease_ttl=ttl, now=0.0)
-
-    injector = None
-    if args.crash_point:
-        injector = CrashPointInjector([ControllerCrash(args.crash_point)])
-    tracer = RecordingTracer()
-    metrics = MetricsRegistry()
-    loop = ControlLoop(
-        api,
-        make_scheduler(args.scheduler),
-        tracer=tracer,
-        metrics=metrics,
-        crash_points=injector,
+    config = CrashDrillConfig(
+        seed=args.seed,
+        jobs=args.jobs,
+        servers=args.servers,
+        steps=args.steps,
+        expire_node=args.expire_node,
+        lease_ttl=args.lease_ttl,
+        policy=args.scheduler,
+        crash_point=args.crash_point,
     )
-    dead_node = (
-        node_names[args.expire_node]
-        if 0 <= args.expire_node < len(node_names)
-        else None
-    )
-
-    crashes = 0
-    recoveries = 0
-    checkpoint_at_crash: dict = {}
-    for _ in range(args.steps):
-        now = float(loop.step_index)
-        if ttl is not None:
-            for name in node_names:
-                if name == dead_node and now >= 1:
-                    continue  # the "dead" kubelet goes silent after step 0
-                if not api.node(name).cordoned:
-                    loop.heartbeat(name, now)
-        try:
-            loop.step(views(), progress=dict(progress))
-        except ControllerCrashed as exc:
-            crashes += 1
-            checkpoint_at_crash = dict(progress)
-            print(f"[drill] {exc}", file=sys.stderr)
-            loop = ControlLoop(
-                api,
-                make_scheduler(args.scheduler),
-                tracer=tracer,
-                metrics=metrics,
-                start_step=loop.step_index,
-            )
-            recovered = loop.recover()
-            recoveries += 1
-            for job_id, steps in recovered.items():
-                progress[job_id] = max(progress.get(job_id, 0.0), steps)
-            loop.step(views(), progress=dict(progress))
-        for spec in specs:
-            progress[spec.job_id] += 250.0
-
-    # -- invariants --------------------------------------------------------------
-    failures = []
-    pods = api.list_pods()
-    known_jobs = {s.job_id for s in specs}
-    orphans = [p.name for p in pods if p.job_id not in known_jobs]
-    if orphans:
-        failures.append(f"orphaned pods: {orphans}")
-    for node in api.list_nodes():
-        bound = sum(
-            (p.demand for p in pods if p.node == node.name),
-            start=cpu_mem(0, 0),
-        )
-        if dict(node.allocated.items()) != dict(bound.items()):
-            failures.append(
-                f"node {node.name}: allocated {node.allocated} != bound {bound}"
-            )
-    if dead_node is not None and ttl is not None:
-        if not api.node(dead_node).cordoned:
-            failures.append(f"dead node {dead_node} was never cordoned")
-        on_dead = [p.name for p in pods if p.node == dead_node]
-        if on_dead:
-            failures.append(f"pods still on dead node: {on_dead}")
-    if crashes:
-        for job_id, at_crash in checkpoint_at_crash.items():
-            saved = loop.controller.load_checkpoint(job_id)
-            if saved is not None and at_crash - saved > 250.0:
-                failures.append(
-                    f"{job_id}: lost {at_crash - saved:.0f} steps (> 1 interval)"
-                )
-
-    counters = metrics.snapshot()["counters"]
-    rows = [
-        ["steps run", args.steps],
-        ["controller crashes injected", crashes],
-        ["recoveries", recoveries],
-        ["intents replayed", int(counters.get("loop.intents_replayed", 0))],
-        ["nodes cordoned", int(counters.get("loop.nodes_cordoned", 0))],
-        ["lease renewals", int(counters.get("lease.renewals", 0))],
-        ["pods running", len(pods)],
-        ["invariants", "FAIL" if failures else "ok"],
-    ]
+    outcome = run_crash_drill(config)
+    for crash in outcome.crashes:
+        print(f"[drill] {crash}", file=sys.stderr)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "summary": {str(k): v for k, v in rows},
-                    "failures": failures,
-                    "checkpoints": {
-                        s.job_id: loop.controller.load_checkpoint(s.job_id)
-                        for s in specs
-                    },
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        payload = {
+            "summary": outcome.summary,
+            "failures": outcome.failures,
+            "checkpoints": outcome.checkpoints,
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(format_table(["metric", "value"], rows))
-        for failure in failures:
+        print(format_table(["metric", "value"], list(outcome.summary.items())))
+        for failure in outcome.failures:
             print(f"INVARIANT VIOLATED: {failure}")
-    return 1 if failures else 0
+    return 0 if outcome.ok else 1
 
 
 def _cmd_failover(args: argparse.Namespace) -> int:
@@ -422,7 +305,7 @@ def _cmd_failover(args: argparse.Namespace) -> int:
     epochs, takeover within 2x the lease TTL, no leaked pods / leases /
     intents. Exit 0 means every invariant held.
     """
-    from repro.deploy.failover import FailoverConfig, run_failover_drill
+    from repro.deploy import FailoverConfig, run_failover_drill
 
     config = FailoverConfig(
         seed=args.seed,
@@ -478,13 +361,9 @@ def _cmd_failover(args: argparse.Namespace) -> int:
             f"[failover] fenced writes={outcome.fenced_writes} "
             f"final epoch={outcome.final_epoch}"
         )
-        for kind, leaked in (
-            ("pods", outcome.leaked_pods),
-            ("leases", outcome.leaked_leases),
-            ("intents", outcome.leaked_intents),
-        ):
+        for key, leaked in outcome.leaks().items():
             if leaked:
-                print(f"[failover] LEAKED {kind}: {leaked}")
+                print(f"[failover] LEAKED {key[len('leaked_'):]}: {leaked}")
         violations = outcome.checker.violations if outcome.checker else []
         for violation in violations:
             print(f"[failover] VIOLATION {violation}")
@@ -500,7 +379,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     ``--self-test`` seeds violations into a known-good stream and asserts
     the checker catches them. Exit 0 means every invariant held.
     """
-    from repro.common.errors import ConfigurationError
     from repro.soak import CheckerConfig, check_trace_file, run_selftest
 
     modes = sum(1 for m in (args.scenario, args.check, args.self_test) if m)
@@ -559,20 +437,16 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     from repro.sim import load_scenario, run_soak
 
-    try:
-        scenario = load_scenario(args.scenario)
-        if args.seed_override is not None:
-            import dataclasses as _dc
+    scenario = load_scenario(args.scenario)
+    if args.seed_override is not None:
+        import dataclasses as _dc
 
-            scenario = _dc.replace(scenario, seed=args.seed_override)
-        outcome = run_soak(
-            scenario,
-            trace_out=args.trace_out,
-            report_out=args.report_out,
-        )
-    except ConfigurationError as exc:
-        print(f"soak: {exc}", file=sys.stderr)
-        return 2
+        scenario = _dc.replace(scenario, seed=args.seed_override)
+    outcome = run_soak(
+        scenario,
+        trace_out=args.trace_out,
+        report_out=args.report_out,
+    )
     if args.trace_out:
         print(f"wrote trace to {args.trace_out}", file=sys.stderr)
         print(f"wrote manifest to {outcome.manifest_path}", file=sys.stderr)
@@ -785,6 +659,19 @@ def _cmd_arena(args: argparse.Namespace) -> int:
     else:
         print(format_arena(report))
     return 0
+
+
+def _add_drill_parser(sub, name, help, crash_points, crash_help, lease_help):
+    """A control-plane drill subcommand with the fleet flags both drills share."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--scheduler", default="optimus")
+    parser.add_argument("--jobs", type=int, default=3)
+    parser.add_argument("--servers", type=int, default=4)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--crash-point", choices=crash_points, default=None, help=crash_help)
+    parser.add_argument("--lease-ttl", type=float, default=2.0, help=lease_help)
+    parser.add_argument("--json", action="store_true")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1126,67 +1013,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     arena.set_defaults(func=_cmd_arena)
 
-    drill = sub.add_parser(
+    drill = _add_drill_parser(
+        sub,
         "drill",
-        help="crash-consistency drill: kill the controller, expire a node, recover",
+        "crash-consistency drill: kill the controller, expire a node, recover",
+        RECONCILE_CRASH_POINTS,
+        "kill the controller once at this reconcile crash point",
+        "node health lease TTL in steps (<= 0 disables leases)",
     )
-    drill.add_argument("--scheduler", default="optimus")
-    drill.add_argument("--jobs", type=int, default=3)
-    drill.add_argument("--servers", type=int, default=4)
     drill.add_argument("--steps", type=int, default=6)
-    drill.add_argument("--seed", type=int, default=0)
-    drill.add_argument(
-        "--crash-point",
-        choices=("after_checkpoint", "after_teardown", "mid_launch", "after_launch"),
-        default=None,
-        help="kill the controller once at this reconcile crash point",
-    )
     drill.add_argument(
         "--expire-node",
         type=int,
         default=-1,
         help="index of a node whose heartbeats stop after the first step",
     )
-    drill.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=2.0,
-        help="node health lease TTL in steps (<= 0 disables leases)",
-    )
-    drill.add_argument("--json", action="store_true")
     drill.set_defaults(func=_cmd_drill)
 
-    failover = sub.add_parser(
+    failover = _add_drill_parser(
+        sub,
         "failover",
-        help="controller-failover drill: kill the leader, audit the takeover",
+        "controller-failover drill: kill the leader, audit the takeover",
+        CRASH_POINTS,
+        "how the leader dies (default: silent death; the election "
+        "points script the successor instead)",
+        "election lease TTL in steps (takeover bound is 2x this)",
     )
-    failover.add_argument("--scheduler", default="optimus")
-    failover.add_argument("--jobs", type=int, default=3)
-    failover.add_argument("--servers", type=int, default=4)
-    failover.add_argument("--seed", type=int, default=0)
     failover.add_argument(
         "--kills", type=int, default=1, help="number of leader-kill waves"
-    )
-    failover.add_argument(
-        "--crash-point",
-        choices=(
-            "mid_step_deposed",
-            "before_campaign",
-            "after_elected",
-            "after_checkpoint",
-            "after_teardown",
-            "mid_launch",
-            "after_launch",
-        ),
-        default=None,
-        help="how the leader dies (default: silent death; the election "
-        "points script the successor instead)",
-    )
-    failover.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=2.0,
-        help="election lease TTL in steps (takeover bound is 2x this)",
     )
     failover.add_argument(
         "--trace-out", metavar="FILE", help="stream the drill's JSONL trace"
@@ -1194,7 +1048,6 @@ def build_parser() -> argparse.ArgumentParser:
     failover.add_argument(
         "--report-out", metavar="FILE", help="write the violation report"
     )
-    failover.add_argument("--json", action="store_true")
     failover.set_defaults(func=_cmd_failover)
 
     return parser
@@ -1203,7 +1056,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        # Bad inputs that argparse cannot see (drill ranges, scenario files)
+        # exit 2 with a message, like argparse's own usage errors.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

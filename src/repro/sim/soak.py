@@ -7,8 +7,10 @@ from a JSON/CSV trace file), the stochastic fault rates, scripted *fault
 waves* (windows of elevated node-crash intensity, expanded into seeded
 :class:`~repro.faults.plan.NodeCrash` entries), an estimator perturbation
 (step / ramp / sine speed multiplier), and an optional control-plane
-*drill* phase that replays a controller crash point against the real
-ControlLoop/APIServer/KVStore stack after the simulation.
+*drill* phase run after the simulation: :func:`repro.deploy.run_crash_drill`
+or, with ``"kind": "failover"``, :func:`repro.deploy.run_failover_drill`.
+The block's other keys are that drill config's fields; anything else is
+rejected when the scenario is loaded (:func:`repro.deploy.drill.drill_config`).
 
 :func:`run_soak` executes the scenario end to end against one shared
 trace stream, closes the run with a terminal ``run_completed`` accounting
@@ -49,13 +51,15 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rand import RandomSource
+from repro.deploy.drill import (
+    FailoverConfig,
+    drill_config,
+    run_crash_drill,
+    run_failover_drill,
+)
 from repro.faults.config import FaultConfig
 from repro.faults.plan import CheckpointLoss, FaultPlan, NodeCrash, TaskCrash
-from repro.obs.tracer import (
-    EVENT_JOB_ARRIVED,
-    EVENT_RUN_COMPLETED,
-    RecordingTracer,
-)
+from repro.obs.tracer import EVENT_RUN_COMPLETED, RecordingTracer
 from repro.sim.engine import SimConfig, simulate
 from repro.sim.manifest import manifest_path_for, run_manifest, write_manifest
 from repro.sim.metrics import SimulationResult
@@ -84,24 +88,6 @@ _GENERATORS: Dict[str, Callable[..., List[JobSpec]]] = {
 #: Group keys consumed by the scenario engine itself (everything else is
 #: passed through to the arrival generator).
 _GROUP_CONTROL_KEYS = ("arrivals", "jobs", "offset", "prefix", "seed", "path")
-
-_SCENARIO_KEYS = (
-    "name",
-    "seed",
-    "policy",
-    "servers",
-    "horizon",
-    "interval",
-    "checkpoint_interval",
-    "estimator",
-    "workload",
-    "faults",
-    "fault_waves",
-    "plan",
-    "perturbation",
-    "drill",
-    "checker",
-)
 
 PERTURBATION_KINDS = ("step", "ramp", "sine")
 
@@ -147,11 +133,12 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"scenario must be an object, got {type(spec).__name__}"
             )
-        unknown = sorted(set(spec) - set(_SCENARIO_KEYS))
+        known = [f.name for f in dataclasses.fields(cls)]
+        unknown = sorted(set(spec) - set(known))
         if unknown:
             raise ConfigurationError(
                 f"scenario has unknown key(s): {', '.join(unknown)} "
-                f"(known: {', '.join(_SCENARIO_KEYS)})"
+                f"(known: {', '.join(known)})"
             )
         workload = spec.get("workload")
         if not isinstance(workload, list) or not workload:
@@ -203,6 +190,8 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"scenario 'servers' must be a positive integer, got {servers!r}"
             )
+        if drill:
+            drill_config(drill, seed, str(spec.get("policy", "optimus")))
         return cls(
             name=str(spec.get("name", "soak")),
             seed=seed,
@@ -458,179 +447,6 @@ class SoakOutcome:
         return self.checker.violations
 
 
-def _run_drill_phase(
-    scenario: ScenarioSpec, tracer: RecordingTracer
-) -> Dict[str, List[str]]:
-    """Replay a controller crash drill against the deploy stack.
-
-    Runs after the simulation on the *same* tracer: deploys a few jobs
-    through ControlLoop/APIServer/KVStore, kills the controller at the
-    scripted crash point, recovers from the store alone, drains, and
-    reports the drill jobs plus any state still held after teardown.
-    """
-    from repro.common.errors import ControllerCrashed
-    from repro.deploy import ControlLoop
-    from repro.faults import ControllerCrash, CrashPointInjector
-    from repro.k8s import APIServer
-    from repro.k8s.controller import INTENT_DONE
-    from repro.cluster import cpu_mem
-    from repro.schedulers import JobView, make_scheduler
-    from repro.workloads import MODEL_ZOO, StepTimeModel, make_job
-
-    drill = scenario.drill or {}
-    num_jobs = int(drill.get("jobs", 3))
-    steps = int(drill.get("steps", 6))
-    servers = int(drill.get("servers", 4))
-    expire_node = int(drill.get("expire_node", -1))
-    lease_ttl = float(drill.get("lease_ttl", 2.0))
-    crash_point = drill.get("crash_point")
-    policy = str(drill.get("policy", scenario.policy))
-
-    models = sorted(MODEL_ZOO)
-    specs = [
-        make_job(
-            models[(i + scenario.seed) % len(models)],
-            mode="sync",
-            job_id=f"drill-{i}",
-        )
-        for i in range(num_jobs)
-    ]
-    truths = {s.job_id: StepTimeModel(s.profile, "sync") for s in specs}
-    progress = {s.job_id: 0.0 for s in specs}
-    for spec in specs:
-        # The control loop never admits jobs itself; announce them so the
-        # stream checker can hold them to the no-lost-jobs invariant.
-        tracer.emit(
-            EVENT_JOB_ARRIVED,
-            0.0,
-            job_id=spec.job_id,
-            model=spec.model_name,
-            mode=spec.mode,
-            arrival_time=0.0,
-        )
-
-    def views():
-        return [
-            JobView(
-                spec=spec,
-                remaining_steps=max(50_000.0 - progress[spec.job_id], 1_000.0),
-                speed=lambda p, w, t=truths[spec.job_id]: t.speed(p, w),
-                observation_count=100,
-            )
-            for spec in specs
-        ]
-
-    api = APIServer()
-    ttl = lease_ttl if lease_ttl > 0 else None
-    node_names = [f"n{i}" for i in range(servers)]
-    for name in node_names:
-        api.register_node(name, cpu_mem(16, 64), lease_ttl=ttl, now=0.0)
-
-    injector = None
-    if crash_point:
-        injector = CrashPointInjector([ControllerCrash(crash_point)])
-    loop = ControlLoop(
-        api, make_scheduler(policy), tracer=tracer, crash_points=injector
-    )
-    dead_node = (
-        node_names[expire_node] if 0 <= expire_node < len(node_names) else None
-    )
-
-    for _ in range(steps):
-        now = float(loop.step_index)
-        if ttl is not None:
-            for name in node_names:
-                if name == dead_node and now >= 1:
-                    continue  # the "dead" kubelet goes silent after step 0
-                if not api.node(name).cordoned:
-                    loop.heartbeat(name, now)
-        try:
-            loop.step(views(), progress=dict(progress))
-        except ControllerCrashed:
-            loop = ControlLoop(
-                api,
-                make_scheduler(policy),
-                tracer=tracer,
-                start_step=loop.step_index,
-            )
-            recovered = loop.recover()
-            for job_id, saved in recovered.items():
-                progress[job_id] = max(progress.get(job_id, 0.0), saved)
-            loop.step(views(), progress=dict(progress))
-        for spec in specs:
-            progress[spec.job_id] += 250.0
-
-    try:
-        loop.drain(progress=dict(progress))
-    except ControllerCrashed:
-        # The crash point may fire on the first real teardown, which can
-        # be the drain itself. Recover from the store alone and finish
-        # the teardown -- exactly the §5.5 crash-consistency contract.
-        loop = ControlLoop(
-            api,
-            make_scheduler(policy),
-            tracer=tracer,
-            start_step=loop.step_index,
-        )
-        loop.recover()
-        loop.drain(progress=dict(progress))
-    leaked_pods = sorted(p.name for p in api.list_pods())
-    leaked_intents = sorted(
-        job_id
-        for job_id, intent in loop.controller.list_intents().items()
-        if intent.phase != INTENT_DONE
-    )
-    leaked_leases = []
-    for name in node_names:
-        lease_id = api.node(name).lease_id
-        api.remove_node(name)
-        if lease_id is not None and api.store.has_lease(lease_id):
-            leaked_leases.append(f"{name}:{lease_id}")
-    return {
-        "jobs": [s.job_id for s in specs],
-        "leaked_pods": leaked_pods,
-        "leaked_leases": sorted(leaked_leases),
-        "leaked_intents": leaked_intents,
-    }
-
-
-def _run_failover_phase(
-    scenario: ScenarioSpec, tracer: RecordingTracer
-) -> Dict[str, List[str]]:
-    """Run a leader-kill failover drill on the shared trace stream.
-
-    Selected with ``"drill": {"kind": "failover", ...}``; the remaining
-    keys map onto :class:`repro.deploy.failover.FailoverConfig` (``kills``
-    for the number of leader-kill waves, ``crash_point`` for the kill
-    mode, ``lease_ttl`` for the election TTL). Runs on the *same* tracer
-    as the simulation, so the checker audits the election events --
-    dual-leader, epoch-regression, failover-overdue -- in one stream;
-    accounting is merged into the run's terminal event by the caller.
-    """
-    from repro.deploy.failover import FailoverConfig, run_failover_drill
-
-    drill = scenario.drill or {}
-    config = FailoverConfig(
-        seed=int(drill.get("seed", scenario.seed)),
-        jobs=int(drill.get("jobs", 3)),
-        servers=int(drill.get("servers", 4)),
-        steps_before=int(drill.get("steps_before", 3)),
-        steps_after=int(drill.get("steps_after", 4)),
-        lease_ttl=float(drill.get("lease_ttl", 2.0)),
-        node_lease_ttl=float(drill.get("node_lease_ttl", 6.0)),
-        policy=str(drill.get("policy", scenario.policy)),
-        crash_point=drill.get("crash_point"),
-        kills=int(drill.get("kills", 1)),
-    )
-    outcome = run_failover_drill(config, tracer=tracer, emit_accounting=False)
-    return {
-        "jobs": list(outcome.jobs),
-        "leaked_pods": list(outcome.leaked_pods),
-        "leaked_leases": list(outcome.leaked_leases),
-        "leaked_intents": list(outcome.leaked_intents),
-    }
-
-
 def run_soak(
     scenario: ScenarioSpec,
     trace_out: Optional[str] = None,
@@ -672,35 +488,31 @@ def run_soak(
             fault_plan=fault_plan,
         )
 
-        drill_outcome: Dict[str, List[str]] = {
-            "jobs": [],
-            "leaked_pods": [],
-            "leaked_leases": [],
-            "leaked_intents": [],
-        }
-        if scenario.drill is not None:
-            if scenario.drill.get("kind") == "failover":
-                drill_outcome = _run_failover_phase(scenario, tracer)
-            else:
-                drill_outcome = _run_drill_phase(scenario, tracer)
-
         finished = sorted(
             job_id for job_id, rec in result.jobs.items() if rec.finished
         )
         unfinished = sorted(
             job_id for job_id, rec in result.jobs.items() if not rec.finished
         )
-        # Drill jobs are drained (torn down at checkpoint), not converged:
-        # legitimately unfinished, but still on the no-lost-jobs hook.
-        unfinished.extend(drill_outcome["jobs"])
+        leaks = {"leaked_pods": [], "leaked_leases": [], "leaked_intents": []}
+        if scenario.drill is not None:
+            # The drill shares the tracer, so the checker audits its events
+            # (elections included) in the one stream. Its jobs are drained
+            # (torn down at checkpoint), not converged: legitimately
+            # unfinished, but still on the no-lost-jobs hook.
+            drill = drill_config(scenario.drill, scenario.seed, scenario.policy)
+            if isinstance(drill, FailoverConfig):
+                outcome = run_failover_drill(drill, tracer=tracer)
+            else:
+                outcome = run_crash_drill(drill, tracer=tracer, prefix="drill")
+            unfinished.extend(outcome.jobs)
+            leaks = outcome.leaks()
         tracer.emit(
             EVENT_RUN_COMPLETED,
             scenario.horizon,
             finished=finished,
             unfinished=sorted(unfinished),
-            leaked_pods=drill_outcome["leaked_pods"],
-            leaked_leases=drill_outcome["leaked_leases"],
-            leaked_intents=drill_outcome["leaked_intents"],
+            **leaks,
         )
     finally:
         tracer.close()

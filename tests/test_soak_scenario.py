@@ -79,6 +79,40 @@ class TestScenarioSpec:
                 {"workload": [{"arrivals": "uniform"}], "seed": "zero"}
             )
 
+    def _with_drill(self, drill):
+        return ScenarioSpec.from_dict(
+            {"workload": [{"arrivals": "uniform"}], "drill": drill}
+        )
+
+    def test_drill_unknown_key(self):
+        # A typo must not silently run a drill with no crash.
+        with pytest.raises(ConfigurationError, match="unknown key 'crash_piont'"):
+            self._with_drill({"crash_piont": "after_teardown"})
+
+    def test_drill_unknown_kind(self):
+        # A typo must not silently run a crash drill instead of a failover.
+        with pytest.raises(ConfigurationError, match="'kind'.*'failvoer'"):
+            self._with_drill({"kind": "failvoer", "kills": 2})
+
+    def test_drill_key_of_the_other_kind(self):
+        with pytest.raises(ConfigurationError, match=r"'kills' \(a failover drill key\)"):
+            self._with_drill({"crash_point": "after_teardown", "kills": 2})
+        with pytest.raises(ConfigurationError, match=r"'steps' \(a crash drill key\)"):
+            self._with_drill({"kind": "failover", "steps": 6})
+
+    def test_drill_unknown_crash_point(self):
+        with pytest.raises(ConfigurationError, match="crash_point"):
+            self._with_drill({"crash_point": "after_lunch"})
+        # Election crash points exist only for the failover drill.
+        with pytest.raises(ConfigurationError, match="crash_point"):
+            self._with_drill({"crash_point": "after_elected"})
+        spec = self._with_drill({"kind": "failover", "crash_point": "after_elected"})
+        assert spec.drill["crash_point"] == "after_elected"
+
+    def test_drill_out_of_range(self):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
+            self._with_drill({"kind": "failover", "jobs": 0})
+
     def test_to_dict_round_trips(self):
         spec = ScenarioSpec.from_dict(dict(SMALL))
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
