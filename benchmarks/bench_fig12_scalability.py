@@ -115,7 +115,13 @@ def build_scale_workload(num_jobs, window):
 
 
 #: Keys of an online run that ``--online`` adds, prefixed ``online_``.
-ONLINE_KEYS = ("wall_seconds", "fit_seconds", "average_jct_seconds", "jobs_completed")
+ONLINE_KEYS = (
+    "wall_seconds",
+    "fit_seconds",
+    "average_jct_seconds",
+    "jobs_completed",
+    "decision_digest",
+)
 
 
 def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0, estimator_mode="oracle"):
@@ -126,7 +132,8 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0, estimator_mode="
     event-loop/allocator/placement cost being measured; ``"online"`` runs
     the paper's §3 estimators and also reports ``fit_seconds``, the total
     of the ``fit`` spans. Returns the ``BENCH_scale.json`` report dict;
-    every numeric field is regression-gated by CI through
+    CI gates every numeric field, and requires the behaviour keys and
+    ``decision_digest`` to match exactly, through
     ``benchmarks/check_regression.py``.
     """
     from repro.obs import MetricsRegistry
@@ -183,6 +190,7 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0, estimator_mode="
         ),
         "placement_cache_hits": int(cache.hits if cache else 0),
         "average_jct_seconds": round(result.average_jct, 2),
+        "decision_digest": result.decision_digest,
     }
     if estimator_mode != "oracle":  # oracle estimates are never fitted
         scale_report["fit_seconds"] = round(registry.histogram("phase.fit").total, 4)

@@ -1,37 +1,60 @@
 """Compare a fresh benchmark report against its committed baseline.
 
 CI's benchmark jobs stash the committed report (``BENCH_smoke.json``,
-``BENCH_scale.json``), rerun the producing benchmark on the PR's code,
-then call::
+``BENCH_scale.json``, ...), rerun the producing benchmark on the PR's
+code, then call::
 
     python benchmarks/check_regression.py baseline.json current.json
 
-Every numeric key the two reports share is gated: the check fails
-(exit 1) when any metric regresses by more than ``--max-ratio`` (default
-1.3, i.e. +30%) over the baseline. Wall times and latencies regress by
-*growing*; throughput-style metrics (``*_per_second``, ``*_rate``,
-``*_throughput``, and explicit names below) regress by *shrinking*, so
-their ratio is inverted before gating. A loose 30% band keeps
-runner-to-runner noise from flaking the job while still catching real
-slowdowns.
+This script is the one place that decides how each key is gated.
+
+Exact keys. A seeded benchmark's *behaviour* must not move at all, so
+two kinds of key must match the baseline exactly:
+
+* every ``*_digest`` key, compared as a string -- e.g. ``decision_digest``,
+  the SHA-256 over every interval's allocation and placement
+  (``SimulationResult.decision_digest``);
+* the behaviour keys in :data:`BEHAVIOUR_KEYS` (JCTs, completion and
+  event counts, the failover drill's fencing and takeover counts).
+
+A changed exact key fails the check however small the change.
+
+Ratio-gated keys. Every other numeric key the two reports share fails
+the check (exit 1) when it regresses by more than ``--max-ratio``
+(default 1.3, i.e. +30%) over the baseline. Wall times and latencies
+regress by *growing*; throughput-style metrics (``*_per_second``,
+``*_rate``, ``*_throughput`` and the arena's fairness/utilisation/
+completion columns) regress by *shrinking*, so their ratio is inverted
+before gating. A loose 30% band keeps runner-to-runner noise from
+flaking the job while still catching real slowdowns.
 
 A baseline key missing from the current report fails the check outright:
-silently dropping a metric from the report would otherwise remove it
-from the gate forever. Keys only present in the current report are
-listed as informational (they join the gate once the baseline is
+silently dropping a metric or a digest from the report would otherwise
+remove it from the gate forever. Keys only present in the current report
+are listed as informational (they join the gate once the baseline is
 regenerated).
 
-A lower-is-better time (a key ending ``_ms``, ``_s`` or ``_seconds``)
-that falls from a positive baseline to exactly ``0`` fails as well:
-"measurement vanished". A real run never takes zero time, and an empty
-histogram's quantile reads ``0.0``, so a zero means the phase stopped
-being timed -- not that it got infinitely faster.
+A metric that falls from a positive baseline to exactly ``0`` fails as
+"measurement vanished" when it is a lower-is-better time (a key ending
+``_ms``, ``_s`` or ``_seconds``) or any higher-is-better metric. A real
+run never takes zero time, and an empty histogram's quantile reads
+``0.0``, so a zero time means the phase stopped being timed -- not that
+it got infinitely faster; a throughput of zero means nothing ran.
 
 ``*_ratio`` keys are already relative measurements (e.g. BENCH_smoke's
 ``ledger_overhead_ratio``, full-ledger wall time over ledger-off wall
 time) and gate like any other lower-is-better metric: the check compares
 the fresh ratio against the baseline ratio, so a ledger change that
 makes instrumented runs relatively slower trips the same 30% band.
+
+Re-baselining. A change that moves decisions on purpose regenerates the
+committed baselines, and with them the exact keys, only if it:
+
+* names the behaviour change in CHANGES.md;
+* keeps the paper-shape benches (Figs 6-8, 11/13, 18, 19) inside their
+  EXPERIMENTS.md verdicts;
+* reports the JCT and makespan deltas on the three ``benchmarks/perf``
+  workloads (``online-fleet``, ``oracle-fleet``, ``controlplane``).
 """
 
 from __future__ import annotations
@@ -51,9 +74,23 @@ HIGHER_IS_BETTER_SUFFIXES = (
     "_finished",
 )
 
-#: Exact key names that are higher-is-better regardless of suffix.
-HIGHER_IS_BETTER_KEYS = frozenset(
-    {"jobs_completed", "online_jobs_completed", "placement_cache_hits"}
+#: Behaviour keys of the seeded benchmark runs (``BENCH_scale.json``,
+#: then ``BENCH_failover.json``): they only move when decisions move, so
+#: they must match the baseline exactly, like every ``*_digest`` key.
+BEHAVIOUR_KEYS = frozenset(
+    {
+        "average_jct_seconds",
+        "jobs_completed",
+        "events_processed",
+        "schedule_events",
+        "placement_cache_hits",
+        "online_average_jct_seconds",
+        "online_jobs_completed",
+        "checker_violations",
+        "fenced_writes_mid_step_deposed",
+        "fenced_writes_total",
+        "takeovers_total",
+    }
 )
 
 #: Extra budget multiplier for tail-latency quantiles: a p95 estimated
@@ -76,10 +113,12 @@ def is_numeric(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_exact(key: str) -> bool:
+    return key in BEHAVIOUR_KEYS or key.endswith("_digest")
+
+
 def higher_is_better(key: str) -> bool:
-    return key in HIGHER_IS_BETTER_KEYS or key.endswith(
-        HIGHER_IS_BETTER_SUFFIXES
-    )
+    return key.endswith(HIGHER_IS_BETTER_SUFFIXES)
 
 
 def main(argv=None) -> int:
@@ -97,8 +136,8 @@ def main(argv=None) -> int:
     baseline = load(args.baseline)
     current = load(args.current)
 
-    base_keys = {k for k, v in baseline.items() if is_numeric(v)}
-    cur_keys = {k for k, v in current.items() if is_numeric(v)}
+    base_keys = {k for k, v in baseline.items() if is_exact(k) or is_numeric(v)}
+    cur_keys = {k for k, v in current.items() if is_exact(k) or is_numeric(v)}
 
     missing = sorted(base_keys - cur_keys)
     if missing:
@@ -123,12 +162,18 @@ def main(argv=None) -> int:
 
     failures = []
     for key in sorted(base_keys):
+        if is_exact(key):
+            same = baseline[key] == current[key]
+            verdict = "exact" if same else "CHANGED"
+            print(f"  {key}: {baseline[key]!r} -> {current[key]!r} [{verdict}]")
+            if not same:
+                failures.append(f"{key} (changed; must match exactly)")
+            continue
         base_value = float(baseline[key])
         cur_value = float(current[key])
         inverted = higher_is_better(key)
         vanished = (
-            not inverted
-            and key.endswith(TIME_SUFFIXES)
+            (inverted or key.endswith(TIME_SUFFIXES))
             and base_value > 0.0
             and cur_value == 0.0
         )
@@ -136,7 +181,7 @@ def main(argv=None) -> int:
             print(f"  {key}: {base_value:g} -> 0 [VANISHED]")
             failures.append(f"{key} (measurement vanished)")
             continue
-        if base_value == 0.0 or (inverted and cur_value == 0.0):
+        if base_value == 0.0:
             status = "ok" if cur_value == base_value else "ungated (zero)"
             print(f"  {key}: {base_value:g} -> {cur_value:g} [{status}]")
             continue
@@ -155,12 +200,12 @@ def main(argv=None) -> int:
 
     if failures:
         print(
-            f"FAIL: {len(failures)} metric(s) beyond the regression "
-            f"budget: {', '.join(failures)}",
+            f"FAIL: {len(failures)} key(s) changed or beyond the "
+            f"regression budget: {', '.join(failures)}",
             file=sys.stderr,
         )
         return 1
-    print("ok: every shared metric within the regression budget")
+    print("ok: every shared metric within the regression budget, every exact key unchanged")
     return 0
 
 

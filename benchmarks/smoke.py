@@ -13,9 +13,9 @@ paper's numbers.
 
 Besides smoking every bench, the runner times one instrumented
 standard-scale simulation and writes ``BENCH_smoke.json`` at the repo
-root: interval-loop wall time, allocate/place p95 latencies and the sim's
-average JCT. CI diffs that file against the committed baseline with
-``benchmarks/check_regression.py``.
+root: interval-loop wall time, allocate/place p95 latencies, the sim's
+average JCT and its ``decision_digest``. CI diffs that file against the
+committed baseline with ``benchmarks/check_regression.py``.
 
 Usage::
 
@@ -123,8 +123,9 @@ def write_smoke_report(path: str = REPORT_PATH) -> dict:
     The same scenario is then re-run twice with a tracer attached --
     once with the decision ledger off, once in ``full`` mode;
     ``ledger_overhead_ratio`` (full / off wall time, both traced)
-    isolates the cost of the PR-10 decision ledger from tracing itself
-    and gates it against the committed baseline.
+    isolates the cost of the decision ledger from tracing itself
+    and gates it against the committed baseline. All three runs must
+    reach the same ``decision_digest``: no sink may change a decision.
     """
     from repro.cluster import Cluster, cpu_mem
     from repro.obs import MetricsRegistry, RecordingTracer
@@ -146,10 +147,13 @@ def write_smoke_report(path: str = REPORT_PATH) -> dict:
         return result, registry, time.perf_counter() - start
 
     result, registry, elapsed = run_once()
-    _, _, elapsed_off = run_once(tracer=RecordingTracer(), ledger_mode="off")
-    _, _, elapsed_full = run_once(
+    result_off, _, elapsed_off = run_once(tracer=RecordingTracer(), ledger_mode="off")
+    result_full, _, elapsed_full = run_once(
         tracer=RecordingTracer(), ledger_mode="full"
     )
+    digests = {r.decision_digest for r in (result, result_off, result_full)}
+    if len(digests) != 1:
+        raise AssertionError(f"observability sinks changed decisions: {sorted(digests)}")
     snapshot = registry.snapshot()
     intervals = int(snapshot["counters"].get("engine.intervals", 0))
     report = {
@@ -162,6 +166,7 @@ def write_smoke_report(path: str = REPORT_PATH) -> dict:
             1000.0 * registry.histogram("phase.place").quantile(0.95), 4
         ),
         "average_jct_seconds": round(result.summary()["average_jct"], 2),
+        "decision_digest": result.decision_digest,
         "ledger_overhead_ratio": round(elapsed_full / elapsed_off, 4),
     }
     with open(path, "w") as handle:

@@ -82,6 +82,8 @@ def describe_decision(event: Dict) -> str:
             details.append(f"gain {_fmt_gain(event['gain'])}")
         if event.get("shared_shape"):
             details.append("shape already proven hopeless")
+        if event.get("error"):
+            details.append(f"error: {event['error']}")
         suffix = f" ({', '.join(details)})" if details else ""
         return f"denied: {reason}{suffix}"
     if kind == "placement":

@@ -19,9 +19,12 @@ Record kinds (the ``kind`` field of every ``decision`` event):
   starter fit, or no further task of either kind fit), ``hopeless_shape``
   (aggregate capacity admitted the job but fragmentation rejected even a
   shrunk-to-(1,1) placement), ``converged_yield`` (the job's marginal
-  gain went non-positive -- it yielded the auction voluntarily), or
+  gain went non-positive -- it yielded the auction voluntarily),
   ``price_rejected`` (the OASiS primal-dual auction priced the job out:
-  bundles fit, but no candidate's utility beat its priced cost).
+  bundles fit, but no candidate's utility beat its priced cost), or
+  ``estimator_fallback`` (a §3 loss or speed fit raised ``FittingError``
+  and the job was planned from a fallback estimate; ``stage`` names the
+  fit, ``error`` carries the message).
 * ``placement`` -- provenance of a job's layout: ``cache`` (replayed by
   the :class:`~repro.core.placement.PlacementCache`) or ``fresh``, plus
   whether the layout spills across servers.
@@ -66,6 +69,7 @@ DENIAL_REASONS = (
     "hopeless_shape",
     "converged_yield",
     "price_rejected",
+    "estimator_fallback",
 )
 
 #: Grants kept per allocation round in ``sampled`` mode.

@@ -30,6 +30,7 @@ if it had not, ``..._stale`` if a later interval superseded it.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -74,7 +75,7 @@ from repro.obs.tracer import (
     Tracer,
 )
 from repro.schedulers.base import Scheduler
-from repro.sim.metrics import JobRecord, SimulationResult, TimeSlot
+from repro.sim.metrics import JobRecord, SimulationResult, TimeSlot, hash_decision
 from repro.sim.runtime import ESTIMATOR_MODES, RuntimeJob, ScalingCosts
 from repro.sim.stragglers import (
     StragglerConfig,
@@ -145,9 +146,6 @@ class SimConfig:
     #: the non-DL share of the cluster (§7 "Various workloads"). ``None``
     #: gives the DL scheduler the whole cluster.
     background_load: Optional[Callable[[float], float]] = None
-    #: Keep a per-interval audit trail of the scheduler's allocations in
-    #: ``SimulationResult.decisions`` (handy for tests and debugging).
-    record_decisions: bool = False
     #: Stochastic fault rates (node crashes, task crashes, checkpoint loss);
     #: the all-zero default injects nothing and leaves results bit-identical
     #: to a fault-free build.
@@ -239,6 +237,7 @@ class Simulation:
         # pays one bool check per interval and stays bit-identical.
         self._faults = FaultInjector(self.config.faults, self._seed, plan=fault_plan)
         self._prev_layouts: Dict[str, dict] = {}
+        self._decision_digest = hashlib.sha256()
 
         # Observability (repro.obs). Both sinks default to off; with no
         # tracer and no registry the span tracer is the shared no-op, so
@@ -574,7 +573,6 @@ class Simulation:
         active: Dict[str, RuntimeJob] = {}
         done: Dict[str, RuntimeJob] = {}
         timeline: List[TimeSlot] = []
-        decisions: List[Dict[str, TaskAllocation]] = []
         admitted = 0
         events_processed = 0
         heap_peak = len(heap)
@@ -607,7 +605,7 @@ class Simulation:
             elif rank == RANK_SCHEDULE:
                 metrics.counter("sim.events_schedule").inc()
                 predictions = self._process_interval(
-                    when, active, done, timeline, decisions, len(specs) - admitted
+                    when, active, done, timeline, len(specs) - admitted
                 )
                 if active:
                     heapq.heappush(heap, (when + interval, RANK_SCHEDULE, next(seq), None))
@@ -637,7 +635,7 @@ class Simulation:
 
         metrics.counter("sim.events_processed").inc(float(events_processed))
         metrics.gauge("sim.event_heap_peak").set(float(heap_peak))
-        return self._finalize(active, done, specs[admitted:], timeline, decisions)
+        return self._finalize(active, done, specs[admitted:], timeline)
 
     def _process_interval(
         self,
@@ -645,7 +643,6 @@ class Simulation:
         active: Dict[str, RuntimeJob],
         done: Dict[str, RuntimeJob],
         timeline: List[TimeSlot],
-        decisions: List[Dict[str, TaskAllocation]],
         pending_count: int,
     ) -> Optional[Dict[str, float]]:
         """Run one scheduling interval starting at *now*.
@@ -679,6 +676,7 @@ class Simulation:
             # on the shared span tracer (see CompositeScheduler).
             with spans.span("schedule"):
                 decision = self.scheduler.schedule(work_cluster, views)
+            hash_decision(self._decision_digest, now, decision.allocations, decision.layouts)
 
             if tracer:
                 for job_id, alloc in decision.allocations.items():
@@ -758,8 +756,6 @@ class Simulation:
             timeline.append(
                 self._slot(now, active, dict(decision.allocations))
             )
-            if cfg.record_decisions:
-                decisions.append(dict(decision.allocations))
 
             for job_id in [j for j, job in active.items() if job.completed]:
                 job = active.pop(job_id)
@@ -800,7 +796,6 @@ class Simulation:
         done: Dict[str, RuntimeJob],
         never_admitted: Sequence[JobSpec],
         timeline: List[TimeSlot],
-        decisions: List[Dict[str, TaskAllocation]],
     ) -> SimulationResult:
         cfg = self.config
         done.update(active)  # unfinished jobs (hit max_time) included as such
@@ -840,7 +835,7 @@ class Simulation:
             timeline=timeline,
             interval=cfg.interval,
             seed=cfg.seed,
-            decisions=decisions if cfg.record_decisions else None,
+            decision_digest=self._decision_digest.hexdigest(),
             phase_timings=phase_timings,
         )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
 
@@ -73,6 +73,20 @@ class TimeSlot:
         return self.busy_ps_cpu / self.allocated_ps_cpu
 
 
+def hash_decision(digest, now: float, allocations: Mapping, layouts: Mapping) -> None:
+    """Fold one interval's decision into a running ``hashlib`` *digest*.
+
+    The decision is ``(now, sorted (job_id, workers, ps, sorted layout))``:
+    the fields of that interval's ``allocation_decided`` and
+    ``placement_decided`` events, so a trace replays to the same digest.
+    """
+    record = sorted(
+        (job_id, workers, ps, sorted((s, *tasks) for s, tasks in layouts.get(job_id, {}).items()))
+        for job_id, (workers, ps) in allocations.items()
+    )
+    digest.update(repr((now, record)).encode())
+
+
 @dataclass
 class SimulationResult:
     """Everything one simulation run produced."""
@@ -82,9 +96,9 @@ class SimulationResult:
     timeline: List[TimeSlot]
     interval: float
     seed: int
-    #: Per-interval allocation audit trail ({job_id: TaskAllocation}),
-    #: populated when ``SimConfig.record_decisions`` is on.
-    decisions: Optional[List[Dict]] = None
+    #: SHA-256 hex over every interval's decision (:func:`hash_decision`);
+    #: equal digests mean identical allocations and placements.
+    decision_digest: Optional[str] = None
     #: Cumulative per-phase wall-clock profile of the run
     #: ({phase: {count, total, mean, max}} in seconds), populated when the
     #: simulation was handed a tracer or metrics registry (:mod:`repro.obs`).

@@ -21,6 +21,7 @@ from repro.core.allocation import TaskAllocation
 from repro.core.convergence import ConvergenceEstimator
 from repro.core.speed import SpeedEstimator
 from repro.datastore.hdfs import ChunkAssignment, ChunkStore
+from repro.obs.ledger import active_ledger
 from repro.obs.registry import active_registry
 from repro.ps.blocks import blocks_from_sizes
 from repro.ps.partition import mxnet_partition, paa_partition
@@ -307,6 +308,13 @@ class RuntimeJob:
         return self._below_threshold_streak >= self.spec.patience
 
     # -- estimates served to the scheduler -------------------------------------
+    def _record_fallback(self, stage: str, exc: FittingError) -> None:
+        """Count a §3 fit that failed and log it as a ledger denial."""
+        active_registry().counter(f"est.fallback.{stage}").inc()
+        active_ledger().record_denial(
+            self.spec.job_id, "estimator_fallback", stage=stage, error=str(exc)
+        )
+
     def _online_remaining(self) -> float:
         # A still-running job needs at least `patience` more epochs before
         # the §2.1 stopping rule can possibly fire, no matter what the fit
@@ -318,8 +326,8 @@ class RuntimeJob:
                 return max(
                     self.convergence.remaining_steps(self.steps_done), floor
                 )
-            except FittingError:
-                active_registry().counter("est.fallback.loss_fit").inc()
+            except FittingError as exc:
+                self._record_fallback("loss_fit", exc)
         prior_total = PRIOR_EPOCHS * self.steps_per_epoch
         return max(prior_total - self.steps_done, floor)
 
@@ -344,8 +352,8 @@ class RuntimeJob:
             if self.speed_estimator.can_fit:
                 try:
                     return self.speed_estimator.speed_function()
-                except FittingError:
-                    active_registry().counter("est.fallback.speed_fit").inc()
+                except FittingError as exc:
+                    self._record_fallback("speed_fit", exc)
             return self.truth.speed  # pre-bootstrap corner
         if self.estimator_mode == "noisy":
             # A speed-estimation error of magnitude e perturbs every

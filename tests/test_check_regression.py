@@ -1,5 +1,6 @@
 """Tests for benchmarks/check_regression.py, run as CI runs it."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -76,10 +77,76 @@ def test_higher_is_better_key_is_inverted(tmp_path):
     assert code == 0, out
 
 
-@pytest.mark.parametrize("key", ["jobs_completed", "online_jobs_completed"])
-def test_completed_job_counts_are_higher_is_better(tmp_path, key):
-    code, out = gate(tmp_path, {key: 2000}, {key: 1000})
+@pytest.mark.parametrize(
+    "key", ["events_per_second", "jobs_per_second", "optimus_jobs_finished", "drf_jain_fairness"]
+)
+def test_higher_is_better_metric_falling_to_zero_fails(tmp_path, key):
+    # Zero throughput means nothing ran; it must not pass as "ungated".
+    code, out = gate(tmp_path, {key: 2952.24, "steps": 10}, {key: 0, "steps": 10})
     assert code == 1
-    assert "higher-is-better" in out
-    code, out = gate(tmp_path, {key: 1000}, {key: 2000})
+    assert f"{key} (measurement vanished)" in out
+
+
+#: The seeded runs' behaviour keys (BENCH_scale.json, BENCH_failover.json).
+BEHAVIOUR_KEYS = [
+    "average_jct_seconds",
+    "jobs_completed",
+    "events_processed",
+    "schedule_events",
+    "placement_cache_hits",
+    "online_average_jct_seconds",
+    "online_jobs_completed",
+    "checker_violations",
+    "fenced_writes_mid_step_deposed",
+    "fenced_writes_total",
+    "takeovers_total",
+]
+
+
+@pytest.mark.parametrize("key", BEHAVIOUR_KEYS)
+def test_behaviour_key_change_fails(tmp_path, key):
+    # Exact: a change either way fails, even one the ratio band would
+    # call an improvement.
+    for changed in (1999, 2001):
+        code, out = gate(tmp_path, {key: 2000}, {key: changed})
+        assert code == 1, out
+        assert f"{key} (changed; must match exactly)" in out
+    code, out = gate(tmp_path, {key: 2000}, {key: 2000})
     assert code == 0, out
+
+
+def test_behaviour_keys_match_the_script():
+    spec = importlib.util.spec_from_file_location("check_regression", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.BEHAVIOUR_KEYS == frozenset(BEHAVIOUR_KEYS)
+
+
+def test_unchanged_digest_passes(tmp_path):
+    report = {"decision_digest": "ab12", "wall_seconds": 1.0}
+    code, out = gate(tmp_path, report, dict(report))
+    assert code == 0, out
+    assert "decision_digest: 'ab12' -> 'ab12' [exact]" in out
+
+
+@pytest.mark.parametrize("key", ["decision_digest", "online_decision_digest"])
+def test_changed_digest_fails(tmp_path, key):
+    code, out = gate(tmp_path, {key: "ab12"}, {key: "ab13"})
+    assert code == 1
+    assert f"{key} (changed; must match exactly)" in out
+
+
+def test_missing_digest_fails(tmp_path):
+    code, out = gate(
+        tmp_path, {"decision_digest": "ab12", "wall_seconds": 1.0}, {"wall_seconds": 1.0}
+    )
+    assert code == 1
+    assert "missing from the current report: decision_digest" in out
+
+
+def test_new_digest_is_informational(tmp_path):
+    code, out = gate(
+        tmp_path, {"wall_seconds": 1.0}, {"wall_seconds": 1.0, "decision_digest": "ab"}
+    )
+    assert code == 0, out
+    assert "ungated until it is regenerated): decision_digest" in out

@@ -203,7 +203,7 @@ class TestObservabilityIsInert:
                 uniform_arrivals(
                     num_jobs=2, window=900, seed=3, models=["cnn-rand", "dssm"]
                 ),
-                SimConfig(seed=3, estimator_mode="oracle", record_decisions=True),
+                SimConfig(seed=3, estimator_mode="oracle"),
                 **sinks,
             )
 
@@ -211,7 +211,7 @@ class TestObservabilityIsInert:
         traced = once(tracer=RecordingTracer(), metrics=MetricsRegistry())
         assert plain.average_jct == traced.average_jct
         assert plain.makespan == traced.makespan
-        assert plain.decisions == traced.decisions
+        assert plain.decision_digest == traced.decision_digest
         assert {j: r.completion_time for j, r in plain.jobs.items()} == {
             j: r.completion_time for j, r in traced.jobs.items()
         }

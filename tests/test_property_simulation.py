@@ -10,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cluster import Cluster, cpu_mem
+from repro.core.allocation import TaskAllocation
+from repro.obs import EVENT_ALLOCATION_DECIDED, EVENT_INTERVAL_TICK, RecordingTracer
 from repro.schedulers import make_scheduler
 from repro.sim import SimConfig, simulate
 from repro.workloads import uniform_arrivals
@@ -23,15 +25,31 @@ SIM_SETTINGS = settings(
 )
 
 
-def run(seed, scheduler, num_jobs=3, servers=4, **cfg):
+def run(seed, scheduler, num_jobs=3, servers=4, tracer=None, **cfg):
     jobs = uniform_arrivals(
         num_jobs=num_jobs, window=900, seed=seed, models=FAST_MODELS
     )
     cluster = Cluster.homogeneous(servers, cpu_mem(16, 64))
-    config = SimConfig(
-        seed=seed, estimator_mode="oracle", record_decisions=True, **cfg
-    )
-    return simulate(cluster, make_scheduler(scheduler), jobs, config)
+    config = SimConfig(seed=seed, estimator_mode="oracle", **cfg)
+    return simulate(cluster, make_scheduler(scheduler), jobs, config, tracer=tracer)
+
+
+def run_with_rounds(seed, scheduler, **kwargs):
+    """Run traced; returns the result and its per-interval allocations.
+
+    Each round is ``{job_id: TaskAllocation}``, read back from that
+    interval's ``allocation_decided`` events; ``interval_tick`` closes it.
+    """
+    tracer = RecordingTracer()
+    result = run(seed, scheduler, tracer=tracer, **kwargs)
+    rounds, current = [], {}
+    for event in tracer.events:
+        if event["event"] == EVENT_ALLOCATION_DECIDED:
+            current[event["job_id"]] = TaskAllocation(event["workers"], event["ps"])
+        elif event["event"] == EVENT_INTERVAL_TICK:
+            rounds.append(current)
+            current = {}
+    return result, rounds
 
 
 class TestSimulationInvariants:
@@ -55,9 +73,9 @@ class TestSimulationInvariants:
     @SIM_SETTINGS
     @given(seed=st.integers(0, 10_000))
     def test_decisions_respect_capacity_every_interval(self, seed):
-        result = run(seed, "optimus", servers=3)
+        _, rounds = run_with_rounds(seed, "optimus", servers=3)
         capacity_cpu = 3 * 16
-        for decision in result.decisions:
+        for decision in rounds:
             used = sum(alloc.total * 5 for alloc in decision.values())
             assert used <= capacity_cpu + 1e-9
             for alloc in decision.values():
@@ -70,7 +88,7 @@ class TestSimulationInvariants:
         b = run(seed, "optimus")
         assert a.average_jct == b.average_jct
         assert a.makespan == b.makespan
-        assert a.decisions == b.decisions
+        assert a.decision_digest == b.decision_digest
 
     @SIM_SETTINGS
     @given(seed=st.integers(0, 5_000))
@@ -117,17 +135,19 @@ class TestSimulationInvariants:
         has room for ``(1, 1)`` on one server, which finishes sooner."""
         from repro.sim import constant_load
 
-        free = run(782, "optimus")
-        loaded = run(782, "optimus", background_load=constant_load(0.25))
+        free, free_rounds = run_with_rounds(782, "optimus")
+        loaded, loaded_rounds = run_with_rounds(
+            782, "optimus", background_load=constant_load(0.25)
+        )
         assert free.average_jct == pytest.approx(927.26, abs=0.01)
         assert loaded.average_jct == pytest.approx(728.42, abs=0.01)
         assert loaded.average_jct < free.average_jct * 0.85
         first = "job-0000-cnn-rand"
-        assert [(d[first].ps, d[first].workers) for d in free.decisions if first in d] == [
+        assert [(d[first].ps, d[first].workers) for d in free_rounds if first in d] == [
             (4, 4),
             (2, 2),
         ]
-        assert [(d[first].ps, d[first].workers) for d in loaded.decisions if first in d] == [
+        assert [(d[first].ps, d[first].workers) for d in loaded_rounds if first in d] == [
             (1, 1),
         ]
         # Without placement effects the (4, 4) grant finishes in its
@@ -137,13 +157,13 @@ class TestSimulationInvariants:
     @SIM_SETTINGS
     @given(seed=st.integers(0, 5_000))
     def test_scaling_counts_match_decision_changes(self, seed):
-        result = run(seed, "optimus")
+        result, rounds = run_with_rounds(seed, "optimus")
         # Every recorded rescaling corresponds to an observable allocation
         # change in the decision trail (the converse does not hold exactly:
         # jobs pay a start cost on first launch too).
         changes = 0
         previous = {}
-        for decision in result.decisions:
+        for decision in rounds:
             for job_id, alloc in decision.items():
                 if job_id in previous and previous[job_id] != alloc:
                     changes += 1

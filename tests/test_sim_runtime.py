@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro.cluster import Cluster, cpu_mem
 from repro.common.errors import FittingError
 from repro.common.rand import RandomSource
 from repro.core.allocation import TaskAllocation
+from repro.core.convergence import ConvergenceEstimator
 from repro.datastore import ChunkStore
+from repro.obs import DecisionLedger, RecordingTracer, use_ledger
+from repro.obs.explain import describe_decision, explain_job
 from repro.obs.registry import MetricsRegistry, use_registry
+from repro.schedulers import make_scheduler
+from repro.sim import SimConfig, simulate
 from repro.sim.runtime import PRIOR_EPOCHS, RuntimeJob, ScalingCosts
 from repro.workloads import make_job
 
@@ -206,6 +212,53 @@ class TestEstimatorFallbacks:
         job.speed_estimator = _FailingEstimator(ValueError("bug"))
         with pytest.raises(ValueError):
             job.speed_function()
+
+    @pytest.mark.parametrize(
+        "stage, attribute, estimate",
+        [
+            ("loss_fit", "convergence", RuntimeJob.estimated_remaining_steps),
+            ("speed_fit", "speed_estimator", RuntimeJob.speed_function),
+        ],
+    )
+    def test_fallback_is_a_ledger_denial(self, stage, attribute, estimate):
+        job = runtime()
+        setattr(job, attribute, _FailingEstimator(FittingError("no admissible b2")))
+        tracer = RecordingTracer()
+        metrics = MetricsRegistry()
+        with use_ledger(DecisionLedger(tracer, metrics, mode="full")):
+            estimate(job)
+        (denial,) = tracer.events
+        assert (denial["kind"], denial["reason"]) == ("deny", "estimator_fallback")
+        assert denial["job_id"] == job.spec.job_id
+        assert (denial["stage"], denial["error"]) == (stage, "no admissible b2")
+        assert metrics.counter("decision.deny.estimator_fallback").value == 1
+        assert describe_decision(denial) == (
+            f"denied: estimator_fallback (stage={stage}, error: no admissible b2)"
+        )
+
+    def test_explain_names_the_fallen_back_estimator(self, monkeypatch):
+        # A simulated run whose loss fits always fail: the job's timeline
+        # says which fit fell back and why.
+        def failing_fit(self, current_step):
+            raise FittingError("loss curve not convex")
+
+        monkeypatch.setattr(ConvergenceEstimator, "remaining_steps", failing_fit)
+        tracer = RecordingTracer()
+        spec = make_job("cnn-rand", job_id="fb-0")
+        simulate(
+            Cluster.homogeneous(2, cpu_mem(16, 64)),
+            make_scheduler("optimus"),
+            [spec],
+            SimConfig(seed=1),
+            tracer=tracer,
+        )
+        lines = explain_job(tracer.events, "fb-0")
+        fallbacks = [line for line in lines if "estimator_fallback" in line]
+        assert fallbacks
+        assert all(
+            line.endswith("(stage=loss_fit, error: loss curve not convex)")
+            for line in fallbacks
+        )
 
 
 class TestImbalance:
