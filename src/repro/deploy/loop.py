@@ -6,8 +6,12 @@ interval and applies it through pod operations. :class:`ControlLoop` is
 that cycle over the in-process substrate:
 
 1. snapshot the cluster from the API server's node/pod state (capacity
-   minus any pods the loop does not manage -- other tenants' workloads);
-2. run the configured scheduler on the caller-provided job views;
+   minus any pods the loop does not manage -- other tenants' workloads;
+   the pods of jobs that just left the views count as free, since this
+   step's reconcile tears them down);
+2. run the configured scheduler on the caller-provided job views and
+   record the decision through
+   :func:`~repro.schedulers.base.record_decision`, as the simulator does;
 3. reconcile the decision through the
    :class:`~repro.k8s.controller.JobController` (checkpoint-based scaling).
 
@@ -47,14 +51,10 @@ from repro.faults.crashpoints import (
 from repro.k8s.api import APIServer
 from repro.k8s.election import LeaderElection
 from repro.k8s.controller import JobController, JobTarget, ReconcileReport
-from repro.obs.estimators import (
-    NULL_ESTIMATOR_TELEMETRY,
-    EstimatorTelemetry,
-)
+from repro.obs.estimators import estimator_telemetry_for
 from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.spans import span_tracer_for
 from repro.obs.tracer import (
-    EVENT_ALLOCATION_DECIDED,
     EVENT_CHECKPOINT_MISSING,
     EVENT_INTENT_REPLAYED,
     EVENT_INTERVAL_TICK,
@@ -62,12 +62,11 @@ from repro.obs.tracer import (
     EVENT_NODE_CORDONED,
     EVENT_NODE_LEASE_REGRANT,
     EVENT_NODE_LEASE_RENEWED,
-    EVENT_PLACEMENT_DECIDED,
     EVENT_RESCALE_ROLLED_BACK,
     NULL_TRACER,
     Tracer,
 )
-from repro.schedulers.base import JobView, Scheduler, SchedulingDecision
+from repro.schedulers.base import JobView, Scheduler, SchedulingDecision, record_decision
 
 
 def cluster_from_api(
@@ -76,9 +75,10 @@ def cluster_from_api(
     """Build a scheduling-ready :class:`Cluster` from API-server state.
 
     Managed jobs' pods are *excluded* (the controller re-places them every
-    interval, §5.4); any other bound pods -- other tenants, system daemons
-    -- are carried over as occupied capacity. Cordoned nodes are excluded
-    entirely: a dead machine must not pin capacity or attract placements.
+    interval, §5.4, or tears them down when they left the views); any other
+    bound pods -- other tenants, system daemons -- are carried over as
+    occupied capacity. Cordoned nodes are excluded entirely: a dead machine
+    must not pin capacity or attract placements.
     """
     nodes = api.list_nodes(include_cordoned=False)
     if not nodes:
@@ -149,15 +149,9 @@ class ControlLoop:
         # Prediction-quality telemetry: predictions recorded at decision
         # time, resolved by callers through observe_speed /
         # observe_completion (the deployment has no ground-truth clock).
-        if self.tracer or self.metrics:
-            self.estimators: EstimatorTelemetry = EstimatorTelemetry(
-                tracer=self.tracer,
-                metrics=self.metrics,
-                drift_window=estimator_drift_window,
-                drift_threshold=estimator_drift_threshold,
-            )
-        else:
-            self.estimators = NULL_ESTIMATOR_TELEMETRY
+        self.estimators = estimator_telemetry_for(
+            self.tracer, self.metrics, estimator_drift_window, estimator_drift_threshold
+        )
         self.scheduler.instrument(
             tracer=self.tracer,
             metrics=self.metrics,
@@ -216,51 +210,20 @@ class ControlLoop:
             # cannot orphan a half-managed job.
             for job_id in sorted(managed - self._known_jobs):
                 self.controller.adopt_job(job_id)
+            # The snapshot leaves out every job reconcile re-places or tears
+            # down, so a job leaving the views frees its capacity in the
+            # same step that tears its pods down.
+            scope = managed | self._known_jobs
             with spans.span("snapshot"):
-                cluster = cluster_from_api(self.api, managed_jobs=managed)
+                cluster = cluster_from_api(self.api, managed_jobs=scope)
             with spans.span("schedule"):
                 decision = self.scheduler.schedule(cluster, views)
-
-            if tracer:
-                for job_id, alloc in decision.allocations.items():
-                    tracer.emit(
-                        EVENT_ALLOCATION_DECIDED,
-                        now,
-                        job_id=job_id,
-                        workers=alloc.workers,
-                        ps=alloc.ps,
-                    )
-                for job_id, layout in decision.layouts.items():
-                    tracer.emit(
-                        EVENT_PLACEMENT_DECIDED,
-                        now,
-                        job_id=job_id,
-                        servers=len(layout),
-                        layout={
-                            server: [nw, np_]
-                            for server, (nw, np_) in sorted(layout.items())
-                        },
-                    )
+            # Callers resolve the predictions through observe_speed /
+            # observe_completion as the framework reports back.
+            record_decision(decision, views, now, tracer, self.estimators, progress or {})
 
             targets = []
             by_id = {view.job_id: view for view in views}
-            if self.estimators:
-                # What the online models promise for the jobs that will
-                # run; callers resolve through observe_speed /
-                # observe_completion as the framework reports back.
-                done_steps = dict(progress or {})
-                for job_id in decision.scheduled_jobs:
-                    view = by_id[job_id]
-                    alloc = decision.allocations[job_id]
-                    if alloc.workers < 1:
-                        continue
-                    self.estimators.record_speed_prediction(
-                        job_id, view.speed(alloc.ps, alloc.workers)
-                    )
-                    self.estimators.record_total_prediction(
-                        job_id,
-                        done_steps.get(job_id, 0.0) + view.remaining_steps,
-                    )
             for job_id, layout in decision.layouts.items():
                 view = by_id[job_id]
                 targets.append(
@@ -291,7 +254,7 @@ class ControlLoop:
                 report = self.controller.reconcile(
                     targets,
                     job_progress=dict(progress or {}),
-                    scope=self._known_jobs | managed,
+                    scope=scope,
                     raise_on_failure=False,
                 )
         if tracer:

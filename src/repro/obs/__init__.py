@@ -45,6 +45,7 @@ from repro.obs.estimators import (
     EstimatorTelemetry,
     NullEstimatorTelemetry,
     SignalStats,
+    estimator_telemetry_for,
 )
 from repro.obs.export import (
     EXPORT_QUANTILES,
@@ -208,6 +209,7 @@ __all__ = [
     "EstimatorTelemetry",
     "NullEstimatorTelemetry",
     "NULL_ESTIMATOR_TELEMETRY",
+    "estimator_telemetry_for",
     "SignalStats",
     "SIGNAL_SPEED",
     "SIGNAL_REMAINING",

@@ -5,21 +5,23 @@ a cleared working copy of the cluster (elastic scaling is checkpoint-based,
 §5.4, so every interval re-places from scratch) and one :class:`JobView` per
 active job. It returns a :class:`SchedulingDecision`: per-job task counts
 plus a per-server layout. Jobs missing from the decision are paused for the
-interval (§4.2).
+interval (§4.2). :func:`record_decision` is the one post-decision step the
+simulator and the deployment control loop share.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.core.allocation import TaskAllocation, _safe_speed
 from repro.core.placement import JobLayout
+from repro.obs.estimators import EstimatorTelemetry
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.spans import NULL_SPAN_TRACER, SpanTracer
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import EVENT_ALLOCATION_DECIDED, EVENT_PLACEMENT_DECIDED, NULL_TRACER, Tracer
 from repro.workloads.job import JobSpec
 from repro.workloads.speed import MODE_SYNC
 
@@ -141,6 +143,51 @@ class SchedulingDecision:
                     f"job {job_id!r}: layout totals ({workers}, {ps}) "
                     f"!= allocation ({alloc.workers}, {alloc.ps})"
                 )
+
+
+def record_decision(
+    decision: SchedulingDecision,
+    views: Sequence[JobView],
+    now: float,
+    tracer: Tracer,
+    estimators: EstimatorTelemetry,
+    steps_done: Mapping[str, float],
+) -> Dict[str, float]:
+    """Trace a decision and note what the online models predict for it.
+
+    Emits ``allocation_decided`` per allocation and ``placement_decided``
+    per layout. With telemetry on, every allocation with a worker -- placed
+    or paused -- records its predicted speed and total steps (``steps_done``
+    plus the view's remaining steps). Returns the predicted speeds by job.
+    """
+    if tracer:
+        for job_id, alloc in decision.allocations.items():
+            tracer.emit(
+                EVENT_ALLOCATION_DECIDED, now, job_id=job_id, workers=alloc.workers, ps=alloc.ps
+            )
+        for job_id, layout in decision.layouts.items():
+            tracer.emit(
+                EVENT_PLACEMENT_DECIDED,
+                now,
+                job_id=job_id,
+                servers=len(layout),
+                layout={server: [nw, np_] for server, (nw, np_) in sorted(layout.items())},
+            )
+    speeds: Dict[str, float] = {}
+    if not estimators:
+        return speeds
+    by_id = {view.job_id: view for view in views}
+    for job_id, alloc in decision.allocations.items():
+        view = by_id.get(job_id)
+        if view is None or alloc.workers < 1:
+            continue
+        speed = view.speed(alloc.ps, alloc.workers)
+        estimators.record_speed_prediction(job_id, speed)
+        estimators.record_total_prediction(
+            job_id, steps_done.get(job_id, 0.0) + view.remaining_steps
+        )
+        speeds[job_id] = speed
+    return speeds
 
 
 class Scheduler(abc.ABC):

@@ -42,10 +42,7 @@ from repro.common.errors import SimulationError
 from repro.common.rand import RandomSource
 from repro.core.allocation import TaskAllocation
 from repro.datastore.hdfs import ChunkStore
-from repro.obs.estimators import (
-    NULL_ESTIMATOR_TELEMETRY,
-    EstimatorTelemetry,
-)
+from repro.obs.estimators import estimator_telemetry_for
 from repro.obs.ledger import (
     LEDGER_MODES,
     NULL_LEDGER,
@@ -59,7 +56,6 @@ from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.tracer import (
-    EVENT_ALLOCATION_DECIDED,
     EVENT_CHECKPOINT_RECORDED,
     EVENT_INTERVAL_TICK,
     EVENT_JOB_ARRIVED,
@@ -68,13 +64,12 @@ from repro.obs.tracer import (
     EVENT_JOB_RESTARTED,
     EVENT_NODE_FAILED,
     EVENT_NODE_RECOVERED,
-    EVENT_PLACEMENT_DECIDED,
     EVENT_STRAGGLER_DETECTED,
     EVENT_TASK_CRASHED,
     NULL_TRACER,
     Tracer,
 )
-from repro.schedulers.base import Scheduler
+from repro.schedulers.base import Scheduler, record_decision
 from repro.sim.metrics import JobRecord, SimulationResult, TimeSlot, hash_decision
 from repro.sim.runtime import ESTIMATOR_MODES, RuntimeJob, ScalingCosts
 from repro.sim.stragglers import (
@@ -89,6 +84,13 @@ from repro.workloads.job import JobSpec
 RANK_ARRIVAL = 0
 RANK_SCHEDULE = 1
 RANK_COMPLETION = 2
+
+#: Multiplicative noise on measured interval speeds.
+SPEED_NOISE_STD = 0.03
+#: Profiling pre-runs per job (§6.1 uses 5).
+BOOTSTRAP_SAMPLES = 5
+#: Bytes per training example, for sizing the HDFS files (§5.1).
+EXAMPLE_BYTES = 3072
 
 
 def probe_accuracy(metrics: MetricsRegistry) -> Dict[str, float]:
@@ -136,12 +138,6 @@ class SimConfig:
     bandwidth: float = 125e6
     #: Loss observations fed to the estimator per job per interval.
     loss_points_per_interval: int = 30
-    #: Multiplicative noise on measured interval speeds.
-    speed_noise_std: float = 0.03
-    #: Profiling pre-runs per job (§6.1 uses 5).
-    bootstrap_samples: int = 5
-    #: Bytes per training example, for sizing the HDFS files (§5.1).
-    example_bytes: int = 3072
     #: Optional background-load profile (t -> reserved capacity fraction):
     #: the non-DL share of the cluster (§7 "Various workloads"). ``None``
     #: gives the DL scheduler the whole cluster.
@@ -249,15 +245,12 @@ class Simulation:
         self.spans = span_tracer_for(self.tracer, self.metrics)
         # Prediction-quality telemetry (repro.obs.estimators): on whenever
         # either sink is attached; the null object otherwise.
-        if self.tracer or self.metrics:
-            self.estimators: EstimatorTelemetry = EstimatorTelemetry(
-                tracer=self.tracer,
-                metrics=self.metrics,
-                drift_window=self.config.estimator_drift_window,
-                drift_threshold=self.config.estimator_drift_threshold,
-            )
-        else:
-            self.estimators = NULL_ESTIMATOR_TELEMETRY
+        self.estimators = estimator_telemetry_for(
+            self.tracer,
+            self.metrics,
+            self.config.estimator_drift_window,
+            self.config.estimator_drift_threshold,
+        )
         # Decision ledger (repro.obs.ledger): "auto" follows the tracer, so
         # untraced runs keep the null ledger and pay one bool check per
         # allocation round.
@@ -294,9 +287,9 @@ class Simulation:
             speed_error=cfg.speed_error,
             scaling_costs=cfg.scaling_costs,
         )
-        job.attach_data(self._store, example_bytes=cfg.example_bytes)
+        job.attach_data(self._store, example_bytes=EXAMPLE_BYTES)
         if cfg.estimator_mode == "online":
-            job.bootstrap_speed(num_samples=cfg.bootstrap_samples)
+            job.bootstrap_speed(num_samples=BOOTSTRAP_SAMPLES)
         return job
 
     # -- background load (§7) -----------------------------------------------------
@@ -504,7 +497,7 @@ class Simulation:
             job.record_losses(
                 steps_before, job.steps_done, cfg.loss_points_per_interval
             )
-            noise = 1.0 + self._measure_rng.normal(0.0, cfg.speed_noise_std)
+            noise = 1.0 + self._measure_rng.normal(0.0, SPEED_NOISE_STD)
             job.record_speed(p, w, base_speed * max(noise, 0.05))
         return base_speed
 
@@ -609,7 +602,7 @@ class Simulation:
                 )
                 if active:
                     heapq.heappush(heap, (when + interval, RANK_SCHEDULE, next(seq), None))
-                for job_id, projected in (predictions or {}).items():
+                for job_id, projected in predictions.items():
                     if job_id not in active:
                         continue  # completed inside this interval
                     stamp = probe_stamps.get(job_id, 0) + 1
@@ -644,13 +637,12 @@ class Simulation:
         done: Dict[str, RuntimeJob],
         timeline: List[TimeSlot],
         pending_count: int,
-    ) -> Optional[Dict[str, float]]:
+    ) -> Dict[str, float]:
         """Run one scheduling interval starting at *now*.
 
         Returns projected completion times (absolute seconds) for the jobs
-        whose speed was predicted this interval when estimator telemetry is
-        attached, else ``None``; :meth:`_run` turns those into completion
-        probes.
+        whose speed was predicted this interval (none without estimator
+        telemetry); :meth:`_run` turns those into completion probes.
         """
         cfg = self.config
         tracer = self.tracer
@@ -659,7 +651,6 @@ class Simulation:
         if self._faults:
             self._process_faults(now, active)
 
-        predictions: Optional[Dict[str, float]] = None
         spans = self.spans
         estimators = self.estimators
         spans.set_time(now)
@@ -677,47 +668,16 @@ class Simulation:
             with spans.span("schedule"):
                 decision = self.scheduler.schedule(work_cluster, views)
             hash_decision(self._decision_digest, now, decision.allocations, decision.layouts)
-
-            if tracer:
-                for job_id, alloc in decision.allocations.items():
-                    tracer.emit(
-                        EVENT_ALLOCATION_DECIDED,
-                        now,
-                        job_id=job_id,
-                        workers=alloc.workers,
-                        ps=alloc.ps,
-                    )
-                for job_id, layout in decision.layouts.items():
-                    tracer.emit(
-                        EVENT_PLACEMENT_DECIDED,
-                        now,
-                        job_id=job_id,
-                        servers=len(layout),
-                        layout={
-                            server: [nw, np_]
-                            for server, (nw, np_) in sorted(layout.items())
-                        },
-                    )
-
-            if estimators:
-                # What the online models promised for this interval, to
-                # be scored against what the jobs actually achieve.
-                predictions = {}
-                views_by_id = {view.spec.job_id: view for view in views}
-                for job_id, alloc in decision.allocations.items():
-                    view = views_by_id.get(job_id)
-                    if view is None or alloc.workers < 1:
-                        continue
-                    speed_pred = view.speed(alloc.ps, alloc.workers)
-                    estimators.record_speed_prediction(job_id, speed_pred)
-                    estimators.record_total_prediction(
-                        job_id,
-                        active[job_id].steps_done + view.remaining_steps,
-                    )
-                    if speed_pred and speed_pred > 0:
-                        predictions[job_id] = (
-                            now + view.remaining_steps / speed_pred
-                        )
+            # What the online models promised for this interval, to be
+            # scored against what the jobs actually achieve.
+            steps_done = {job_id: job.steps_done for job_id, job in active.items()}
+            speeds = record_decision(decision, views, now, tracer, estimators, steps_done)
+            remaining = {view.job_id: view.remaining_steps for view in views}
+            predictions = {
+                job_id: now + remaining[job_id] / speed
+                for job_id, speed in speeds.items()
+                if speed > 0
+            }
 
             with spans.span("progress"):
                 nic_shares = self._nic_shares(decision.layouts)

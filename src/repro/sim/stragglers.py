@@ -10,7 +10,8 @@ The simulator injects straggler *episodes*: in each scheduling interval each
 running worker independently becomes a straggler with a configurable
 probability and a random slowdown factor. With handling enabled the episode
 lasts only the detection + replacement latency; with handling disabled it
-lasts the entire interval.
+lasts the entire interval. The half-median rule itself is not executed:
+detection is modelled as that latency.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ from typing import List, Tuple
 from repro.common.errors import ConfigurationError
 from repro.common.rand import RandomSource
 from repro.workloads.speed import MODE_SYNC, StepTimeModel, straggler_step_time
-
-#: A worker is flagged when its speed drops below this fraction of the
-#: median worker speed (§5.2: "half speed from the median").
-DETECTION_SPEED_FRACTION = 0.5
-
 
 @dataclass(frozen=True)
 class StragglerConfig:

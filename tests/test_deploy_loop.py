@@ -117,6 +117,25 @@ class TestControlLoop:
         assert loop.controller.load_checkpoint("a") == 999.0
         assert api.list_pods(job_id="a") == []
 
+    def test_departing_job_frees_its_capacity_in_the_same_step(self, api):
+        seen = []
+
+        class Spy(OptimusScheduler):
+            def schedule(self, cluster, jobs):
+                seen.append(cluster.total_available)
+                return super().schedule(cluster, jobs)
+
+        loop = ControlLoop(api, Spy())
+        loop.step([view("a")])
+        assert api.list_pods(job_id="a")
+        # "a" left the views: this step tears its pods down, so the
+        # scheduler may place "b" onto the whole cluster.
+        report = loop.step([view("b")])
+        assert seen[1] == cpu_mem(80, 320)
+        assert api.list_pods(job_id="a") == []
+        assert report.paused == ()
+        assert len(api.list_pods(job_id="b")) == report.decision.allocations["b"].total
+
     def test_rescale_cycles_through_checkpoint(self, api):
         loop = ControlLoop(api, OptimusScheduler())
         loop.step([view("a", remaining=100_000)], progress={"a": 0.0})
@@ -167,24 +186,24 @@ PINNED_REPORTS = [
     (16, 0, 0, 0, ("j1", "j0"), 0, (), (), ()),
     (17, 16, 2, 2, ("j1", "j0", "j2"), 0, (), (), ()),
     (7, 17, 3, 2, ("j1", "j2"), 0, ("j3", "j0"), (), ()),
-    (5, 14, 3, 1, ("j2",), 0, ("j3", "j0"), (), ()),
-    (14, 12, 2, 3, ("j1", "j0", "j2"), 0, ("j3",), (), ()),
-    (5, 14, 3, 1, ("j1", "j3"), 0, ("j0", "j2", "j4"), (), ()),
-    (13, 14, 3, 3, ("j0", "j3", "j2", "j4"), 1, (), (), ()),
-    (4, 8, 2, 1, ("j4",), 3, ("j5",), (), ()),
-    (16, 11, 4, 4, ("j1", "j3", "j2", "j5", "j4"), 0, (), (), ()),
-    (7, 14, 4, 2, ("j3", "j5"), 1, (), (), ()),
+    (8, 9, 2, 1, ("j0",), 1, ("j3",), (), ()),
+    (7, 13, 2, 2, ("j1", "j2"), 0, ("j3", "j0"), (), ()),
+    (2, 15, 3, 1, ("j1",), 0, ("j0", "j3", "j2", "j4"), (), ()),
+    (13, 12, 2, 2, ("j0", "j3", "j2", "j4"), 1, (), (), ()),
+    (11, 15, 5, 4, ("j1", "j3", "j2", "j4"), 0, ("j5",), (), ()),
+    (5, 0, 0, 0, ("j5",), 4, (), (), ()),
+    (8, 16, 5, 2, ("j1", "j5"), 0, ("j3",), (), ()),
 ]
 #: The final ``store.list_prefix("/")``: its keys outside ``/pods/`` and a
 #: SHA-256 of every (key, value) pair in listing order.
 PINNED_META_KEYS = (
     [f"/checkpoints/j{i}" for i in range(6)]
-    + ["/intents/j1", "/intents/j3", "/intents/j5"]
+    + ["/intents/j1", "/intents/j5"]
     + ["/managed/j1", "/managed/j3", "/managed/j5"]
     + [f"/nodes/n{i}" for i in range(8)]
 )
-PINNED_POD_COUNT = 9
-PINNED_STORE_SHA256 = "b5345dc97364eebdc455d117a19d0fe0e6a94ecf613f6cd74b82bc956d3e3010"
+PINNED_POD_COUNT = 10
+PINNED_STORE_SHA256 = "213f17299672ed33eb1190118b4f1f970493a6404952b658097953387162c3b2"
 
 
 class TestPinnedReconcileBehaviour:
