@@ -19,6 +19,18 @@ from repro.common.errors import FittingError
 from repro.fitting.loss_curve import MIN_POINTS, LossCurveFit, fit_loss_curve
 from repro.fitting.preprocess import subsample
 
+#: Observation histories longer than this are thinned before fitting
+#: (§3.1's sampling advice), bounding solver cost.
+MAX_FIT_POINTS = 400
+#: Refit at most once per this many newly added observations; between
+#: refits the cached fit is reused.
+REFIT_EVERY = 10
+#: With ``reset_on_drop``, a loss below this fraction of the fitted curve
+#: counts toward a learning-rate drop ...
+DROP_RATIO = 0.85
+#: ... and this many consecutive such observations restart the fitting.
+DROP_PATIENCE = 5
+
 
 @dataclass(frozen=True)
 class ConvergencePrediction:
@@ -41,12 +53,9 @@ class ConvergenceEstimator:
         Conversion between steps and epochs for this job.
     patience:
         Consecutive below-threshold epochs required.
-    max_fit_points:
-        Observation histories longer than this are thinned before fitting
-        (§3.1's sampling advice), bounding solver cost.
-    refit_every:
-        Refit at most once per this many newly added observations; between
-        refits the cached fit is reused.
+    reset_on_drop:
+        Restart the fitting after a learning-rate drop (see
+        :data:`DROP_RATIO` and :data:`DROP_PATIENCE`).
     """
 
     def __init__(
@@ -54,31 +63,19 @@ class ConvergenceEstimator:
         threshold: float,
         steps_per_epoch: float,
         patience: int = 2,
-        max_fit_points: int = 400,
-        refit_every: int = 10,
         reset_on_drop: bool = False,
-        drop_ratio: float = 0.85,
-        drop_patience: int = 5,
     ):
         if threshold <= 0:
             raise FittingError("threshold must be positive")
         if steps_per_epoch <= 0:
             raise FittingError("steps_per_epoch must be positive")
-        if not 0 < drop_ratio < 1:
-            raise FittingError("drop_ratio must be in (0, 1)")
-        if drop_patience < 1:
-            raise FittingError("drop_patience must be >= 1")
         self.threshold = float(threshold)
         self.steps_per_epoch = float(steps_per_epoch)
         self.patience = int(patience)
-        self.max_fit_points = int(max_fit_points)
-        self.refit_every = int(refit_every)
         #: §7 "Convergence estimation": when a learning-rate cut makes the
         #: observed losses fall persistently below the fitted curve, treat
         #: the rest of training as a new job and restart the fitting.
         self.reset_on_drop = bool(reset_on_drop)
-        self.drop_ratio = float(drop_ratio)
-        self.drop_patience = int(drop_patience)
 
         self._steps: List[float] = []
         self._losses: List[float] = []
@@ -112,16 +109,16 @@ class ConvergenceEstimator:
                 )
             except FittingError:
                 return
-            if loss < self.drop_ratio * predicted:
+            if loss < DROP_RATIO * predicted:
                 self._below_fit_streak += 1
-                if self._below_fit_streak >= self.drop_patience:
+                if self._below_fit_streak >= DROP_PATIENCE:
                     self._restart_from_drop()
             else:
                 self._below_fit_streak = 0
 
     def _restart_from_drop(self) -> None:
         """Discard pre-drop history; keep only the streak's observations."""
-        keep = self.drop_patience
+        keep = DROP_PATIENCE
         self._steps = self._steps[-keep:]
         self._losses = self._losses[-keep:]
         self._step_offset = min(self._steps)
@@ -154,10 +151,10 @@ class ConvergenceEstimator:
                 f"need {MIN_POINTS} observations before fitting, "
                 f"have {len(self._steps)}"
             )
-        stale = self._fit is None or self._points_since_fit >= self.refit_every
+        stale = self._fit is None or self._points_since_fit >= REFIT_EVERY
         if force or stale:
             steps, losses = subsample(
-                self._steps, self._losses, max_points=self.max_fit_points
+                self._steps, self._losses, max_points=MAX_FIT_POINTS
             )
             # The current phase is fitted in its own step frame (k = 0 at
             # the phase start); callers translate back via _step_offset.

@@ -116,8 +116,6 @@ class ControlLoop:
         metrics: Optional[MetricsRegistry] = None,
         crash_points: Optional[CrashPointInjector] = None,
         start_step: int = 0,
-        estimator_drift_window: int = 6,
-        estimator_drift_threshold: float = 0.5,
         election: Optional[LeaderElection] = None,
     ):
         self.api = api
@@ -149,9 +147,7 @@ class ControlLoop:
         # Prediction-quality telemetry: predictions recorded at decision
         # time, resolved by callers through observe_speed /
         # observe_completion (the deployment has no ground-truth clock).
-        self.estimators = estimator_telemetry_for(
-            self.tracer, self.metrics, estimator_drift_window, estimator_drift_threshold
-        )
+        self.estimators = estimator_telemetry_for(self.tracer, self.metrics)
         self.scheduler.instrument(
             tracer=self.tracer,
             metrics=self.metrics,
@@ -295,7 +291,6 @@ class ControlLoop:
                 running_jobs=len(decision.scheduled_jobs),
                 active_jobs=len(managed),
                 paused_jobs=len(paused),
-                phases=spans.interval_timings(),
             )
         self._step_index += 1
         return StepReport(decision=decision, reconcile=report, paused=paused)

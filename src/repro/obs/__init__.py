@@ -13,8 +13,8 @@ dependencies:
   interval / control-loop step is a span tree (``interval`` -> ``fit`` /
   ``snapshot`` / ``schedule`` -> ``allocate`` / ``place`` / ``progress``
   -> ``rescale``) whose closed spans feed the ``phase.<name>``
-  histograms, ``interval_tick.phases``, the run's ``phase_timings`` and,
-  when traced, ``span`` events on the same stream; off by default via
+  histograms (read back as the run's ``phase_timings``) and, when
+  traced, ``span`` events on the same stream; off by default via
   :data:`NULL_SPAN_TRACER`.
 * :mod:`repro.obs.estimators` -- predicted-vs-actual tracking for the §3
   online models: per-job and fleet MAPE, signed bias, and a windowed
@@ -88,6 +88,7 @@ from repro.obs.spans import (
     NullSpanTracer,
     Span,
     SpanTracer,
+    phase_timings,
     span_tracer_for,
 )
 from repro.obs.summarize import (
@@ -205,6 +206,7 @@ __all__ = [
     "NullSpanTracer",
     "NULL_SPAN_TRACER",
     "span_tracer_for",
+    "phase_timings",
     # estimators
     "EstimatorTelemetry",
     "NullEstimatorTelemetry",

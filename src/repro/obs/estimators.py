@@ -293,12 +293,9 @@ NULL_ESTIMATOR_TELEMETRY = NullEstimatorTelemetry()
 
 
 def estimator_telemetry_for(
-    tracer: Optional[Tracer],
-    metrics: Optional[MetricsRegistry],
-    drift_window: int,
-    drift_threshold: float,
+    tracer: Optional[Tracer], metrics: Optional[MetricsRegistry]
 ) -> EstimatorTelemetry:
     """A live :class:`EstimatorTelemetry` when either sink is attached, else the null one."""
     if tracer or metrics:
-        return EstimatorTelemetry(tracer, metrics, drift_window, drift_threshold)
+        return EstimatorTelemetry(tracer, metrics)
     return NULL_ESTIMATOR_TELEMETRY

@@ -3,19 +3,17 @@
 A :class:`SpanTracer` maintains a stack of open spans; each ``with
 spans.span("fit"):`` block becomes one timed node with a ``span_id``, its
 parent's ``parent_id`` and a wall-clock ``duration``. Closing a span reads
-the clock once and feeds every timing view from that one reading:
+the clock once and writes that one reading to two sinks:
 
-* the ``phase.<name>`` histogram of the attached metrics registry
-  ("where does interval time go on average?");
-* the current root span's per-interval dict (:meth:`SpanTracer.interval_timings`),
-  which the engine and control loop publish as ``interval_tick.phases``;
-  the root itself is not part of its own dict;
-* the run totals (:meth:`SpanTracer.summary`), which become
+* the ``phase.<name>`` histogram of the tracer's metrics registry
+  ("where does interval time go on average?"), from which
+  :func:`phase_timings` reads the run totals that become
   ``SimulationResult.phase_timings``;
 * when an event tracer is attached, a ``span`` event on the ordinary JSONL
   trace stream ("what happened inside THIS interval, in what order,
   nested under what?"), from which :func:`repro.obs.summarize.span_tree`
-  reconstructs per-interval and per-job flame trees offline.
+  reconstructs per-interval and per-job flame trees and the per-phase
+  breakdown offline.
 
 The simulation engine opens an ``interval`` root span per scheduling
 interval with ``fit`` / ``snapshot`` / ``schedule`` (→ ``allocate`` /
@@ -30,7 +28,8 @@ the flame tree of a crashed cycle is exactly what an operator wants to see.
 Like every ``repro.obs`` sink, the disabled implementation
 (:data:`NULL_SPAN_TRACER`) is falsy and free: ``span()`` returns a shared
 no-op context manager and no clock is read. :func:`span_tracer_for` hands
-it out whenever neither a tracer nor a metrics registry is attached.
+it out whenever neither a tracer nor a metrics registry is attached; a
+tracer-only run gets a live span tracer over a run-private registry.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracer import EVENT_SPAN, NULL_TRACER, Tracer
+
+#: Registry name prefix of the per-span-name timing histograms.
+PHASE_PREFIX = "phase."
 
 
 class Span:
@@ -77,11 +79,11 @@ class SpanTracer:
         self, tracer: Tracer = NULL_TRACER, metrics: Optional[MetricsRegistry] = None
     ):
         self._tracer = tracer
-        self._metrics = metrics if metrics is not None else NULL_REGISTRY
+        #: The registry whose ``phase.*`` histograms every closed span
+        #: feeds: a run-private one when the caller attached none.
+        self.metrics = metrics if metrics else MetricsRegistry()
         self._stack: List[Span] = []
         self._next_id = 1
-        self._interval: Dict[str, float] = {}
-        self._totals: Dict[str, List[float]] = {}  # name -> [count, total, max]
         self.now = 0.0
 
     def set_time(self, now: float) -> None:
@@ -97,17 +99,12 @@ class SpanTracer:
     def span(self, name: str, **attrs) -> Iterator[Span]:
         """Open a child span of the current one for the ``with`` body.
 
-        Opening a root span starts a fresh per-interval dict. The span is
-        closed -- and timed and emitted -- even when the body raises, so
-        crash-point injections and genuine failures never leak open spans
-        or corrupt the stack.
+        The span is closed -- and timed and emitted -- even when the body
+        raises, so crash-point injections and genuine failures never leak
+        open spans or corrupt the stack.
         """
         stack = self._stack
-        if stack:
-            parent: Optional[int] = stack[-1].span_id
-        else:
-            parent = None
-            self._interval = {}
+        parent = stack[-1].span_id if stack else None
         span = Span(
             span_id=self._next_id,
             parent_id=parent,
@@ -122,16 +119,7 @@ class SpanTracer:
         finally:
             elapsed = span.duration = time.perf_counter() - span.start
             stack.pop()
-            if parent is not None:
-                self._interval[name] = self._interval.get(name, 0.0) + elapsed
-            stats = self._totals.get(name)
-            if stats is None:
-                stats = self._totals[name] = [0, 0.0, 0.0]
-            stats[0] += 1
-            stats[1] += elapsed
-            if elapsed > stats[2]:
-                stats[2] = elapsed
-            self._metrics.histogram(f"phase.{name}").observe(elapsed)
+            self.metrics.histogram(PHASE_PREFIX + name).observe(elapsed)
             if self._tracer:
                 self._tracer.emit(
                     EVENT_SPAN,
@@ -142,26 +130,6 @@ class SpanTracer:
                     duration=elapsed,
                     **attrs,
                 )
-
-    def interval_timings(self) -> Dict[str, float]:
-        """Seconds per span name beneath the latest root span.
-
-        The dict is reset when the next root opens, so it stays readable
-        after its root closed (the control loop emits its tick then).
-        """
-        return dict(self._interval)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Run totals per span name: count, total, mean, max (seconds)."""
-        return {
-            name: {
-                "count": stats[0],
-                "total": stats[1],
-                "mean": stats[1] / stats[0],
-                "max": stats[2],
-            }
-            for name, stats in sorted(self._totals.items())
-        }
 
 
 class _NullSpanContext:
@@ -182,6 +150,10 @@ _NULL_SPAN_CONTEXT = _NullSpanContext()
 class NullSpanTracer(SpanTracer):
     """Span tracing disabled: every call is a shared no-op, truthiness False."""
 
+    def __init__(self) -> None:
+        super().__init__()
+        self.metrics = NULL_REGISTRY
+
     def set_time(self, now: float) -> None:
         pass
 
@@ -201,7 +173,25 @@ def span_tracer_for(
 ) -> SpanTracer:
     """A live :class:`SpanTracer` when either sink is attached, else the null one."""
     tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_REGISTRY
     if tracer or metrics:
         return SpanTracer(tracer, metrics)
     return NULL_SPAN_TRACER
+
+
+def phase_timings(metrics: MetricsRegistry) -> Dict[str, Dict[str, float]]:
+    """Run totals per span name from the ``phase.*`` histograms of *metrics*.
+
+    ``{name: {count, total, mean, max}}`` (seconds), sorted by name; empty
+    for a registry no span ever closed into.
+    """
+    histograms = metrics.snapshot().get("histograms", {})
+    return {
+        name[len(PHASE_PREFIX):]: {
+            "count": stats["count"],
+            "total": stats["sum"],
+            "mean": stats["mean"],
+            "max": stats["max"],
+        }
+        for name, stats in histograms.items()
+        if name.startswith(PHASE_PREFIX)
+    }

@@ -5,14 +5,17 @@ Several views are produced from the same event stream:
 * **Event inventory** -- how many events of each type, with anything this
   build does not recognise collected into an ``unknown`` bucket (traces
   from newer builds still summarise instead of crashing).
-* **Per-phase time breakdown** -- aggregated from the ``phases`` field of
-  ``interval_tick`` events: where does a scheduling interval's wall-clock
-  time go (snapshot, fit, allocate, place, reconcile, progress)? Reported
-  with p50/p95/p99 over the per-interval samples, not just the mean.
-* **Span flame tree** -- ``span`` events carry ``span_id``/``parent_id``,
-  so :func:`span_tree` reconstructs each interval's causal tree and
-  :func:`span_flame` aggregates identical paths (``interval > schedule >
-  allocate``) across the whole trace.
+* **Span tree** -- ``span`` events carry ``span_id``/``parent_id``, so
+  :func:`span_tree` reconstructs each interval's causal tree. Two views
+  read that one tree:
+
+  * **Per-phase time breakdown** (:func:`phase_breakdown`) -- where does
+    a scheduling interval's wall-clock time go (snapshot, fit, allocate,
+    place, reconcile, progress)? Summed per interval root and reported
+    with p50/p95/p99 over the per-interval samples, not just the mean.
+  * **Span flame tree** (:func:`span_flame`) -- identical paths
+    (``interval > schedule > allocate``) aggregated across the whole
+    trace.
 * **Estimator report** -- per-job and fleet speed / loss-curve MAPE and
   bias recomputed from ``estimator_sample`` events, plus drift events.
 * **Decision ledger summary** -- grant / denial / placement-provenance
@@ -49,7 +52,6 @@ from repro.obs.tracer import (
     EVENT_DECISION,
     EVENT_ESTIMATOR_DRIFT,
     EVENT_ESTIMATOR_SAMPLE,
-    EVENT_INTERVAL_TICK,
     EVENT_JOB_ARRIVED,
     EVENT_JOB_COMPLETED,
     EVENT_JOB_RESCALED,
@@ -101,36 +103,7 @@ def event_type_counts(
     return dict(known), dict(unknown)
 
 
-def phase_breakdown(events: Sequence[Dict]) -> Dict[str, Dict[str, float]]:
-    """Aggregate ``interval_tick.phases`` into per-phase statistics.
-
-    Returns ``{phase: {count, total, mean, share, p50, p95, p99}}`` where
-    ``share`` is the phase's fraction of all profiled time across the
-    trace and the percentiles are over per-interval samples (seconds).
-    """
-    samples: Dict[str, List[float]] = {}
-    for event in events:
-        if event.get("event") != EVENT_INTERVAL_TICK:
-            continue
-        for phase, seconds in (event.get("phases") or {}).items():
-            samples.setdefault(phase, []).append(float(seconds))
-    grand_total = sum(sum(values) for values in samples.values())
-    breakdown: Dict[str, Dict[str, float]] = {}
-    for phase, values in sorted(samples.items()):
-        total = sum(values)
-        breakdown[phase] = {
-            "count": float(len(values)),
-            "total": total,
-            "mean": total / len(values),
-            "share": total / grand_total if grand_total > 0 else 0.0,
-            "p50": _percentile(values, 0.50),
-            "p95": _percentile(values, 0.95),
-            "p99": _percentile(values, 0.99),
-        }
-    return breakdown
-
-
-# -- span flame trees -----------------------------------------------------------
+# -- span tree: phase breakdown and flame ------------------------------------------
 
 
 def span_tree(events: Sequence[Dict]) -> List[Dict]:
@@ -160,6 +133,51 @@ def span_tree(events: Sequence[Dict]) -> List[Dict]:
         else:
             roots.append(node)
     return roots
+
+
+def _sum_by_name(node: Dict, acc: Dict[str, float]) -> None:
+    """Add every descendant's duration of *node* into *acc*, keyed by name."""
+    for child in node["children"]:
+        name = child["name"]
+        acc[name] = acc.get(name, 0.0) + float(child.get("duration", 0.0))
+        _sum_by_name(child, acc)
+
+
+def phase_breakdown(events: Sequence[Dict]) -> Dict[str, Dict[str, float]]:
+    """Per-phase statistics over the interval roots of the span tree.
+
+    Each root span (an engine ``interval``, a control-loop ``step``)
+    yields one sample per span name beneath it: the summed duration of
+    its descendants of that name; the root is not a phase of itself.
+    Spans :func:`span_tree` promoted to roots because their parent never
+    closed (a trace cut mid-interval) are skipped: that interval never
+    finished. Returns ``{phase: {count, total, mean, share, p50, p95,
+    p99}}`` where ``share`` is the phase's fraction of all profiled time
+    across the trace and the percentiles are over per-interval samples
+    (seconds).
+    """
+    samples: Dict[str, List[float]] = {}
+    for root in span_tree(events):
+        if root.get("parent_id") is not None:
+            continue
+        per_root: Dict[str, float] = {}
+        _sum_by_name(root, per_root)
+        for phase, seconds in per_root.items():
+            samples.setdefault(phase, []).append(seconds)
+    grand_total = sum(sum(values) for values in samples.values())
+    breakdown: Dict[str, Dict[str, float]] = {}
+    for phase, values in sorted(samples.items()):
+        total = sum(values)
+        breakdown[phase] = {
+            "count": float(len(values)),
+            "total": total,
+            "mean": total / len(values),
+            "share": total / grand_total if grand_total > 0 else 0.0,
+            "p50": _percentile(values, 0.50),
+            "p95": _percentile(values, 0.95),
+            "p99": _percentile(values, 0.99),
+        }
+    return breakdown
 
 
 def _walk_paths(

@@ -228,7 +228,8 @@ class JsonlTracer(Tracer):
 def read_trace(source: Union[str, TextIO]) -> List[Dict]:
     """Parse a JSONL trace back into a list of event dicts.
 
-    Raises :class:`ConfigurationError` on the first malformed line; use
+    Raises :class:`ConfigurationError` on the first malformed line (invalid
+    JSON, or JSON that is not an object); use
     :func:`read_trace_tolerant` for traces that may be truncated or
     corrupted (a crashed writer, a partial download).
     """
@@ -241,11 +242,14 @@ def read_trace(source: Union[str, TextIO]) -> List[Dict]:
         if not line:
             continue
         try:
-            events.append(json.loads(line))
+            event = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(
                 f"trace line {lineno} is not valid JSON: {exc}"
             ) from exc
+        if not isinstance(event, dict):
+            raise ConfigurationError(f"trace line {lineno} is not a JSON object")
+        events.append(event)
     return events
 
 

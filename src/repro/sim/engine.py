@@ -50,7 +50,7 @@ from repro.obs.ledger import (
     use_ledger,
 )
 from repro.obs.registry import MetricsRegistry, active_registry, use_registry
-from repro.obs.spans import span_tracer_for
+from repro.obs.spans import phase_timings, span_tracer_for
 from repro.obs.timeseries import TimeSeriesDB
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
@@ -156,10 +156,6 @@ class SimConfig:
     #: ``repro.obs.estimators`` drift detector should notice. ``None``
     #: leaves reality untouched.
     speed_perturbation: Optional[Callable[[float], float]] = None
-    #: Drift-detector window (recent predictions per job and signal) and
-    #: MAPE band for the estimator telemetry (see ``repro.obs.estimators``).
-    estimator_drift_window: int = 6
-    estimator_drift_threshold: float = 0.5
     #: Decision-ledger fidelity (see :mod:`repro.obs.ledger`): "auto"
     #: resolves to "full" when a tracer is attached and "off" otherwise;
     #: "sampled" keeps only the top-K grants per round as events (plus the
@@ -182,10 +178,6 @@ class SimConfig:
             raise SimulationError("partition_algorithm must be 'paa' or 'mxnet'")
         if self.checkpoint_interval is not None and self.checkpoint_interval <= 0:
             raise SimulationError("checkpoint_interval must be positive or None")
-        if self.estimator_drift_window < 2:
-            raise SimulationError("estimator_drift_window must be >= 2")
-        if self.estimator_drift_threshold <= 0:
-            raise SimulationError("estimator_drift_threshold must be positive")
         if self.ledger_mode not in ("auto",) + LEDGER_MODES:
             raise SimulationError(
                 f"ledger_mode must be one of {('auto',) + LEDGER_MODES}"
@@ -245,12 +237,7 @@ class Simulation:
         self.spans = span_tracer_for(self.tracer, self.metrics)
         # Prediction-quality telemetry (repro.obs.estimators): on whenever
         # either sink is attached; the null object otherwise.
-        self.estimators = estimator_telemetry_for(
-            self.tracer,
-            self.metrics,
-            self.config.estimator_drift_window,
-            self.config.estimator_drift_threshold,
-        )
+        self.estimators = estimator_telemetry_for(self.tracer, self.metrics)
         # Decision ledger (repro.obs.ledger): "auto" follows the tracer, so
         # untraced runs keep the null ledger and pay one bool check per
         # allocation round.
@@ -744,7 +731,6 @@ class Simulation:
                     running_jobs=len(decision.scheduled_jobs),
                     active_jobs=len(active),
                     pending_jobs=pending_count,
-                    phases=spans.interval_timings(),
                 )
         if self.timeseries is not None:
             self.timeseries.sample_registry(metrics, now)
@@ -788,7 +774,6 @@ class Simulation:
                 num_scalings=0,
                 chunks_moved=0,
             )
-        phase_timings = self.spans.summary() or None
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             jobs=records,
@@ -796,7 +781,7 @@ class Simulation:
             interval=cfg.interval,
             seed=cfg.seed,
             decision_digest=self._decision_digest.hexdigest(),
-            phase_timings=phase_timings,
+            phase_timings=phase_timings(self.spans.metrics) or None,
         )
 
 

@@ -3,7 +3,7 @@
 ``repro drill --json`` payloads (summary, failures, checkpoints) and exit
 codes are compared against ``tests/golden/drill_payloads.json``; the soak
 scenario's drill phase is pinned as a hash of its event stream with the
-wall-clock fields (``phases``, ``duration``) stripped. A refactor of the
+wall-clock ``duration`` field stripped. A refactor of the
 drill harness must leave every value here unchanged.
 """
 
@@ -80,7 +80,7 @@ SOAK_DRILLS = {
 
 def stream_digest(events):
     stripped = [
-        {k: v for k, v in event.items() if k not in ("phases", "duration")}
+        {k: v for k, v in event.items() if k != "duration"}
         for event in events
     ]
     payload = json.dumps(stripped, sort_keys=True).encode()

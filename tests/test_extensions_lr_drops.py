@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, FittingError
+from repro.common.errors import ConfigurationError
 from repro.core.convergence import ConvergenceEstimator
 from repro.workloads import MODEL_ZOO, LossEmitter
 from repro.workloads.lr_schedule import SteppedLossCurve, with_lr_drops
@@ -115,9 +115,3 @@ class TestEstimatorReset:
         # The phase offset must be folded back: the prediction exceeds the
         # drop step (epoch 30).
         assert estimator.predicted_total_steps() > 30 * self.SPE
-
-    def test_constructor_validation(self):
-        with pytest.raises(FittingError):
-            ConvergenceEstimator(0.002, 100, drop_ratio=1.5)
-        with pytest.raises(FittingError):
-            ConvergenceEstimator(0.002, 100, drop_patience=0)

@@ -78,9 +78,9 @@ def fingerprint(result):
 
 
 def trace_fingerprint(tracer):
-    """Events minus wall-clock data (phase timings, span durations)."""
+    """Events minus wall-clock data (span durations)."""
     return [
-        {k: v for k, v in event.items() if k not in ("phases", "duration")}
+        {k: v for k, v in event.items() if k != "duration"}
         for event in tracer.events
     ]
 

@@ -1,9 +1,9 @@
 """End-to-end observability: a traced 2-job simulation run.
 
 Asserts the event stream a small oracle-mode run produces: the expected
-event sequence per job, the per-interval ticks with phase timings, the
-metrics counters, and that attaching the sinks does not perturb the
-simulation itself.
+event sequence per job, the per-interval ticks and the span roots their
+phase timings are rebuilt from, the metrics counters, and that attaching
+the sinks does not perturb the simulation itself.
 """
 
 import pytest
@@ -22,6 +22,7 @@ from repro.obs import (
     MetricsRegistry,
     RecordingTracer,
 )
+from repro.obs.summarize import phase_breakdown
 from repro.schedulers import JobView, make_scheduler
 from repro.sim import SimConfig, simulate
 from repro.workloads import make_job, uniform_arrivals
@@ -47,12 +48,11 @@ def traced():
     return run_traced()
 
 
-def assert_ticks_match_spans(events, root_name):
-    """Each tick's ``phases`` are exactly the spans beneath its root.
+def per_root_sums(events, root_name):
+    """``{root time: {name: summed duration}}`` of the spans beneath each root.
 
-    Keys equal the names of the span events under the interval's root
-    (the root itself excluded); each value equals their summed durations.
-    Ticks and roots pair up by their logical time.
+    Rebuilt straight from the ``span`` events, without the summarizer:
+    every span is charged to its root (the root itself excluded).
     """
     spans = [e for e in events if e["event"] == EVENT_SPAN]
     parent_of = {e["span_id"]: e["parent_id"] for e in spans}
@@ -68,18 +68,35 @@ def assert_ticks_match_spans(events, root_name):
             continue
         sums = beneath.setdefault(root_of(event["span_id"]), {})
         sums[event["name"]] = sums.get(event["name"], 0.0) + event["duration"]
-    roots = {
-        e["time"]: e["span_id"]
+    return {
+        e["time"]: beneath.get(e["span_id"], {})
         for e in spans
         if e["parent_id"] is None and e["name"] == root_name
     }
+
+
+def assert_breakdown_matches_spans(events, root_name):
+    """Ticks carry no timings; the breakdown is the per-root span sums.
+
+    Every ``interval_tick`` pairs with a root span at the same logical
+    time, and :func:`phase_breakdown` totals (and sample counts) equal
+    the per-root sums rebuilt from the span events.
+    """
+    roots = per_root_sums(events, root_name)
     ticks = [e for e in events if e["event"] == EVENT_INTERVAL_TICK]
     assert ticks
     for tick in ticks:
-        expected = beneath.get(roots[tick["time"]], {})
-        assert set(tick["phases"]) == set(expected)
-        for name, seconds in tick["phases"].items():
-            assert seconds == pytest.approx(expected[name], abs=1e-9)
+        assert "phases" not in tick
+        assert tick["time"] in roots
+    expected = {}
+    for sums in roots.values():
+        for name, seconds in sums.items():
+            expected.setdefault(name, []).append(seconds)
+    breakdown = phase_breakdown(events)
+    assert set(breakdown) == set(expected)
+    for name, samples in expected.items():
+        assert breakdown[name]["count"] == len(samples)
+        assert breakdown[name]["total"] == pytest.approx(sum(samples), abs=1e-9)
 
 
 class TestTwoJobTrace:
@@ -128,7 +145,7 @@ class TestTwoJobTrace:
                 assert event["old"] != event["new"]
                 assert event["overhead"] >= 0.0
 
-    def test_interval_ticks_carry_phase_timings(self, traced):
+    def test_interval_ticks_pair_with_span_roots(self, traced):
         _, tracer, _ = traced
         ticks = tracer.of_type(EVENT_INTERVAL_TICK)
         assert ticks
@@ -136,12 +153,14 @@ class TestTwoJobTrace:
             assert tick["active_jobs"] >= 0
         busy = [t for t in ticks if t["running_jobs"] > 0]
         assert busy, "at least one interval should run jobs"
+        roots = per_root_sums(tracer.events, "interval")
         for tick in busy:
-            assert {"fit", "snapshot", "schedule", "progress"} <= set(tick["phases"])
-            assert all(v >= 0.0 for v in tick["phases"].values())
-        assert_ticks_match_spans(tracer.events, "interval")
+            phases = roots[tick["time"]]
+            assert {"fit", "snapshot", "schedule", "progress"} <= set(phases)
+            assert all(v >= 0.0 for v in phases.values())
+        assert_breakdown_matches_spans(tracer.events, "interval")
 
-    def test_control_loop_ticks_carry_phase_timings(self):
+    def test_control_loop_steps_pair_with_span_roots(self):
         tracer = RecordingTracer()
         api = APIServer()
         for i in range(3):
@@ -156,13 +175,13 @@ class TestTwoJobTrace:
         )
         loop.step([view], progress={"job-a": 0.0})
         loop.step([], progress={"job-a": 500.0})
-        phases = [t["phases"] for t in tracer.of_type(EVENT_INTERVAL_TICK)]
+        roots = per_root_sums(tracer.events, "step")
         assert {"sweep", "snapshot", "schedule", "allocate", "place", "reconcile"} <= set(
-            phases[0]
+            roots[0.0]
         )
-        assert "launch" in phases[0]
-        assert "teardown" in phases[1]
-        assert_ticks_match_spans(tracer.events, "step")
+        assert "launch" in roots[0.0]
+        assert "teardown" in roots[1.0]
+        assert_breakdown_matches_spans(tracer.events, "step")
 
     def test_seq_strictly_increasing_and_time_monotone(self, traced):
         _, tracer, _ = traced
@@ -186,12 +205,23 @@ class TestTwoJobTrace:
         assert any(name.startswith("phase.") for name in snap["histograms"])
 
     def test_phase_timings_surface_in_result(self, traced):
-        result, _, _ = traced
+        result, _, metrics = traced
         assert result.phase_timings
         for stats in result.phase_timings.values():
             assert stats["count"] >= 1
             assert stats["total"] >= 0.0
             assert stats["max"] <= stats["total"] + 1e-12
+        # The run totals are the registry's phase histograms, read back.
+        histograms = metrics.snapshot()["histograms"]
+        assert list(result.phase_timings) == sorted(result.phase_timings)
+        assert {f"phase.{name}" for name in result.phase_timings} == {
+            name for name in histograms if name.startswith("phase.")
+        }
+        for name, stats in result.phase_timings.items():
+            histogram = histograms[f"phase.{name}"]
+            assert stats["count"] == histogram["count"]
+            assert stats["total"] == histogram["sum"]
+            assert stats["max"] == histogram["max"]
 
 
 class TestObservabilityIsInert:
@@ -217,6 +247,28 @@ class TestObservabilityIsInert:
         }
         assert plain.phase_timings is None
         assert traced.phase_timings
+
+    def test_tracer_only_run_still_reports_phase_timings(self):
+        from repro.obs import NULL_REGISTRY
+        from repro.obs.registry import active_registry
+
+        tracer = RecordingTracer()
+        result = simulate(
+            Cluster.homogeneous(4, cpu_mem(16, 64)),
+            make_scheduler("optimus"),
+            uniform_arrivals(
+                num_jobs=2, window=900, seed=3, models=["cnn-rand", "dssm"]
+            ),
+            SimConfig(seed=3, estimator_mode="oracle"),
+            tracer=tracer,
+        )
+        # The spans time into a run-private registry, not the active one.
+        assert active_registry() is NULL_REGISTRY
+        assert result.phase_timings
+        assert {"interval", "fit", "allocate", "place"} <= set(result.phase_timings)
+        assert result.phase_timings["interval"]["count"] == sum(
+            1 for e in tracer.of_type(EVENT_SPAN) if e["parent_id"] is None
+        )
 
     def test_default_run_emits_nothing(self):
         from repro.obs import NULL_REGISTRY

@@ -138,8 +138,7 @@ def synthetic_trace():
         window_mape=0.6, window=6, threshold=0.5,
     )
     tracer.emit(
-        "interval_tick", 600.0, running_jobs=1, active_jobs=1, pending_jobs=0,
-        phases={},
+        "interval_tick", 600.0, running_jobs=1, active_jobs=1, pending_jobs=0
     )
     tracer.emit("job_completed", 1200.0, job_id="j1", steps=100.0)
     tracer.emit("leader_elected", 0.0, leader="ctl-a", epoch=1)

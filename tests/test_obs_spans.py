@@ -15,10 +15,12 @@ from repro.obs import (
     MetricsRegistry,
     RecordingTracer,
     SpanTracer,
+    phase_timings,
     span_tracer_for,
     span_tree,
 )
-from repro.obs.summarize import render_span_flame, span_flame
+from repro.obs.registry import active_registry
+from repro.obs.summarize import phase_breakdown, render_span_flame, span_flame
 from repro.cluster import Cluster, cpu_mem
 from repro.schedulers import JobView, make_scheduler
 from repro.sim import SimConfig, simulate
@@ -87,37 +89,72 @@ class TestSpanTracer:
         registry = MetricsRegistry()
         spans = span_tracer_for(None, registry)
         assert spans and spans is not NULL_SPAN_TRACER
+        assert spans.metrics is registry
         with spans.span("interval"):
             with spans.span("fit"):
                 pass
         assert registry.histogram("phase.fit").count == 1
-        assert set(spans.interval_timings()) == {"fit"}
+        assert set(phase_timings(registry)) == {"interval", "fit"}
+
+    def test_tracer_alone_times_into_a_private_registry(self):
+        spans = span_tracer_for(RecordingTracer())
+        assert isinstance(spans.metrics, MetricsRegistry)
+        assert spans.metrics is not active_registry()
+        with spans.span("interval"):
+            pass
+        assert spans.metrics.histogram("phase.interval").count == 1
 
 
 class TestPhaseTimings:
-    def test_interval_timings_reset_per_root(self):
-        spans = SpanTracer(RecordingTracer(), MetricsRegistry())
+    def test_breakdown_sums_each_root(self):
+        tracer = RecordingTracer()
+        spans = SpanTracer(tracer, MetricsRegistry())
         with spans.span("interval"):
             with spans.span("fit"):
                 pass
             with spans.span("schedule"):
                 with spans.span("allocate"):
                     pass
-        # Every descendant counts; the root is not part of its own dict,
-        # and the dict stays readable after the root closed.
-        first = spans.interval_timings()
-        assert set(first) == {"fit", "schedule", "allocate"}
-        assert first["schedule"] >= first["allocate"]
         with spans.span("interval"):
-            assert spans.interval_timings() == {}
+            with spans.span("fit"):
+                pass
+        # Every descendant counts once per root; the root is not a phase
+        # of itself.
+        breakdown = phase_breakdown(tracer.events)
+        assert set(breakdown) == {"fit", "schedule", "allocate"}
+        assert breakdown["fit"]["count"] == 2
+        assert breakdown["schedule"]["count"] == 1
+        assert breakdown["schedule"]["total"] >= breakdown["allocate"]["total"]
 
-    def test_summary_accumulates_across_roots(self):
-        spans = SpanTracer(NULL_TRACER, MetricsRegistry())
+    def test_breakdown_skips_cut_short_interval(self):
+        tracer = RecordingTracer()
+        spans = SpanTracer(tracer)
+        with spans.span("interval"):
+            with spans.span("fit"):
+                pass
+        with spans.span("interval"):
+            with spans.span("fit"):
+                pass
+            with spans.span("schedule"):
+                pass
+        # Cut the trace before the second root closed: its children are
+        # orphans, promoted to roots by span_tree but no interval sample.
+        cut = tracer.events[:-1]
+        assert [r["name"] for r in span_tree(cut)] == ["interval", "fit", "schedule"]
+        breakdown = phase_breakdown(cut)
+        assert set(breakdown) == {"fit"}
+        assert breakdown["fit"]["count"] == 1
+
+    def test_phase_timings_accumulate_across_roots(self):
+        registry = MetricsRegistry()
+        spans = SpanTracer(NULL_TRACER, registry)
         for _ in range(3):
             with spans.span("interval"):
                 with spans.span("fit"):
                     pass
-        summary = spans.summary()
+        registry.histogram("engine.other").observe(1.0)
+        summary = phase_timings(registry)
+        assert list(summary) == ["fit", "interval"]
         assert summary["fit"]["count"] == 3
         assert summary["interval"]["count"] == 3
         assert summary["fit"]["total"] >= 0.0
@@ -138,9 +175,8 @@ class TestPhaseTimings:
         with NULL_SPAN_TRACER.span("interval"):
             with NULL_SPAN_TRACER.span("fit"):
                 pass
-            assert NULL_SPAN_TRACER.interval_timings() == {}
-        assert NULL_SPAN_TRACER.interval_timings() == {}
-        assert NULL_SPAN_TRACER.summary() == {}
+        assert NULL_SPAN_TRACER.metrics is NULL_REGISTRY
+        assert phase_timings(NULL_SPAN_TRACER.metrics) == {}
 
 
 class TestSpanTreeReconstruction:

@@ -7,6 +7,7 @@ from repro.obs import (
     EVENT_INTERVAL_TICK,
     EVENT_JOB_ARRIVED,
     EVENT_JOB_COMPLETED,
+    EVENT_SPAN,
     JsonlTracer,
     RecordingTracer,
     read_trace_tolerant,
@@ -21,32 +22,38 @@ from repro.obs.summarize import (
 )
 
 
+def emit_interval(tracer, now, first_id, phases):
+    """One interval root span at *now* with one child span per phase."""
+    for offset, (name, seconds) in enumerate(phases.items(), start=1):
+        tracer.emit(
+            EVENT_SPAN, now, span_id=first_id + offset, parent_id=first_id,
+            name=name, duration=seconds,
+        )
+    tracer.emit(
+        EVENT_SPAN, now, span_id=first_id, parent_id=None,
+        name="interval", duration=sum(phases.values()),
+    )
+
+
 def small_trace():
     tracer = RecordingTracer()
     tracer.emit(EVENT_JOB_ARRIVED, 0.0, job_id="j1", model="vgg-16", mode="sync")
     tracer.emit(EVENT_ALLOCATION_DECIDED, 0.0, job_id="j1", workers=2, ps=1)
+    emit_interval(tracer, 0.0, 1, {"fit": 0.2, "schedule": 0.6})
     tracer.emit(
-        EVENT_INTERVAL_TICK,
-        0.0,
-        running_jobs=1,
-        active_jobs=1,
-        pending_jobs=0,
-        phases={"fit": 0.2, "schedule": 0.6},
+        EVENT_INTERVAL_TICK, 0.0, running_jobs=1, active_jobs=1, pending_jobs=0
     )
     tracer.emit(EVENT_JOB_COMPLETED, 600.0, job_id="j1", steps=50.0)
+    emit_interval(tracer, 600.0, 4, {"fit": 0.2, "schedule": 0.2})
     tracer.emit(
-        EVENT_INTERVAL_TICK,
-        600.0,
-        running_jobs=0,
-        active_jobs=0,
-        pending_jobs=0,
-        phases={"fit": 0.2, "schedule": 0.2},
+        EVENT_INTERVAL_TICK, 600.0, running_jobs=0, active_jobs=0, pending_jobs=0
     )
     return tracer.events
 
 
 class TestPhaseBreakdown:
     def test_aggregates_ticks(self):
+        # One sample per interval root: the ticks themselves carry no timings.
         breakdown = phase_breakdown(small_trace())
         assert breakdown["fit"]["count"] == 2
         assert breakdown["fit"]["total"] == 0.4
@@ -125,6 +132,7 @@ class TestTimelines:
 class TestSummarize:
     def test_report_mentions_phases_and_jobs(self):
         text = summarize_trace(small_trace())
+        assert "per-phase time breakdown:" in text
         assert "fit" in text
         assert "schedule" in text
         assert "j1" in text

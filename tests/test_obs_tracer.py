@@ -129,13 +129,30 @@ class TestJsonlTracer:
         path = str(tmp_path / "trace.jsonl")
         with JsonlTracer(path) as tracer:
             tracer.emit(EVENT_JOB_ARRIVED, 0.0, job_id="j1")
-            tracer.emit(EVENT_INTERVAL_TICK, 0.0, phases={"fit": 0.25})
+            tracer.emit(EVENT_INTERVAL_TICK, 0.0, running_jobs=1, active_jobs=2)
         events = read_trace(path)
         assert [e["event"] for e in events] == ["job_arrived", "interval_tick"]
-        assert events[1]["phases"] == {"fit": 0.25}
+        assert events[1]["active_jobs"] == 2
 
     def test_read_trace_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"event": "job_arrived"}\nnot json\n')
         with pytest.raises(ConfigurationError, match="line 2"):
             read_trace(str(path))
+
+    @pytest.mark.parametrize("bad_line", ["42", "[1, 2]", '"a bare string"'])
+    def test_read_trace_rejects_non_object_lines(self, tmp_path, bad_line):
+        # Valid JSON that is not an event object fails like invalid JSON
+        # does, naming the line, instead of surfacing as an event.
+        path = tmp_path / "scalar.jsonl"
+        path.write_text('{"event": "job_arrived"}\n' + bad_line + "\n")
+        with pytest.raises(ConfigurationError, match="line 2"):
+            read_trace(str(path))
+
+    def test_strict_summarize_rejects_non_object_lines(self, tmp_path):
+        from repro.obs.summarize import main as summarize_main
+
+        path = tmp_path / "scalar.jsonl"
+        path.write_text('{"event": "job_arrived", "time": 0.0}\n[1, 2]\n')
+        with pytest.raises(ConfigurationError, match="line 2"):
+            summarize_main([str(path), "--strict"])
