@@ -220,19 +220,21 @@ def _marginal_gain(
     )
 
 
-#: Capacity checks of one demand: ``(resource, amount, capacity + 1e-9)``.
-_Checks = Tuple[Tuple[str, float, float], ...]
+#: Capacity checks of one demand: ``(resource index, amount, capacity + 1e-9)``.
+_Checks = Tuple[Tuple[int, float, float], ...]
+
+_INF = float("inf")
 
 
 class _Bidder:
     """One active job's state in the grant loop, as plain numbers.
 
-    Speeds are scalar calls through :func:`_safe_speed`, so every time is
-    the one :func:`_completion_time` would give.
+    ``gain``, ``kind``, ``t_worker`` and ``t_ps`` are the job's current
+    bid, set by :meth:`bid`; a heap entry carries only the version stamp it
+    was made at, so an entry whose version still matches is this bid.
     """
 
     __slots__ = (
-        "request",
         "job_id",
         "work",
         "speed",
@@ -247,6 +249,10 @@ class _Bidder:
         "ps",
         "base",
         "version",
+        "gain",
+        "kind",
+        "t_worker",
+        "t_ps",
     )
 
     def __init__(
@@ -257,7 +263,6 @@ class _Bidder:
         dom_worker: float,
         dom_ps: float,
     ) -> None:
-        self.request = request
         self.job_id = request.job_id
         self.work = request.remaining_work
         self.speed = request.speed
@@ -270,17 +275,52 @@ class _Bidder:
         self.dom_ps = dom_ps
         self.workers = 1
         self.ps = 1
-        self.base = float("inf")
+        self.base = _INF
         self.version = 0
 
-    def completion_time(self, p: int, w: int) -> float:
-        speed = _safe_speed(self.speed, p, w)
-        return self.work / speed if speed > 0 else float("inf")
+    def bid(self, ledger) -> bool:
+        """Score one more worker and one more PS (Eqn 9); True when it bids.
 
-    def candidate_times(self) -> Tuple[float, float]:
-        """Completion times with one more worker, and with one more PS."""
+        Each candidate's completion time is ``work / speed`` with one
+        :func:`_safe_speed` call, worker first, and the gain is term for
+        term the one of :func:`_gain_from_times`. A non-positive, NaN or
+        infinite gain is a voluntary yield, recorded on the *ledger*.
+        """
         p, w = self.ps, self.workers
-        return self.completion_time(p, w + 1), self.completion_time(p + 1, w)
+        work, fn, base = self.work, self.speed, self.base
+        speed = _safe_speed(fn, p, w + 1)
+        t_worker = work / speed if speed > 0 else _INF
+        speed = _safe_speed(fn, p + 1, w)
+        t_ps = work / speed if speed > 0 else _INF
+        gain_worker = -_INF
+        gain_ps = -_INF
+        if w < self.max_workers:
+            if base != _INF or t_worker != _INF:
+                reduction = (base - t_worker) if base != _INF else 0.0
+                gain_worker = reduction / self.dom_worker
+        if p < self.max_ps:
+            if base != _INF or t_ps != _INF:
+                reduction = (base - t_ps) if base != _INF else 0.0
+                gain_ps = reduction / self.dom_ps
+        if gain_worker >= gain_ps:
+            gain, self.kind = gain_worker * self.priority, "worker"
+        else:
+            gain, self.kind = gain_ps * self.priority, "ps"
+        self.gain = gain
+        self.t_worker = t_worker
+        self.t_ps = t_ps
+        if gain > 0 and gain != _INF:
+            return True
+        if ledger:
+            # Jobs at their task caps land here too (their gain is -inf).
+            ledger.record_denial(
+                self.job_id,
+                "converged_yield",
+                workers=w,
+                ps=p,
+                gain=gain if gain == gain and abs(gain) != _INF else None,
+            )
+        return False
 
 
 def allocate(
@@ -316,48 +356,73 @@ def allocate(
             raise SchedulingError(f"duplicate job id {request.job_id!r}")
         seen.add(request.job_id)
 
-    ledger = active_ledger()
+    # None when off: the grant loop's ``if ledger`` tests then cost no call.
+    ledger = active_ledger() or None
     if ledger:
         ledger.begin_round()
 
-    # Capacity accounting on plain numbers: each demand becomes a tuple of
-    # ``(name, amount, capacity + 1e-9)`` checks, built once per round, so
-    # the per-pop ``fits``/``consume`` never touch a ResourceVector.
-    used: Dict[str, float] = {}
-    cap = dict(capacity.items())
+    # Capacity accounting on plain numbers: resources are numbered in
+    # capacity order (a demanded resource the capacity lacks gets a limit
+    # of 1e-9, as ``fits_within`` would), and each demand becomes a tuple
+    # of ``(index, amount, capacity + 1e-9)`` checks, so the per-pop test
+    # never touches a ResourceVector.
+    index: Dict[str, int] = {}
+    limits: List[float] = []
+    for name, amount in capacity.items():
+        index[name] = len(limits)
+        limits.append(amount + 1e-9)
+    used = [0.0] * len(limits)
 
     def checks_of(demand: ResourceVector) -> _Checks:
-        return tuple(
-            (name, amount, cap.get(name, 0.0) + 1e-9)
-            for name, amount in demand.items()
-        )
+        checks = []
+        for name, amount in demand.items():
+            i = index.get(name)
+            if i is None:
+                i = index[name] = len(limits)
+                limits.append(1e-9)
+                used.append(0.0)
+            checks.append((i, amount, limits[i]))
+        return tuple(checks)
 
     def fits(checks: _Checks) -> bool:
-        for name, amount, limit in checks:
-            if used.get(name, 0.0) + amount > limit:
+        for i, amount, limit in checks:
+            if used[i] + amount > limit:
                 return False
         return True
 
     def consume(checks: _Checks) -> None:
-        for name, amount, _ in checks:
-            used[name] = used.get(name, 0.0) + amount
+        for i, amount, _ in checks:
+            used[i] += amount
+
+    # Checks and dominant share of each task shape, and the checks of each
+    # starter pair, built once per round: jobs of one shape share them. The
+    # key is the exact ``(resource, amount)`` sequence, so a shared entry is
+    # the one the job's own demand would give, float for float.
+    shapes: Dict[tuple, Tuple[_Checks, float]] = {}
+    starters: Dict[Tuple[tuple, tuple], _Checks] = {}
+
+    def shape_of(key: tuple, demand: ResourceVector) -> Tuple[_Checks, float]:
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = (checks_of(demand), _dominant_amount(demand, capacity))
+        return shape
 
     # Phase 1: anti-starvation starter allocations.
     bidders: List[_Bidder] = []
     starved: List[str] = []
     for request in requests:
-        starter = checks_of(request.worker_demand + request.ps_demand)
+        worker_key = tuple(request.worker_demand.items())
+        ps_key = tuple(request.ps_demand.items())
+        starter = starters.get((worker_key, ps_key))
+        if starter is None:
+            starter = starters[worker_key, ps_key] = checks_of(
+                request.worker_demand + request.ps_demand
+            )
         if fits(starter):
             consume(starter)
-            bidders.append(
-                _Bidder(
-                    request,
-                    checks_of(request.worker_demand),
-                    checks_of(request.ps_demand),
-                    _dominant_amount(request.worker_demand, capacity),
-                    _dominant_amount(request.ps_demand, capacity),
-                )
-            )
+            worker_checks, dom_worker = shape_of(worker_key, request.worker_demand)
+            ps_checks, dom_ps = shape_of(ps_key, request.ps_demand)
+            bidders.append(_Bidder(request, worker_checks, ps_checks, dom_worker, dom_ps))
         else:
             starved.append(request.job_id)
             if ledger:
@@ -365,100 +430,80 @@ def allocate(
                     request.job_id, "capacity_exhausted", stage="starter"
                 )
 
-    # Phase 2: greedy marginal-gain grants through a lazy max-heap. Heap
-    # entries carry the candidate completion times, so a grant reuses the
-    # already-evaluated time as the job's new base instead of re-deriving
-    # it -- only the two +1-task candidates of the granted job are
-    # recomputed. Stale entries are recognised by the bidder's version.
-    inf = float("inf")
+    # Phase 2: greedy marginal-gain grants through a lazy max-heap of
+    # ``(-gain, counter, bidder, version)``; an entry is stale once the
+    # bidder's version moved on. A grant reuses the bid's candidate time as
+    # the job's new base, so only the granted job's two +1-task candidates
+    # are re-scored. A re-scored bid strictly above the heap top would be
+    # popped right back, so it is granted in place (on a tie the older
+    # entry wins, so it goes through the heap).
+    heap: List[Tuple[float, int, _Bidder, int]] = []
     counter = itertools.count()
-    heap: List[Tuple[float, int, _Bidder, str, int, float, float]] = []
-
-    def push(bidder: _Bidder) -> None:
-        t_worker, t_ps = bidder.candidate_times()
-        base = bidder.base
-        # Eqn 9, term for term as in _gain_from_times.
-        gain_worker = -inf
-        gain_ps = -inf
-        if bidder.workers < bidder.max_workers:
-            if base != inf or t_worker != inf:
-                reduction = (base - t_worker) if base != inf else 0.0
-                gain_worker = reduction / bidder.dom_worker
-        if bidder.ps < bidder.max_ps:
-            if base != inf or t_ps != inf:
-                reduction = (base - t_ps) if base != inf else 0.0
-                gain_ps = reduction / bidder.dom_ps
-        if gain_worker >= gain_ps:
-            gain, kind = gain_worker * bidder.priority, "worker"
-        else:
-            gain, kind = gain_ps * bidder.priority, "ps"
-        if gain > 0 and gain != inf:
-            heapq.heappush(
-                heap,
-                (-gain, next(counter), bidder, kind, bidder.version, t_worker, t_ps),
-            )
-        elif ledger:
-            # Non-positive (or degenerate infinite) marginal gain: the job
-            # stops bidding voluntarily. Jobs at their task caps land here
-            # too (their gain is -inf by construction).
-            ledger.record_denial(
-                bidder.job_id,
-                "converged_yield",
-                workers=bidder.workers,
-                ps=bidder.ps,
-                gain=gain if gain == gain and abs(gain) != inf else None,
-            )
-
+    heappush, heappop = heapq.heappush, heapq.heappop
     for bidder in bidders:
-        bidder.base = bidder.completion_time(1, 1)
-        push(bidder)
+        speed = _safe_speed(bidder.speed, 1, 1)
+        bidder.base = bidder.work / speed if speed > 0 else _INF
+        if bidder.bid(ledger):
+            heappush(heap, (-bidder.gain, next(counter), bidder, 0))
 
     granted = 0
     stop_reason = "gains"
     grant_log: List[Grant] = []
     limit = max_total_tasks if max_total_tasks is not None else 10_000_000
-    while heap:
-        neg_gain, _, bidder, kind, version, t_worker, t_ps = heapq.heappop(heap)
-        if bidder.version != version:
-            continue  # stale entry
+    bidder = None
+    while True:
+        if bidder is None:
+            if not heap:
+                break
+            _, _, bidder, version = heappop(heap)
+            if bidder.version != version:
+                bidder = None
+                continue  # stale entry
+        kind = bidder.kind
         checks = bidder.worker_checks if kind == "worker" else bidder.ps_checks
-        if not fits(checks):
-            # Try the other task kind before giving up on this job.
-            if kind == "worker" and bidder.ps < bidder.max_ps and fits(
-                bidder.ps_checks
-            ):
-                kind, checks = "ps", bidder.ps_checks
-            elif kind == "ps" and bidder.workers < bidder.max_workers and fits(
-                bidder.worker_checks
-            ):
-                kind, checks = "worker", bidder.worker_checks
-            else:
-                # Fires at most once per job per round: the job is not
-                # re-pushed, and its version stamp kills stale entries.
-                if ledger:
-                    ledger.record_denial(
-                        bidder.job_id,
-                        "capacity_exhausted",
-                        stage="grow",
-                        workers=bidder.workers,
-                        ps=bidder.ps,
-                    )
-                continue  # job can't grow; others may still fit
-        consume(checks)
+        for i, amount, bound in checks:
+            if used[i] + amount > bound:
+                # Try the other task kind before giving up on this job.
+                if kind == "worker" and bidder.ps < bidder.max_ps and fits(
+                    bidder.ps_checks
+                ):
+                    kind, checks = "ps", bidder.ps_checks
+                elif kind == "ps" and bidder.workers < bidder.max_workers and fits(
+                    bidder.worker_checks
+                ):
+                    kind, checks = "worker", bidder.worker_checks
+                else:
+                    checks = None
+                break
+        if checks is None:
+            # Fires at most once per job per round: the job is not
+            # re-scored, and its version stamp kills stale entries.
+            if ledger:
+                ledger.record_denial(
+                    bidder.job_id,
+                    "capacity_exhausted",
+                    stage="grow",
+                    workers=bidder.workers,
+                    ps=bidder.ps,
+                )
+            bidder = None
+            continue  # job can't grow; others may still fit
+        for i, amount, _ in checks:
+            used[i] += amount
         if kind == "worker":
             bidder.workers += 1
-            bidder.base = t_worker
+            bidder.base = bidder.t_worker
         else:
             bidder.ps += 1
-            bidder.base = t_ps
+            bidder.base = bidder.t_ps
         bidder.version += 1
         granted += 1
         if ledger:
             # Peek the next-best bidder. Discarding stale entries here is
             # amortized-free: the pop loop would skip them anyway.
-            while heap and heap[0][2].version != heap[0][4]:
-                heapq.heappop(heap)
-            gain = -neg_gain
+            while heap and heap[0][2].version != heap[0][3]:
+                heappop(heap)
+            gain = bidder.gain
             runner_up = heap[0][2].job_id if heap else None
             runner_gain = -heap[0][0] if heap else None
             ledger.record_grant(
@@ -477,29 +522,26 @@ def allocate(
                 Grant(
                     job_id=bidder.job_id,
                     kind=kind,
-                    gain=-neg_gain,
+                    gain=bidder.gain,
                     allocation_after=TaskAllocation(bidder.workers, bidder.ps),
                 )
             )
         if granted >= limit:
             stop_reason = "capacity"
             break
-        push(bidder)
+        if not bidder.bid(ledger):
+            bidder = None
+        elif heap and not -bidder.gain < heap[0][0]:
+            heappush(heap, (-bidder.gain, next(counter), bidder, bidder.version))
+            bidder = None
 
     if not heap and granted < limit:
         # Heap drained: either gains went non-positive or nothing else fit.
-        smallest = min(
-            (
-                min(
-                    b.request.worker_demand.dominant_share(capacity),
-                    b.request.ps_demand.dominant_share(capacity),
-                )
-                for b in bidders
-            ),
-            default=0.0,
-        )
+        # A bidder's demands only name resources the capacity has (its
+        # starter fit), so an infinite cached share means a zero share.
+        zero_share = any(b.dom_worker == _INF or b.dom_ps == _INF for b in bidders)
         any_fits = any(fits(b.worker_checks) or fits(b.ps_checks) for b in bidders)
-        stop_reason = "gains" if any_fits and smallest > 0 else "capacity"
+        stop_reason = "gains" if any_fits and not zero_share else "capacity"
 
     if ledger:
         ledger.end_round()
@@ -516,6 +558,6 @@ def allocate(
         allocations={b.job_id: TaskAllocation(b.workers, b.ps) for b in bidders},
         starved=tuple(starved),
         stop_reason=stop_reason,
-        leftover=capacity - ResourceVector(used),
+        leftover=capacity - ResourceVector({name: used[i] for name, i in index.items()}),
         grants=tuple(grant_log),
     )

@@ -241,5 +241,13 @@ class Scheduler(abc.ABC):
         to invalidate.
         """
 
+    def notify_jobs_finished(self, job_ids: Sequence[str]) -> None:
+        """Hook: these jobs completed and will never be scheduled again.
+
+        The engine calls this at the end of the interval in which they
+        finished. The default is a no-op; schedulers holding per-job state
+        (e.g. a :class:`~repro.core.placement.PlacementCache`) drop it.
+        """
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

@@ -704,7 +704,10 @@ class Simulation:
                 self._slot(now, active, dict(decision.allocations))
             )
 
-            for job_id in [j for j, job in active.items() if job.completed]:
+            finished = [j for j, job in active.items() if job.completed]
+            if finished:
+                self.scheduler.notify_jobs_finished(finished)
+            for job_id in finished:
                 job = active.pop(job_id)
                 done[job_id] = job
                 if estimators:

@@ -16,7 +16,8 @@ from repro.cluster import Cluster, cpu_mem
 from repro.core.placement import PlacementCache, PlacementRequest
 from repro.obs import MetricsRegistry
 from repro.schedulers import JobView, make_scheduler
-from repro.workloads import make_job
+from repro.sim import SimConfig, simulate
+from repro.workloads import make_job, uniform_arrivals
 
 WORKER_DEMAND = cpu_mem(2, 4)
 PS_DEMAND = cpu_mem(1, 2)
@@ -70,6 +71,13 @@ class TestPlacementCacheUnit:
         cache.store(request(), layout)
         layout["node-1"] = (1, 0)  # mutating the caller's dict
         assert cache.lookup(request()) == {"node-0": (3, 2)}
+
+    def test_retain_drops_absent_jobs(self):
+        cache = PlacementCache()
+        for job_id in ("a", "b", "c"):
+            cache.store(request(job_id), {"node-0": (3, 2)})
+        cache.retain({"b"})
+        assert len(cache) == 1 and cache.lookup(request("b")) is not None
 
     def test_forget_job(self):
         cache = PlacementCache()
@@ -211,3 +219,31 @@ class TestSchedulerIntegration:
             alloc = decision.allocations[job_id]
             placed = [sum(c) for c in layout.values()]
             assert sum(placed) == alloc.workers + alloc.ps
+
+
+class TestCacheLifetime:
+    def test_absent_jobs_are_dropped_at_the_next_round(self):
+        scheduler = make_scheduler("optimus", placement_cache=True)
+        views = views_for()
+        scheduler.schedule(cluster(), views)
+        assert len(scheduler.placement_cache) == len(views)
+        scheduler.schedule(cluster(), views[:1])
+        assert len(scheduler.placement_cache) == 1
+        scheduler.schedule(cluster(), [])
+        assert len(scheduler.placement_cache) == 0
+
+    def test_empty_after_every_job_finished(self):
+        scheduler = make_scheduler("optimus", placement_cache=True)
+        jobs = uniform_arrivals(
+            num_jobs=6, window=1200, seed=1, models=["cnn-rand", "kaggle-ndsb", "dssm"]
+        )
+        result = simulate(
+            Cluster.homogeneous(6, cpu_mem(16, 64)),
+            scheduler,
+            jobs,
+            SimConfig(seed=3, estimator_mode="oracle"),
+        )
+        assert all(rec.completion_time is not None for rec in result.jobs.values())
+        assert scheduler.placement_cache.hits > 0
+        assert len(scheduler.placement_cache) == 0
+        assert scheduler.placement_cache  # empty, but caching is still on
