@@ -121,6 +121,9 @@ ONLINE_KEYS = (
     "average_jct_seconds",
     "jobs_completed",
     "decision_digest",
+    "speed_mape",
+    "remaining_mape",
+    "remaining_bias",
 )
 
 
@@ -194,6 +197,10 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0, estimator_mode="
     }
     if estimator_mode != "oracle":  # oracle estimates are never fitted
         scale_report["fit_seconds"] = round(registry.histogram("phase.fit").total, 4)
+        # Fleet-wide §3 estimator quality, scored by the engine's own
+        # EstimatorTelemetry against what the jobs actually achieved.
+        for key in ("speed_mape", "remaining_mape", "remaining_bias"):
+            scale_report[key] = round(registry.gauge(f"est.{key}").value, 4)
     return scale_report
 
 

@@ -15,7 +15,8 @@ two kinds of key must match the baseline exactly:
   the SHA-256 over every interval's allocation and placement
   (``SimulationResult.decision_digest``);
 * the behaviour keys in :data:`BEHAVIOUR_KEYS` (JCTs, completion and
-  event counts, the failover drill's fencing and takeover counts).
+  event counts, the online estimators' prediction-error keys, the
+  failover drill's fencing and takeover counts).
 
 A changed exact key fails the check however small the change.
 
@@ -54,7 +55,12 @@ committed baselines, and with them the exact keys, only if it:
 * keeps the paper-shape benches (Figs 6-8, 11/13, 18, 19) inside their
   EXPERIMENTS.md verdicts;
 * reports the JCT and makespan deltas on the three ``benchmarks/perf``
-  workloads (``online-fleet``, ``oracle-fleet``, ``controlplane``).
+  workloads (``online-fleet``, ``oracle-fleet``, ``controlplane``);
+* states each estimator-quality MAPE key (``online_speed_mape``,
+  ``online_remaining_mape``) before and after, and declares in
+  CHANGES.md a band each may rise by; the regenerated value must stay
+  inside it. JCT alone cannot catch a worse estimator: the paper's
+  Fig. 15 shows average JCT barely moves with prediction error.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ HIGHER_IS_BETTER_SUFFIXES = (
 #: Behaviour keys of the seeded benchmark runs (``BENCH_scale.json``,
 #: then ``BENCH_failover.json``): they only move when decisions move, so
 #: they must match the baseline exactly, like every ``*_digest`` key.
+#: The online estimators' error keys are deterministic per seed too, and
+#: a signed bias has no meaningful ratio to gate.
 BEHAVIOUR_KEYS = frozenset(
     {
         "average_jct_seconds",
@@ -86,6 +94,9 @@ BEHAVIOUR_KEYS = frozenset(
         "placement_cache_hits",
         "online_average_jct_seconds",
         "online_jobs_completed",
+        "online_speed_mape",
+        "online_remaining_mape",
+        "online_remaining_bias",
         "checker_violations",
         "fenced_writes_mid_step_deposed",
         "fenced_writes_total",

@@ -96,6 +96,9 @@ BEHAVIOUR_KEYS = [
     "placement_cache_hits",
     "online_average_jct_seconds",
     "online_jobs_completed",
+    "online_speed_mape",
+    "online_remaining_mape",
+    "online_remaining_bias",
     "checker_violations",
     "fenced_writes_mid_step_deposed",
     "fenced_writes_total",
@@ -113,6 +116,25 @@ def test_behaviour_key_change_fails(tmp_path, key):
         assert f"{key} (changed; must match exactly)" in out
     code, out = gate(tmp_path, {key: 2000}, {key: 2000})
     assert code == 0, out
+
+
+@pytest.mark.parametrize(
+    "key, before, after",
+    [
+        # A move the 30% ratio band would wave through in either direction.
+        ("online_speed_mape", 0.0685, 0.0699),
+        ("online_remaining_mape", 0.3254, 0.3197),
+        # A signed bias: crossing zero has no meaningful ratio.
+        ("online_remaining_bias", 0.1537, -0.0021),
+    ],
+)
+def test_estimator_quality_key_is_exact(tmp_path, key, before, after):
+    code, out = gate(tmp_path, {key: before}, {key: after})
+    assert code == 1, out
+    assert f"{key} (changed; must match exactly)" in out
+    code, out = gate(tmp_path, {key: before}, {key: before})
+    assert code == 0, out
+    assert f"{key}: {before!r} -> {before!r} [exact]" in out
 
 
 def test_behaviour_keys_match_the_script():
