@@ -25,6 +25,15 @@ MAX_FIT_POINTS = 400
 #: Refit at most once per this many newly added observations; between
 #: refits the cached fit is reused.
 REFIT_EVERY = 10
+#: Once :data:`REFIT_EVERY` points have arrived, refit only on evidence: a
+#: new point lying further than this (relative) from the current fit's
+#: ``predict_raw`` counts as out of band, and a refit runs when at least
+#: half of the points added since the last fit are out of band ...
+LOSS_REFIT_BAND = 0.05
+#: ... or when the history has grown by this fraction of the points the
+#: last fit saw, so a fit that stays in band is still refreshed as the
+#: job's history accumulates.
+REFIT_GROWTH = 0.5
 #: With ``reset_on_drop``, a loss below this fraction of the fitted curve
 #: counts toward a learning-rate drop ...
 DROP_RATIO = 0.85
@@ -81,6 +90,10 @@ class ConvergenceEstimator:
         self._losses: List[float] = []
         self._fit: Optional[LossCurveFit] = None
         self._points_since_fit = 0
+        #: How many of those points lie outside the fit's LOSS_REFIT_BAND.
+        self._out_of_band = 0
+        #: History length when the current fit was made.
+        self._fit_history = 0
         self._history: List[ConvergencePrediction] = []
         self._below_fit_streak = 0
         self.reset_count = 0
@@ -93,8 +106,10 @@ class ConvergenceEstimator:
     def add_observation(self, step: float, loss: float) -> None:
         """Record one raw loss observation.
 
-        With ``reset_on_drop`` enabled, observations persistently far below
-        the fitted curve signal a learning-rate cut; the pre-drop history is
+        Each point is compared with the current fit's prediction, counting
+        it toward the out-of-band evidence :meth:`fit` refits on. With
+        ``reset_on_drop`` enabled, observations persistently far below the
+        fitted curve signal a learning-rate cut; the pre-drop history is
         then discarded and fitting restarts on the new training phase (§7).
         """
         if loss <= 0:
@@ -102,12 +117,17 @@ class ConvergenceEstimator:
         self._steps.append(float(step))
         self._losses.append(float(loss))
         self._points_since_fit += 1
-        if self.reset_on_drop and self._fit is not None:
+        if self._fit is not None:
             try:
                 predicted = self._fit.predict_raw(
                     max(float(step) - self._step_offset, 0.0)
                 )
             except FittingError:
+                self._out_of_band += 1
+                return
+            if abs(loss - predicted) > LOSS_REFIT_BAND * predicted:
+                self._out_of_band += 1
+            if not self.reset_on_drop:
                 return
             if loss < DROP_RATIO * predicted:
                 self._below_fit_streak += 1
@@ -144,15 +164,29 @@ class ConvergenceEstimator:
     def can_fit(self) -> bool:
         return len(self._steps) >= MIN_POINTS
 
+    def _refit_due(self) -> bool:
+        """Do the points added since the last fit call for a new one?"""
+        if self._fit is None:
+            return True
+        new = self._points_since_fit
+        if new < REFIT_EVERY:
+            return False
+        return 2 * self._out_of_band >= new or new >= REFIT_GROWTH * self._fit_history
+
     def fit(self, force: bool = False) -> LossCurveFit:
-        """The current Eqn-1 fit, refreshing it if enough new data arrived."""
+        """The current Eqn-1 fit, refreshing it when new data calls for it.
+
+        A refit runs on ``force``, after a ``reset_on_drop`` restart, or
+        once :data:`REFIT_EVERY` new points have arrived and either half of
+        them left the fit's :data:`LOSS_REFIT_BAND` or the history grew by
+        :data:`REFIT_GROWTH`; otherwise the cached fit is reused.
+        """
         if not self.can_fit:
             raise FittingError(
                 f"need {MIN_POINTS} observations before fitting, "
                 f"have {len(self._steps)}"
             )
-        stale = self._fit is None or self._points_since_fit >= REFIT_EVERY
-        if force or stale:
+        if force or self._refit_due():
             steps, losses = subsample(
                 self._steps, self._losses, max_points=MAX_FIT_POINTS
             )
@@ -161,6 +195,8 @@ class ConvergenceEstimator:
             shifted = [s - self._step_offset for s in steps]
             self._fit = fit_loss_curve(shifted, losses)
             self._points_since_fit = 0
+            self._out_of_band = 0
+            self._fit_history = len(self._steps)
         assert self._fit is not None
         return self._fit
 

@@ -4,14 +4,15 @@ A :class:`SpeedEstimator` owns a job's ``(p, w, speed)`` sample set. Before
 the job starts, :meth:`bootstrap` runs the paper's short profiling runs on a
 small data sample (a caller-provided ``measure`` callable stands in for the
 10-second pre-runs); during training every interval's observed speed is fed
-back through :meth:`add_sample`, continuously calibrating the fit. Each
-refit hands the previous fit's support (``θ > 0``) to the NNLS solver as a
-warm start.
+back through :meth:`add_sample`, continuously calibrating the fit. A sample
+triggers a refit only when it tells the fit something new (see
+:data:`SPEED_REFIT_BAND`); each refit hands the previous fit's support
+(``θ > 0``) to the NNLS solver as a warm start.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -26,6 +27,13 @@ from repro.workloads.speed import MODE_SYNC, validate_mode
 
 #: A profiling callable: (num_ps, num_workers) -> measured steps/second.
 MeasureFn = Callable[[int, int], float]
+
+#: Every sample joins the window, but one marks the fit stale only when
+#: its ``(p, w)`` is new to the fit, when its speed lies further than this
+#: (relative) from the fit's prediction ...
+SPEED_REFIT_BAND = 0.05
+#: ... or when this many samples have been held back since the last fit.
+SPEED_REFIT_MAX = 10
 
 
 class SpeedEstimator:
@@ -57,18 +65,41 @@ class SpeedEstimator:
         self._samples: List[Tuple[int, int, float]] = []
         self._fit: Optional[SpeedModelFit] = None
         self._dirty = False
+        #: The configurations the current fit saw.
+        self._fit_configs: Set[Tuple[int, int]] = set()
+        #: Samples added since the last fit without marking it stale.
+        self._held_back = 0
 
     # -- sample management -----------------------------------------------------
     def add_sample(self, p: int, w: int, speed: float) -> None:
-        """Record one measured speed under configuration ``(p, w)``."""
+        """Record one measured speed under configuration ``(p, w)``.
+
+        The sample always joins the window; it marks the fit stale only
+        when :meth:`_moves_fit` says it would change the fit.
+        """
         if p < 1 or w < 1:
             raise FittingError(f"invalid configuration (p={p}, w={w})")
         if speed <= 0:
             raise FittingError("measured speed must be positive")
-        self._samples.append((int(p), int(w), float(speed)))
+        p, w, speed = int(p), int(w), float(speed)
+        self._samples.append((p, w, speed))
         if len(self._samples) > self.max_samples:
             self._samples.pop(0)
-        self._dirty = True
+        if not self._dirty:
+            self._dirty = self._moves_fit(p, w, speed)
+
+    def _moves_fit(self, p: int, w: int, speed: float) -> bool:
+        """Should a clean fit be refreshed for this new sample?"""
+        if self._fit is None or (p, w) not in self._fit_configs:
+            return True
+        try:
+            predicted = self._fit.predict(p, w)
+        except FittingError:
+            return True
+        if abs(predicted - speed) > SPEED_REFIT_BAND * speed:
+            return True
+        self._held_back += 1
+        return self._held_back >= SPEED_REFIT_MAX
 
     def bootstrap(
         self,
@@ -117,6 +148,8 @@ class SpeedEstimator:
                 passive=None if previous is None else np.array(previous.thetas) > 0,
             )
             self._dirty = False
+            self._fit_configs = {(p, w) for p, w, _ in self._samples}
+            self._held_back = 0
         return self._fit
 
     def predict(self, p: int, w: int) -> float:

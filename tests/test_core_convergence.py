@@ -3,7 +3,13 @@
 import pytest
 
 from repro.common.errors import FittingError
-from repro.core.convergence import ConvergenceEstimator
+from repro.core.convergence import (
+    DROP_PATIENCE,
+    LOSS_REFIT_BAND,
+    REFIT_EVERY,
+    REFIT_GROWTH,
+    ConvergenceEstimator,
+)
 from repro.workloads import MODEL_ZOO, LossEmitter
 
 
@@ -54,6 +60,84 @@ class TestFitting:
         feed(estimator, emitter, 0, 3, spe)
         first = estimator.fit()
         assert estimator.fit(force=True) is not first
+
+
+def curve(step):
+    """A noise-free Eqn-1 loss curve the fit reproduces almost exactly."""
+    return 1.0 / (0.002 * step + 0.5) + 0.1
+
+
+class TestRefitGate:
+    """A cached loss fit is refreshed only when new points call for it."""
+
+    STRIDE = 10.0
+
+    def fitted(self, points=40, reset_on_drop=False):
+        estimator = ConvergenceEstimator(
+            threshold=0.002, steps_per_epoch=100.0, reset_on_drop=reset_on_drop
+        )
+        for i in range(points):
+            estimator.add_observation(i * self.STRIDE, curve(i * self.STRIDE))
+        return estimator, estimator.fit()
+
+    def extend(self, estimator, factors):
+        """Add one point per factor, at that multiple of the curve."""
+        start = estimator.latest_step + self.STRIDE
+        for i, factor in enumerate(factors):
+            step = start + i * self.STRIDE
+            estimator.add_observation(step, factor * curve(step))
+
+    def test_in_band_history_keeps_the_cached_fit(self):
+        estimator, fit = self.fitted(points=40)
+        # 10 new points (25% growth), one a 5x spike, the rest on the curve.
+        self.extend(estimator, [1.0] * 4 + [5.0] + [1.0] * 5)
+        assert estimator.fit() is fit
+
+    def test_half_the_new_points_out_of_band_refits(self):
+        out = 1.0 + 2 * LOSS_REFIT_BAND
+        estimator, fit = self.fitted(points=40)
+        self.extend(estimator, [1.0, out] * (REFIT_EVERY // 2))
+        refit = estimator.fit()
+        assert refit is not fit
+        # The refit starts a fresh count: points on it keep it.
+        start = estimator.latest_step + self.STRIDE
+        for i in range(REFIT_EVERY):
+            step = start + i * self.STRIDE
+            estimator.add_observation(step, refit.predict_raw(step))
+        assert estimator.fit() is refit
+
+    def test_fewer_than_half_out_of_band_keeps_the_fit(self):
+        out = 1.0 + 2 * LOSS_REFIT_BAND
+        estimator, fit = self.fitted(points=40)
+        self.extend(estimator, [out] * (REFIT_EVERY // 2 - 1) + [1.0] * (REFIT_EVERY // 2 + 1))
+        assert estimator.fit() is fit
+
+    def test_too_few_new_points_never_refit(self):
+        estimator, fit = self.fitted(points=40)
+        self.extend(estimator, [2.0] * (REFIT_EVERY - 1))
+        assert estimator.fit() is fit
+
+    def test_growth_refits_an_in_band_history(self):
+        points = 2 * REFIT_EVERY
+        estimator, fit = self.fitted(points=points)
+        self.extend(estimator, [1.0] * (int(REFIT_GROWTH * points) - 1))
+        assert estimator.fit() is fit
+        self.extend(estimator, [1.0])
+        refit = estimator.fit()
+        assert refit is not fit
+        assert refit.num_points == points + int(REFIT_GROWTH * points)
+
+    def test_force_always_refits(self):
+        estimator, fit = self.fitted()
+        assert estimator.fit(force=True) is not fit
+
+    def test_drop_restart_always_refits(self):
+        estimator, fit = self.fitted(reset_on_drop=True)
+        self.extend(estimator, [0.5] * DROP_PATIENCE)
+        assert estimator.reset_count == 1
+        refit = estimator.fit()
+        assert refit is not fit
+        assert refit.num_points == DROP_PATIENCE
 
 
 class TestPrediction:

@@ -55,25 +55,25 @@ SOAK_DRILLS = {
             "expire_node": -1,
             "lease_ttl": 2.0,
         },
-        "ef668c3334383d34",
+        "84a0b359bb2d2826",
     ),
     "mid_launch_dead_node": (
         {"crash_point": "mid_launch", "expire_node": 2},
-        "fa57192b4a2a23b3",
+        "0011d5be50d216cc",
     ),
     # One step launches but never tears down: the crash fires in the drain.
     "crash_in_drain": (
         {"crash_point": "after_checkpoint", "steps": 1},
-        "e895412d31692138",
+        "7e6c4c4235ade939",
     ),
     "after_launch_first_step": (
         {"crash_point": "after_launch", "steps": 1},
-        "972c8c6b2f8a5f7d",
+        "e4bb5fa46f1dca5a",
     ),
-    "no_leases": ({"expire_node": 1, "lease_ttl": 0}, "2114914b58eea581"),
+    "no_leases": ({"expire_node": 1, "lease_ttl": 0}, "c9ad5c5fec806bc9"),
     "failover": (
         {"kind": "failover", "kills": 2, "crash_point": "mid_step_deposed"},
-        "1553d743e752d2af",
+        "51502e3f2e2dfa1d",
     ),
 }
 

@@ -99,8 +99,56 @@ def loss_series(draw):
     return values
 
 
+def windowed_remove_outliers(values, window=5, margin=0.05):
+    """The sliding-window pass ``remove_outliers`` used before its shifted
+    max/min passes, kept verbatim as their bit-for-bit reference."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    arr = np.array(values, dtype=float)
+    n = arr.size
+    if n <= 2:
+        return arr
+    span = min(window, n)
+    pad = np.full(span, np.inf)
+    prev_max = sliding_window_view(np.concatenate((-pad, arr)), span).max(axis=1)[:n]
+    next_min = sliding_window_view(np.concatenate((arr, pad)), span).min(axis=1)[1:]
+    flagged = (arr > prev_max * (1.0 + margin)) | (arr < next_min * (1.0 - margin))
+    cleaned = arr.copy()
+    for i in np.flatnonzero(flagged[1:-1]) + 1:
+        neighbours = np.concatenate((arr[max(0, i - window) : i], arr[i + 1 : i + 1 + window]))
+        cleaned[i] = neighbours.mean()
+    return cleaned
+
+
+#: Values from a small pool, so repeats are common, with both infinities.
+POOLED_VALUES = st.lists(
+    st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.5, 7.0, 1e-3, np.inf, -np.inf])
+    | st.floats(-10.0, 10.0, allow_nan=False),
+    max_size=40,
+)
+
+
+class TestShiftedPassesMatchWindows:
+    """The shifted max/min passes reproduce the sliding-window pass bit for
+    bit, ties and infinities included (where the per-point loop's mean is
+    not a meaningful reference)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=POOLED_VALUES | loss_series(),
+        window=st.integers(1, 12),
+        margin=st.sampled_from([0.0, 0.05, 0.2]),
+    )
+    def test_bit_identical(self, values, window, margin):
+        with np.errstate(invalid="ignore"):  # inf - inf in a neighbour mean
+            expected = windowed_remove_outliers(values, window, margin)
+            got = remove_outliers(values, window, margin)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestWindowedOutlierPass:
-    """The sliding-window pass must reproduce the per-point loop exactly."""
+    """The vectorised pass must reproduce the per-point loop exactly."""
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -4,9 +4,11 @@ Two contracts are pinned here:
 
 * The event heap that drives :class:`~repro.sim.engine.Simulation` must
   keep every per-job outcome (completion time, steps, crash-induced
-  restarts) on the digests recorded when a fixed-tick loop still ran
-  beside it and the two were checked bit-identical, across seeds and with
-  faults injected. Completion probes keep their recorded counts.
+  restarts) on its recorded digests, across seeds and with faults
+  injected. They were first recorded when a fixed-tick loop still ran
+  beside it and the two were checked bit-identical, and re-recorded when
+  the online §3 estimators began refitting on evidence, a deliberate
+  decision change. Completion probes keep their recorded counts.
 * The heap-based incremental ``allocate`` (candidate completion times
   carried in heap entries) must grant exactly what
   a from-scratch reference -- same greedy control flow, but recomputing
@@ -83,19 +85,19 @@ def fingerprint_digest(result):
 
 
 class TestEngineEquivalence:
-    """The event loop reproduces, bit for bit, the outcomes the former
-    fixed-tick and event-heap engines agreed on when the digests below were
-    recorded (before the tick loop was removed)."""
+    """The event loop reproduces, bit for bit, the recorded outcomes below.
+    The former fixed-tick and event-heap engines agreed on the first
+    recording; the refit-on-evidence estimators re-recorded them."""
 
     FAULT_FREE_DIGESTS = {
-        3: "dbfd9dee92182e4d2af6af216a524e6296cf7bde6f1e936f3b2f29a4aeb71232",
-        11: "398fd0431cbb71c607583d58b734ee7d4bdffefce70fab583160bbfa802a2a8a",
-        42: "dcd889222806e0faa3eaf4005d3bcac44506569f22e1efe0939dd194c731f1e0",
+        3: "0a273e1e05466dfc761ca2abe6c229b86f559436f3ef42ab3da2e2792f5db23e",
+        11: "cc8590f13ff1173f7de6dd6d198bed56d1b4f4456f506adf4d563b770afebfe4",
+        42: "ef4c517e7a4d3ba1730d99424797430d341ec35fc3d3dfe0d7a7c399c29b85d0",
     }
     FAULT_DIGESTS = {
-        3: "79b032b5694ddd8c5931a949e7d259973a91fea2059a9ba6d37ffd13f894b633",
-        11: "1d86dbf2e362cb750472a28673b6644b06afae0a3a9df2f4a287375168d3c3d9",
-        42: "9678d5f5a86e8fd4b2699597236dbcc724edac2363656fc3cad3763259d9d0d5",
+        3: "4aea01320e1739d0851309092f4cf7101b8e545ef6ea34539731c928252213d3",
+        11: "7edf46621d95b63d1c9ca884b53a359f2f66bfc2652933f9b0ee555e07fa17a0",
+        42: "60efd98e452c30a3390d0c3340045d6c3c85b0d069d649ad6c2403fca09ada0f",
     }
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -150,18 +152,17 @@ class TestEngineEquivalence:
         assert counters["sim.events_schedule"] > 0
 
     def test_completion_probe_counts_are_pinned(self):
-        """Seed 3 with a registry attached: the probe outcomes recorded
-        before the tick loop was removed."""
+        """Seed 3 with a registry attached: the recorded probe outcomes."""
         metrics = MetricsRegistry()
         run_one(3, metrics=metrics)
         counters = metrics.snapshot()["counters"]
-        assert counters["sim.events_completion_confirmed"] == 5
-        assert counters["sim.events_completion_missed"] == 4
-        assert counters["sim.events_completion_stale"] == 74
+        assert counters["sim.events_completion_confirmed"] == 7
+        assert counters["sim.events_completion_missed"] == 2
+        assert counters["sim.events_completion_stale"] == 73
         summary = probe_accuracy(metrics)
-        assert (summary["confirmed"], summary["missed"], summary["stale"]) == (5, 4, 74)
+        assert (summary["confirmed"], summary["missed"], summary["stale"]) == (7, 2, 73)
         assert 0.0 <= summary["accuracy"] <= 1.0
-        assert summary["accuracy"] == 5 / 9
+        assert summary["accuracy"] == 7 / 9
 
     def test_probe_accuracy_without_telemetry(self):
         assert probe_accuracy(MetricsRegistry())["accuracy"] == 0.0
