@@ -13,7 +13,7 @@ import numpy as np
 
 from bench_common import paper_workload, report
 from repro.cluster import Cluster, cpu_mem
-from repro.schedulers import OptimusScheduler
+from repro.schedulers import make_scheduler
 from repro.sim import SimConfig, simulate
 
 FACTORS = (1.0, 0.95, 0.8)
@@ -29,7 +29,7 @@ def run_sweep():
             cluster = Cluster.homogeneous(13, cpu_mem(16, 80))
             result = simulate(
                 cluster,
-                OptimusScheduler(priority_factor=factor),
+                make_scheduler("optimus", priority_factor=factor),
                 jobs,
                 SimConfig(seed=seed),
             )

@@ -13,7 +13,7 @@ eager baseline.
 
 from bench_common import paper_workload, report
 from repro.cluster import Cluster, cpu_mem
-from repro.schedulers import OptimusScheduler
+from repro.schedulers import make_scheduler
 from repro.sim import SimConfig, simulate
 
 THRESHOLDS = (0.0, 1.0, 3.0, 10.0)
@@ -26,7 +26,7 @@ def run_sweep():
         cluster = Cluster.homogeneous(13, cpu_mem(16, 80))
         result = simulate(
             cluster,
-            OptimusScheduler(rescale_threshold=threshold),
+            make_scheduler("optimus", rescale_threshold=threshold),
             jobs,
             SimConfig(seed=7),
         )

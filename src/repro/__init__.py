@@ -15,7 +15,9 @@ Package map
 -----------
 * :mod:`repro.core` -- the paper's contribution: convergence/speed
   estimators, marginal-gain allocation, task placement.
-* :mod:`repro.schedulers` -- Optimus, DRF, Tetris, FIFO and ablation hybrids.
+* :mod:`repro.schedulers` -- Optimus, its baselines and the ablation
+  hybrids, each built by ``make_scheduler(name)`` from an allocation and a
+  placement policy table.
 * :mod:`repro.sim` -- the discrete-time cluster simulator and experiment
   harness.
 * :mod:`repro.workloads` -- Table-1 model zoo, loss/speed ground truth, job
@@ -53,13 +55,9 @@ from repro.fitting import fit_loss_curve, fit_speed_model, nnls
 from repro.obs import JsonlTracer, MetricsRegistry, RecordingTracer
 from repro.ps import mxnet_partition, paa_partition
 from repro.schedulers import (
-    DRFScheduler,
-    FIFOScheduler,
     JobView,
-    OptimusScheduler,
     Scheduler,
     SchedulingDecision,
-    TetrisScheduler,
     make_scheduler,
 )
 from repro.sim import (
@@ -124,10 +122,6 @@ __all__ = [
     "Scheduler",
     "JobView",
     "SchedulingDecision",
-    "OptimusScheduler",
-    "DRFScheduler",
-    "TetrisScheduler",
-    "FIFOScheduler",
     "make_scheduler",
     # sim
     "SimConfig",

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``arena`` -- race registered policies head-to-head on one seeded trace.
+* ``arena`` -- race scheduler policies head-to-head on one seeded trace.
 * ``simulate`` -- run one full simulation and dump metrics (optionally JSON).
 * ``scalability`` -- time a scheduling round at cluster scale (Fig 12).
 * ``trace`` -- summarise a JSONL event trace written by ``--trace-out``.
@@ -637,7 +637,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
         )
     except ReproError as exc:
         # Unknown policy names / bad baselines are usage errors, not
-        # tracebacks: the registry's message already lists alternatives.
+        # tracebacks: make_scheduler's message already lists alternatives.
         print(f"arena: {exc}", file=sys.stderr)
         return 2
     if args.trace_out:
@@ -717,11 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_cmd.add_argument(
         "--scheduler",
-        "--policy",
-        dest="scheduler",
-        default=None,
-        help="registered policy name or '<alloc>+<place>' hybrid "
-        "(default honours REPRO_POLICY, else optimus)",
+        default="optimus",
+        help="preset name or '<alloc>+<place>' hybrid",
     )
     simulate_cmd.add_argument("--jobs", type=int, default=9)
     simulate_cmd.add_argument("--servers", type=int, default=13)
@@ -968,12 +965,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     arena = sub.add_parser(
         "arena",
-        help="race registered policies head-to-head on one seeded trace",
+        help="race scheduler policies head-to-head on one seeded trace",
     )
     arena.add_argument(
         "--policies",
         default="optimus,goodput,oasis,drf",
-        help="comma-separated registered policy names (or alloc+place hybrids)",
+        help="comma-separated preset names (or alloc+place hybrids)",
     )
     arena.add_argument(
         "--baseline",

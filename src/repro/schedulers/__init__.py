@@ -1,25 +1,23 @@
 """Schedulers: Optimus, the paper's baselines and ablation hybrids.
 
-Importing this package loads every built-in policy module, so all of them
-self-register with :mod:`repro.schedulers.registry` -- resolve them by name
-through :func:`make_scheduler` / :func:`resolve_scheduler`.
+Every named scheduler is a :class:`CompositeScheduler`: an allocation half
+from :data:`ALLOCATION_POLICIES` paired with a placement half from
+:data:`PLACEMENT_POLICIES`. :func:`make_scheduler` builds one from a preset
+name (:data:`PRESETS`) or an ``"<allocation>+<placement>"`` spec. A policy
+outside these tables plugs in as a :class:`Scheduler` instance.
 """
 
 from repro.schedulers.base import JobView, Scheduler, SchedulingDecision
 from repro.schedulers.composite import (
-    CompositeScheduler,
-    DRFScheduler,
-    FIFOScheduler,
-    OptimusScheduler,
-    SRTFScheduler,
-    TetrisScheduler,
-    make_scheduler,
-)
-from repro.schedulers.goodput import GoodputScheduler, goodput_allocation
-from repro.schedulers.oasis import OasisScheduler, oasis_allocation
-from repro.schedulers.policies import (
     ALLOCATION_POLICIES,
     PLACEMENT_POLICIES,
+    PRESETS,
+    CompositeScheduler,
+    make_scheduler,
+)
+from repro.schedulers.goodput import goodput_allocation
+from repro.schedulers.oasis import oasis_allocation
+from repro.schedulers.policies import (
     drf_allocation,
     fifo_allocation,
     optimus_allocation,
@@ -29,48 +27,16 @@ from repro.schedulers.policies import (
     srtf_allocation,
     tetris_allocation,
 )
-from repro.schedulers.registry import (
-    ALLOCATION_REGISTRY,
-    PLACEMENT_REGISTRY,
-    POLICY_ENV_VAR,
-    SCHEDULER_REGISTRY,
-    available_policies,
-    default_policy,
-    register_allocation,
-    register_placement,
-    register_scheduler,
-    resolve_allocation,
-    resolve_placement,
-    resolve_scheduler,
-)
 
 __all__ = [
     "Scheduler",
     "JobView",
     "SchedulingDecision",
     "CompositeScheduler",
-    "OptimusScheduler",
-    "DRFScheduler",
-    "TetrisScheduler",
-    "FIFOScheduler",
-    "SRTFScheduler",
-    "GoodputScheduler",
-    "OasisScheduler",
     "make_scheduler",
     "ALLOCATION_POLICIES",
     "PLACEMENT_POLICIES",
-    "ALLOCATION_REGISTRY",
-    "PLACEMENT_REGISTRY",
-    "SCHEDULER_REGISTRY",
-    "POLICY_ENV_VAR",
-    "available_policies",
-    "default_policy",
-    "register_scheduler",
-    "register_allocation",
-    "register_placement",
-    "resolve_scheduler",
-    "resolve_allocation",
-    "resolve_placement",
+    "PRESETS",
     "optimus_allocation",
     "drf_allocation",
     "tetris_allocation",

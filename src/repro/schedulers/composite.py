@@ -1,32 +1,86 @@
 """Composing an allocation policy and a placement policy into a scheduler.
 
-:class:`CompositeScheduler` is the workhorse behind every named scheduler in
-this library, including the §6.4 ablation hybrids ("Optimus allocation +
-DRF placement" and friends).
+:class:`CompositeScheduler` is the one scheduler class behind every name in
+this library. :func:`make_scheduler` builds one from a name: a preset such
+as ``"optimus"`` or ``"drf"``, or an ``"<allocation>+<placement>"`` hybrid
+for the §6.4 ablations ("DRF allocation + Optimus placement" and friends).
+Names resolve through three plain tables: :data:`ALLOCATION_POLICIES`,
+:data:`PLACEMENT_POLICIES` and :data:`PRESETS`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+import inspect
+from typing import Callable, Dict, Sequence
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector
 from repro.common.errors import SchedulingError
 from repro.core.allocation import TaskAllocation
 from repro.core.placement import (
     JobLayout,
     PlacementCache,
     PlacementRequest,
+    PlacementResult,
     _apply_layout,
 )
 from repro.obs.ledger import active_ledger
 from repro.schedulers.base import JobView, Scheduler, SchedulingDecision
-from repro.schedulers.policies import ALLOCATION_POLICIES, PLACEMENT_POLICIES  # noqa: F401
-from repro.schedulers.registry import (
-    register_scheduler,
-    resolve_allocation,
-    resolve_placement,
-    resolve_scheduler,
+from repro.schedulers.goodput import goodput_allocation
+from repro.schedulers.oasis import oasis_allocation
+from repro.schedulers.policies import (
+    drf_allocation,
+    fifo_allocation,
+    optimus_allocation,
+    optimus_placement,
+    pack_placement,
+    spread_placement,
+    srtf_allocation,
+    tetris_allocation,
 )
+
+AllocationPolicy = Callable[[Sequence[JobView], ResourceVector], Dict[str, TaskAllocation]]
+PlacementPolicy = Callable[[Cluster, Sequence[PlacementRequest]], PlacementResult]
+
+#: Allocation halves: ``(jobs, capacity, **kwargs) -> {job_id: TaskAllocation}``.
+ALLOCATION_POLICIES: Dict[str, AllocationPolicy] = {
+    "optimus": optimus_allocation,
+    "drf": drf_allocation,
+    "tetris": tetris_allocation,
+    "fifo": fifo_allocation,
+    "srtf": srtf_allocation,
+    "goodput": goodput_allocation,
+    "oasis": oasis_allocation,
+}
+
+#: Placement halves: ``(cluster, requests) -> PlacementResult``.
+PLACEMENT_POLICIES: Dict[str, PlacementPolicy] = {
+    "optimus": optimus_placement,
+    "spread": spread_placement,
+    "pack": pack_placement,
+}
+
+#: Short names for the paper's scheduler and its baselines, as hybrid specs.
+PRESETS: Dict[str, str] = {
+    "optimus": "optimus+optimus",  # §4.1 allocation + §4.2 placement
+    "drf": "drf+spread",  # fairness baseline, Kubernetes-default placement
+    "tetris": "tetris+pack",
+    "fifo": "fifo+spread",  # static requests in arrival order
+    "srtf": "srtf+optimus",
+    "goodput": "goodput+optimus",  # Pollux-style
+    # OASiS-style admission; packing leaves contiguous room for later,
+    # higher-priced arrivals.
+    "oasis": "oasis+pack",
+}
+
+
+def _lookup(kind: str, table: Dict[str, Callable], name: str) -> Callable:
+    try:
+        return table[name]
+    except KeyError:
+        raise SchedulingError(
+            f"unknown {kind} policy {name!r}; available: {', '.join(sorted(table))}"
+        ) from None
 
 
 class CompositeScheduler(Scheduler):
@@ -35,12 +89,18 @@ class CompositeScheduler(Scheduler):
     Parameters
     ----------
     allocation:
-        One of ``"optimus"``, ``"drf"``, ``"tetris"``, ``"fifo"``.
+        A key of :data:`ALLOCATION_POLICIES`.
     placement:
-        One of ``"optimus"``, ``"spread"``, ``"pack"``.
+        A key of :data:`PLACEMENT_POLICIES`.
+    rescale_threshold:
+        §7 cost-aware rescaling: a running job moves to a new allocation
+        only when its estimated completion-time saving exceeds this many
+        times its rescale cost (0 disables the check).
     allocation_kwargs:
         Extra keyword arguments forwarded to the allocation policy (e.g.
-        ``priority_factor`` for Optimus).
+        ``priority_factor`` for ``optimus`` and ``goodput``, the §4.1
+        young-job downgrade; ``price_range`` for ``oasis``). A keyword the
+        policy does not accept raises :class:`SchedulingError`.
     placement_cache:
         Opt-in layout memo (see :class:`~repro.core.placement.PlacementCache`):
         jobs whose allocation did not change between scheduling points
@@ -61,10 +121,16 @@ class CompositeScheduler(Scheduler):
     ):
         if rescale_threshold < 0:
             raise SchedulingError("rescale_threshold must be non-negative")
-        # Registry lookups raise SchedulingError listing the registered
-        # names on a miss -- an unknown policy never surfaces as a KeyError.
-        self.allocation_policy = resolve_allocation(allocation)
-        self.placement_policy = resolve_placement(placement)
+        self.allocation_policy = _lookup("allocation", ALLOCATION_POLICIES, allocation)
+        self.placement_policy = _lookup("placement", PLACEMENT_POLICIES, placement)
+        # Fail at construction, not mid-run, on a keyword the policy lacks.
+        accepted = list(inspect.signature(self.allocation_policy).parameters)[2:]
+        unknown = sorted(set(allocation_kwargs) - set(accepted))
+        if unknown:
+            raise SchedulingError(
+                f"allocation policy {allocation!r} takes no keyword "
+                f"{', '.join(unknown)}; it accepts: {', '.join(accepted) or '(none)'}"
+            )
         self.allocation_kwargs = allocation_kwargs
         self.rescale_threshold = float(rescale_threshold)
         self.placement_cache = PlacementCache() if placement_cache else None
@@ -274,71 +340,23 @@ class CompositeScheduler(Scheduler):
         return decision
 
 
-@register_scheduler("optimus")
-class OptimusScheduler(CompositeScheduler):
-    """The paper's scheduler: §4.1 allocation + §4.2 placement.
+def make_scheduler(name: str, **kwargs) -> CompositeScheduler:
+    """Build the scheduler named by a preset or an ``alloc+place`` spec.
 
-    ``priority_factor`` < 1 enables the end-of-§4.1 downgrade of jobs whose
-    predictions are still unreliable (the paper evaluates 0.95 in §6.3).
+    Presets map through :data:`PRESETS`; any other name is parsed as
+    ``"<allocation>+<placement>"``, e.g. ``"drf+optimus"`` is DRF
+    allocation with Optimus placement (Fig. 18). *kwargs* go to
+    :class:`CompositeScheduler`. Unknown names raise
+    :class:`SchedulingError` listing every preset and half.
     """
-
-    def __init__(
-        self,
-        priority_factor: float = 1.0,
-        rescale_threshold: float = 0.0,
-        placement_cache: bool = False,
-        name: str = "optimus",
-    ):
-        super().__init__(
-            "optimus",
-            "optimus",
-            name=name,
-            rescale_threshold=rescale_threshold,
-            placement_cache=placement_cache,
-            priority_factor=priority_factor,
+    spec = PRESETS.get(name, name)
+    if "+" not in spec:
+        raise SchedulingError(
+            f"unknown scheduler policy {name!r}; available: "
+            f"{', '.join(sorted(PRESETS))} "
+            f"(or an '<allocation>+<placement>' hybrid from "
+            f"allocations {', '.join(sorted(ALLOCATION_POLICIES))} and "
+            f"placements {', '.join(sorted(PLACEMENT_POLICIES))})"
         )
-
-
-@register_scheduler("drf")
-class DRFScheduler(CompositeScheduler):
-    """The fairness baseline: DRF allocation + load-balanced placement."""
-
-    def __init__(self, name: str = "drf"):
-        super().__init__("drf", "spread", name=name)
-
-
-@register_scheduler("tetris")
-class TetrisScheduler(CompositeScheduler):
-    """The Tetris baseline: packing+SRTF allocation + packing placement."""
-
-    def __init__(self, name: str = "tetris"):
-        super().__init__("tetris", "pack", name=name)
-
-
-@register_scheduler("fifo")
-class FIFOScheduler(CompositeScheduler):
-    """Static first-in-first-out scheduling of the owners' fixed requests."""
-
-    def __init__(self, name: str = "fifo"):
-        super().__init__("fifo", "spread", name=name)
-
-
-@register_scheduler("srtf")
-class SRTFScheduler(CompositeScheduler):
-    """Shortest-remaining-time-first allocation + Optimus placement."""
-
-    def __init__(self, name: str = "srtf"):
-        super().__init__("srtf", "optimus", name=name)
-
-
-def make_scheduler(name: Optional[str] = None, **kwargs) -> Scheduler:
-    """Build a scheduler from a registered name or an ``alloc+place`` spec.
-
-    A thin alias of :func:`repro.schedulers.registry.resolve_scheduler`:
-    registered presets (``optimus``, ``drf``, ``tetris``, ``fifo``,
-    ``srtf``, ``goodput``, ``oasis``, ...) resolve directly; any other name
-    is parsed as ``"<allocation>+<placement>"`` for ablation hybrids, e.g.
-    ``"drf+optimus"`` is DRF allocation with Optimus placement (Fig. 18).
-    ``None`` honours the ``REPRO_POLICY`` environment variable.
-    """
-    return resolve_scheduler(name, **kwargs)
+    allocation, placement = spec.split("+", 1)
+    return CompositeScheduler(allocation, placement, name=name, **kwargs)

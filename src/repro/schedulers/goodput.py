@@ -49,9 +49,7 @@ from repro.core.allocation import (
     allocate,
 )
 from repro.schedulers.base import MIN_STATISTICAL_EFFICIENCY, JobView
-from repro.schedulers.composite import CompositeScheduler
 from repro.schedulers.policies import YOUNG_JOB_OBSERVATIONS
-from repro.schedulers.registry import register_allocation, register_scheduler
 from repro.workloads.speed import MODE_SYNC
 
 
@@ -125,26 +123,3 @@ def goodput_allocation(
     result = allocate(requests, capacity)
     return dict(result.allocations)
 
-
-register_allocation("goodput", goodput_allocation)
-
-
-@register_scheduler("goodput")
-class GoodputScheduler(CompositeScheduler):
-    """Pollux-style goodput allocation + Optimus placement."""
-
-    def __init__(
-        self,
-        priority_factor: float = 1.0,
-        rescale_threshold: float = 0.0,
-        placement_cache: bool = False,
-        name: str = "goodput",
-    ):
-        super().__init__(
-            "goodput",
-            "optimus",
-            name=name,
-            rescale_threshold=rescale_threshold,
-            placement_cache=placement_cache,
-            priority_factor=priority_factor,
-        )

@@ -40,8 +40,6 @@ from repro.cluster.resources import ResourceVector
 from repro.core.allocation import TaskAllocation
 from repro.obs.ledger import active_ledger
 from repro.schedulers.base import JobView
-from repro.schedulers.composite import CompositeScheduler
-from repro.schedulers.registry import register_allocation, register_scheduler
 
 #: Ratio between the highest and lowest resource price: ``price_range = U/L``.
 #: Larger values admit more aggressively on an empty cluster and clamp
@@ -182,26 +180,3 @@ def oasis_allocation(
         ledger.end_round()
     return allocations
 
-
-register_allocation("oasis", oasis_allocation)
-
-
-@register_scheduler("oasis")
-class OasisScheduler(CompositeScheduler):
-    """OASiS-style online admission + packing placement.
-
-    Packing placement suits the admission model: granted bundles are packed
-    densely so later (higher-priced) arrivals still find contiguous room.
-    """
-
-    def __init__(
-        self,
-        price_range: float = DEFAULT_PRICE_RANGE,
-        name: str = "oasis",
-    ):
-        super().__init__(
-            "oasis",
-            "pack",
-            name=name,
-            price_range=price_range,
-        )

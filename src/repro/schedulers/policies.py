@@ -20,6 +20,8 @@ Placement policies (``cluster, requests -> PlacementResult``):
   (Kubernetes' default behaviour, used by the DRF baseline).
 * ``pack``    -- Tetris-style: each task to the server whose remaining
   resources align best with the task (minimises fragmentation).
+
+:mod:`repro.schedulers.composite` maps these names to the functions.
 """
 
 from __future__ import annotations
@@ -42,15 +44,6 @@ from repro.core.placement import (
     place_jobs,
 )
 from repro.schedulers.base import JobView
-from repro.schedulers.registry import (
-    ALLOCATION_REGISTRY,
-    PLACEMENT_REGISTRY,
-    register_allocation,
-    register_placement,
-)
-
-AllocationPolicy = Callable[[Sequence[JobView], ResourceVector], Dict[str, TaskAllocation]]
-PlacementPolicy = Callable[[Cluster, Sequence[PlacementRequest]], PlacementResult]
 
 #: Young-job cut-off for the §4.1 priority downgrade: jobs with fewer
 #: observations than this get their marginal gain scaled by the factor.
@@ -336,18 +329,3 @@ def pack_placement(
 
     return _place_task_by(cluster, requests, choose)
 
-
-register_allocation("optimus", optimus_allocation)
-register_allocation("drf", drf_allocation)
-register_allocation("tetris", tetris_allocation)
-register_allocation("fifo", fifo_allocation)
-register_allocation("srtf", srtf_allocation)
-
-register_placement("optimus", optimus_placement)
-register_placement("spread", spread_placement)
-register_placement("pack", pack_placement)
-
-#: Back-compat aliases of the live registries (policies registered later --
-#: e.g. goodput, oasis -- appear here too; see repro.schedulers.registry).
-ALLOCATION_POLICIES: Dict[str, AllocationPolicy] = ALLOCATION_REGISTRY
-PLACEMENT_POLICIES: Dict[str, PlacementPolicy] = PLACEMENT_REGISTRY

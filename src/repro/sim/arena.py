@@ -1,6 +1,6 @@
 """The scheduler arena: head-to-head policy runs on one seeded trace.
 
-Every policy registered with :mod:`repro.schedulers.registry` consumes the
+Every scheduler :func:`repro.schedulers.make_scheduler` builds consumes the
 same observation surface and emits the same action surface, so any set of
 them can be raced on an identical workload: same job specs, same cluster
 shape, same seed. :func:`run_arena` does exactly that and produces an
@@ -205,10 +205,11 @@ def run_arena(
 
     Every policy gets a fresh cluster from *cluster_factory* and the same
     job specs under the same :class:`SimConfig` seed, so metric differences
-    are attributable to the policy alone. Policy names are resolved through
-    the scheduler registry (including ``"alloc+place"`` hybrids); unknown
-    names raise :class:`~repro.common.errors.SchedulingError` before any
-    simulation runs.
+    are attributable to the policy alone. Policy names are resolved by
+    :func:`~repro.schedulers.make_scheduler` (presets and ``"alloc+place"``
+    hybrids); unknown names raise
+    :class:`~repro.common.errors.SchedulingError` before any simulation
+    runs.
 
     ``trace_prefix`` turns on divergence attribution: each policy's run is
     traced (decision ledger included) to ``<prefix>.<policy>.jsonl`` with a

@@ -201,9 +201,7 @@ class Simulation:
         timeseries: Optional[TimeSeriesDB] = None,
     ):
         if isinstance(scheduler, str):
-            # Resolve registered policy names (and "alloc+place" hybrids)
-            # through the scheduler registry; importing the package loads
-            # every built-in policy module first.
+            # A preset name or an "alloc+place" hybrid.
             from repro.schedulers import make_scheduler
 
             scheduler = make_scheduler(scheduler)

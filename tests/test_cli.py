@@ -26,10 +26,6 @@ class TestParser:
         assert args.seed == 42
         assert args.baseline is None
 
-    def test_simulate_policy_alias(self):
-        args = build_parser().parse_args(["simulate", "--policy", "goodput"])
-        assert args.scheduler == "goodput"
-
 
 class TestCommands:
     def test_models(self, capsys):

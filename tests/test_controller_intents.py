@@ -18,7 +18,7 @@ from repro.k8s import (
     JobTarget,
 )
 from repro.k8s.kvstore import KVStore
-from repro.schedulers import JobView, OptimusScheduler
+from repro.schedulers import JobView, make_scheduler
 from repro.workloads import StepTimeModel, make_job
 
 DEMAND = cpu_mem(2, 4)
@@ -96,7 +96,7 @@ class TestManagedSet:
         assert api.store.revision == revision
 
     def test_loop_persists_managed_set_before_reconcile(self, api):
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         loop.step([view("a")], progress={"a": 0.0})
         assert loop.controller.managed_jobs() == {"a"}
         # Job leaves the view -> torn down and durably released.
@@ -180,7 +180,7 @@ class TestGracefulTeardownDegradation:
         assert api.list_pods(job_id="a") == []
 
     def test_drain_degrades_gracefully(self, api, monkeypatch):
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         loop.step([view("a"), view("b")], progress={"a": 0.0, "b": 0.0})
 
         real_put = api.store.put

@@ -10,7 +10,7 @@ from repro.cluster import cpu_mem
 from repro.common.errors import SchedulingError
 from repro.deploy import ControlLoop, cluster_from_api
 from repro.k8s import APIServer, PodSpec
-from repro.schedulers import JobView, OptimusScheduler
+from repro.schedulers import CompositeScheduler, JobView, make_scheduler
 from repro.workloads import StepTimeModel, make_job
 
 
@@ -74,7 +74,7 @@ class TestClusterFromApi:
 
 class TestControlLoop:
     def test_step_creates_pods(self, api):
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         report = loop.step([view("a")])
         assert report.reconcile.pods_created >= 2
         alloc = report.decision.allocations["a"]
@@ -82,7 +82,7 @@ class TestControlLoop:
         assert report.paused == ()
 
     def test_steps_are_idempotent_when_decision_stable(self, api):
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         views = [view("a")]
         first = loop.step(views)
         second = loop.step(views)
@@ -102,7 +102,7 @@ class TestControlLoop:
                 )
             )
             api.bind_pod(name, f"n{i}")
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         report = loop.step([view("a")])
         # The tenant's pods survive and capacity is honoured.
         assert len(api.list_pods(job_id="tenant")) == 3
@@ -110,7 +110,7 @@ class TestControlLoop:
             assert node.allocated.fits_within(node.capacity)
 
     def test_finished_job_torn_down_with_checkpoint(self, api):
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         loop.step([view("a")], progress={"a": 10.0})
         report = loop.step([], progress={"a": 999.0})
         assert report.reconcile.pods_deleted >= 2
@@ -120,12 +120,12 @@ class TestControlLoop:
     def test_departing_job_frees_its_capacity_in_the_same_step(self, api):
         seen = []
 
-        class Spy(OptimusScheduler):
+        class Spy(CompositeScheduler):
             def schedule(self, cluster, jobs):
                 seen.append(cluster.total_available)
                 return super().schedule(cluster, jobs)
 
-        loop = ControlLoop(api, Spy())
+        loop = ControlLoop(api, Spy("optimus", "optimus"))
         loop.step([view("a")])
         assert api.list_pods(job_id="a")
         # "a" left the views: this step tears its pods down, so the
@@ -137,7 +137,7 @@ class TestControlLoop:
         assert len(api.list_pods(job_id="b")) == report.decision.allocations["b"].total
 
     def test_rescale_cycles_through_checkpoint(self, api):
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         loop.step([view("a", remaining=100_000)], progress={"a": 0.0})
         # Much less work left: Optimus shrinks the job.
         report = loop.step([view("a", remaining=10.0)], progress={"a": 5_000.0})
@@ -146,14 +146,14 @@ class TestControlLoop:
             assert report.reconcile.checkpoints_restored >= 1
 
     def test_drain(self, api):
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         loop.step([view("a"), view("b")])
         loop.drain(progress={"a": 1.0, "b": 2.0})
         assert api.list_pods() == []
         assert loop.controller.load_checkpoint("b") == 2.0
 
     def test_two_jobs_share_cluster(self, api):
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         report = loop.step([view("a"), view("b", model="cnn-rand")])
         assert set(report.decision.allocations) == {"a", "b"}
         per_job = {}
@@ -220,7 +220,7 @@ class TestPinnedReconcileBehaviour:
         api = APIServer()
         for i in range(8):
             api.register_node(f"n{i}", cpu_mem(16, 64))
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         specs = {
             f"j{i}": make_job(model, mode="sync", job_id=f"j{i}")
             for i, model in enumerate(PINNED_MODELS)

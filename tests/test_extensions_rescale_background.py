@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import Cluster, cpu_mem
 from repro.common.errors import ConfigurationError, SchedulingError
 from repro.core.allocation import TaskAllocation
-from repro.schedulers import JobView, OptimusScheduler, make_scheduler
+from repro.schedulers import JobView, make_scheduler
 from repro.sim import SimConfig, simulate
 from repro.sim.background import (
     MAX_BACKGROUND_FRACTION,
@@ -37,7 +37,7 @@ class TestRescaleHysteresis:
         return Cluster.homogeneous(6, cpu_mem(16, 64))
 
     def test_threshold_zero_always_rescales(self, cluster):
-        scheduler = OptimusScheduler(rescale_threshold=0.0)
+        scheduler = make_scheduler("optimus", rescale_threshold=0.0)
         current = TaskAllocation(2, 2)
         decision = scheduler.schedule(
             cluster, [view("j", current=current, rescale_cost=1e9)]
@@ -46,7 +46,7 @@ class TestRescaleHysteresis:
         assert decision.allocations["j"] != current
 
     def test_huge_cost_freezes_allocation(self, cluster):
-        scheduler = OptimusScheduler(rescale_threshold=1.0)
+        scheduler = make_scheduler("optimus", rescale_threshold=1.0)
         current = TaskAllocation(2, 2)
         decision = scheduler.schedule(
             cluster, [view("j", current=current, rescale_cost=1e9)]
@@ -54,7 +54,7 @@ class TestRescaleHysteresis:
         assert decision.allocations["j"] == current
 
     def test_worthwhile_move_still_happens(self, cluster):
-        scheduler = OptimusScheduler(rescale_threshold=1.0)
+        scheduler = make_scheduler("optimus", rescale_threshold=1.0)
         current = TaskAllocation(1, 1)  # far below optimal for a big job
         decision = scheduler.schedule(
             cluster,
@@ -64,7 +64,7 @@ class TestRescaleHysteresis:
         assert decision.allocations["j"].total > 2
 
     def test_new_jobs_unaffected(self, cluster):
-        scheduler = OptimusScheduler(rescale_threshold=5.0)
+        scheduler = make_scheduler("optimus", rescale_threshold=5.0)
         decision = scheduler.schedule(
             cluster, [view("j", rescale_cost=1e9)]  # current = (0, 0)
         )
@@ -72,14 +72,14 @@ class TestRescaleHysteresis:
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(SchedulingError):
-            OptimusScheduler(rescale_threshold=-1.0)
+            make_scheduler("optimus", rescale_threshold=-1.0)
 
     def test_hysteresis_reduces_scalings_in_simulation(self):
         jobs = uniform_arrivals(num_jobs=5, window=3000, seed=3)
 
         def total_scalings(threshold):
             cluster = Cluster.homogeneous(13, cpu_mem(16, 80))
-            scheduler = OptimusScheduler(rescale_threshold=threshold)
+            scheduler = make_scheduler("optimus", rescale_threshold=threshold)
             result = simulate(
                 cluster, scheduler, jobs, SimConfig(seed=7, estimator_mode="oracle")
             )

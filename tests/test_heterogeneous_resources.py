@@ -10,7 +10,7 @@ resource types. These tests exercise that path end to end.
 from repro.cluster import Cluster, ResourceVector, Server, cpu_mem
 from repro.core.allocation import AllocationRequest, allocate
 from repro.core.placement import PlacementRequest, place_jobs
-from repro.schedulers import JobView, OptimusScheduler
+from repro.schedulers import JobView, make_scheduler
 from repro.sim import SimConfig, simulate
 from repro.workloads import StepTimeModel, make_job
 
@@ -114,7 +114,7 @@ class TestEndToEnd:
         ]
         result = simulate(
             mixed_cluster(),
-            OptimusScheduler(),
+            make_scheduler("optimus"),
             jobs,
             SimConfig(seed=3, estimator_mode="oracle"),
         )
@@ -130,7 +130,7 @@ class TestEndToEnd:
             observation_count=100,
         )
         cluster = mixed_cluster()
-        decision = OptimusScheduler().schedule(cluster, [view])
+        decision = make_scheduler("optimus").schedule(cluster, [view])
         alloc = decision.allocations["j"]
         assert 1 <= alloc.workers <= 8
         decision.validate()

@@ -20,7 +20,7 @@ from repro.k8s import APIServer, JobController, JobTarget, LeaderElection, PodSp
 from repro.k8s.api import NODE_PREFIX, POD_PREFIX
 from repro.k8s.kvstore import KVStore
 from repro.k8s.objects import NodeInfo, pod_name
-from repro.schedulers import JobView, OptimusScheduler
+from repro.schedulers import JobView, make_scheduler
 from repro.workloads import StepTimeModel, make_job
 
 NODES = ("n0", "n1", "n2")
@@ -288,7 +288,7 @@ class TestReadCost:
         api = APIServer(store)
         for i in range(4):
             api.register_node(f"n{i}", cpu_mem(16, 64), lease_ttl=3.0, now=0.0)
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         specs = [
             make_job(model, mode="sync", job_id=f"j{i}")
             for i, model in enumerate(["seq2seq", "resnet-50", "dssm"])

@@ -8,7 +8,7 @@ from repro.common.errors import KVStoreError, SchedulingError
 from repro.deploy import ControlLoop, cluster_from_api
 from repro.k8s import PHASE_FAILED, APIServer, PodSpec
 from repro.obs import EVENT_NODE_CORDONED, MetricsRegistry, RecordingTracer
-from repro.schedulers import JobView, OptimusScheduler
+from repro.schedulers import JobView, make_scheduler
 from repro.workloads import StepTimeModel, make_job
 
 TTL = 2.0
@@ -81,7 +81,7 @@ class TestNodeHeartbeats:
         tracer = RecordingTracer()
         api = leased_api(1)
         metrics = MetricsRegistry()
-        loop = ControlLoop(api, OptimusScheduler(), tracer=tracer, metrics=metrics)
+        loop = ControlLoop(api, make_scheduler("optimus"), tracer=tracer, metrics=metrics)
         loop.heartbeat("n0", now=1.0)  # plain renewal
         loop.heartbeat("n0", now=9.0)  # lapsed-unswept: regrant
         renewed = [e["event"] for e in tracer.events]
@@ -153,7 +153,7 @@ class TestDeadNodeDrill:
         api = leased_api(3)
         tracer = RecordingTracer()
         metrics = MetricsRegistry()
-        loop = ControlLoop(api, OptimusScheduler(), tracer=tracer, metrics=metrics)
+        loop = ControlLoop(api, make_scheduler("optimus"), tracer=tracer, metrics=metrics)
         views = [view("a")]
 
         loop.step(views, progress={"a": 0.0})  # step 0: placed somewhere
@@ -214,7 +214,7 @@ class TestLeaselessDefaultUnchanged:
         api.register_node("n0", cpu_mem(16, 64))
         api.register_node("n1", cpu_mem(16, 64))
         revision = api.store.revision
-        loop = ControlLoop(api, OptimusScheduler())
+        loop = ControlLoop(api, make_scheduler("optimus"))
         assert loop.sweep_node_leases() == ()
         assert api.store.revision == revision
 
@@ -223,7 +223,7 @@ class TestLeaselessDefaultUnchanged:
             api = APIServer()
             for i in range(3):
                 api.register_node(f"n{i}", cpu_mem(16, 64))
-            loop = ControlLoop(api, OptimusScheduler())
+            loop = ControlLoop(api, make_scheduler("optimus"))
             for step in range(lease_free_steps):
                 loop.step([view("a")], progress={"a": step * 500.0})
             return api.store.list_prefix("/")

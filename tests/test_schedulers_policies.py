@@ -188,6 +188,6 @@ class TestSRTFAllocation:
         assert used * 5 <= CAPACITY.get("cpu") + 1e-9
 
     def test_registered_in_policy_table(self):
-        from repro.schedulers.policies import ALLOCATION_POLICIES
+        from repro.schedulers import ALLOCATION_POLICIES
 
         assert "srtf" in ALLOCATION_POLICIES

@@ -381,7 +381,7 @@ class TestSoakCli:
             main(
                 [
                     "simulate",
-                    "--policy", "optimus",
+                    "--scheduler", "optimus",
                     "--jobs", "3",
                     "--seed", "4",
                     "--trace-out", str(trace),
