@@ -59,7 +59,7 @@ def run_headtohead_gate(policies=ARENA_POLICIES, seed=ARENA_SEED):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Race the registered policies head-to-head on one trace."
+        description="Race the named policies head-to-head on one trace."
     )
     parser.add_argument(
         "--policies",
