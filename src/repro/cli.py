@@ -163,13 +163,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cluster = Cluster.homogeneous(args.servers, cpu_mem(16, 80))
 
     tracer = JsonlTracer(args.trace_out) if args.trace_out else None
-    needs_registry = bool(args.metrics_out or args.timeseries_out)
-    registry = MetricsRegistry() if needs_registry else None
-    timeseries = None
-    if args.timeseries_out:
-        from repro.obs import TimeSeriesDB
-
-        timeseries = TimeSeriesDB()
+    registry = MetricsRegistry() if args.metrics_out else None
     try:
         result = simulate(
             cluster,
@@ -178,7 +172,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             config,
             tracer=tracer,
             metrics=registry,
-            timeseries=timeseries,
         )
     finally:
         if tracer is not None:
@@ -200,10 +193,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with open(args.metrics_out, "w") as handle:
             json.dump(registry.snapshot(), handle, indent=2, sort_keys=True)
         print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
-    if timeseries is not None:
-        with open(args.timeseries_out, "w") as handle:
-            json.dump(timeseries.snapshot(), handle, indent=2, sort_keys=True)
-        print(f"wrote timeseries to {args.timeseries_out}", file=sys.stderr)
 
     if args.json:
         print(result_to_json(result))
@@ -800,12 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-out",
         metavar="FILE",
         help="write a JSON metrics-registry dump (repro.obs) to FILE",
-    )
-    simulate_cmd.add_argument(
-        "--timeseries-out",
-        metavar="FILE",
-        help="write a per-interval metrics-history dump (repro.obs "
-        "ring-buffer TSDB) to FILE",
     )
     simulate_cmd.set_defaults(func=_cmd_simulate)
 

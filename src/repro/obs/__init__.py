@@ -22,8 +22,10 @@ dependencies:
 * :mod:`repro.obs.registry` -- counters, gauges and fixed-bucket
   histograms (with interpolated quantiles); off by default via
   :data:`NULL_REGISTRY`.
-* :mod:`repro.obs.timeseries` -- a fixed-memory ring-buffer TSDB sampling
-  the registry once per interval, downsampling on overflow.
+* :mod:`repro.obs.fold` -- one pass over a trace into per-job and
+  per-run state (allocations, arrival/completion, estimator error as
+  ``SignalStats``, control-plane and decision-ledger tallies); the trace
+  readers below render from it.
 * :mod:`repro.obs.export` -- Prometheus text exposition and the
   ``repro top`` cluster/job table.
 * :mod:`repro.obs.summarize` -- turn a trace file into per-phase time
@@ -51,7 +53,6 @@ from repro.obs.export import (
     EXPORT_QUANTILES,
     render_prometheus,
     render_top,
-    top_state,
 )
 from repro.obs.explain import (
     describe_decision,
@@ -60,6 +61,7 @@ from repro.obs.explain import (
     format_trace_diff,
     trace_diff,
 )
+from repro.obs.fold import JobFold, TraceFold, fold_trace
 from repro.obs.ledger import (
     DENIAL_REASONS,
     LEDGER_MODES,
@@ -92,23 +94,12 @@ from repro.obs.spans import (
     span_tracer_for,
 )
 from repro.obs.summarize import (
-    control_plane_summary,
-    decision_summary,
-    decision_timeline,
-    estimator_report,
-    event_type_counts,
-    job_timelines,
     phase_breakdown,
     render_span_flame,
     span_flame,
     span_tree,
     summarize_file,
     summarize_trace,
-)
-from repro.obs.timeseries import (
-    DEFAULT_CAPACITY,
-    TimeSeries,
-    TimeSeriesDB,
 )
 from repro.obs.tracer import (
     EVENT_ALLOCATION_DECIDED,
@@ -228,26 +219,19 @@ __all__ = [
     "install_registry",
     "use_registry",
     "quantile_from_snapshot",
-    # timeseries
-    "TimeSeries",
-    "TimeSeriesDB",
-    "DEFAULT_CAPACITY",
+    # fold
+    "fold_trace",
+    "TraceFold",
+    "JobFold",
     # export
     "render_prometheus",
     "render_top",
-    "top_state",
     "EXPORT_QUANTILES",
     # summarize
     "phase_breakdown",
-    "job_timelines",
-    "decision_timeline",
-    "decision_summary",
-    "control_plane_summary",
     "summarize_trace",
     "summarize_file",
-    "event_type_counts",
     "span_tree",
     "span_flame",
     "render_span_flame",
-    "estimator_report",
 ]

@@ -13,7 +13,8 @@ This module makes *prediction error* a first-class, exportable signal:
   (mean absolute percentage error) and signed bias;
 * every resolved pair is emitted as an ``estimator_sample`` trace event,
   so MAPE can be recomputed offline from a trace file alone
-  (:func:`repro.obs.summarize.estimator_report`, ``repro top``);
+  (:func:`repro.obs.fold.fold_trace`, read by ``repro trace`` and
+  ``repro top``);
 * a windowed **drift detector** watches the recent absolute errors per
   job and signal; when the windowed mean exceeds the configured band it
   emits an ``estimator_drift`` trace event and bumps the

@@ -16,13 +16,15 @@ writes (plus the outcome events that were already on the stream):
 Both work on any trace: full-fidelity ledgers give decision-level
 alignment; traces without ``decision`` events (sampled or off) fall back
 to the coarser ``allocation_decided`` outcomes, so the tools degrade
-rather than fail.
+rather than fail. Both read each job's events, arrival and completion
+from one :func:`~repro.obs.fold.fold_trace` pass.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.fold import JobFold, fold_trace
 from repro.obs.tracer import (
     EVENT_ALLOCATION_DECIDED,
     EVENT_DECISION,
@@ -31,8 +33,9 @@ from repro.obs.tracer import (
     EVENT_JOB_RESCALED,
 )
 
-#: Events :func:`explain_job` renders, beyond ``decision`` itself.
-_OUTCOME_EVENTS = (
+#: Events :func:`explain_job` replays.
+_REPLAYED_EVENTS = (
+    EVENT_DECISION,
     EVENT_JOB_ARRIVED,
     EVENT_ALLOCATION_DECIDED,
     EVENT_JOB_RESCALED,
@@ -102,15 +105,15 @@ def describe_decision(event: Dict) -> str:
     return f"decision ({kind})"
 
 
-def _describe_outcome(event: Dict) -> str:
+def describe_outcome(event: Dict) -> str:
+    """The ``job_arrived`` / ``job_rescaled`` / ``job_completed`` line.
+
+    ``repro trace`` and ``repro explain`` print these three alike; any
+    other event renders as its type.
+    """
     kind = event.get("event")
     if kind == EVENT_JOB_ARRIVED:
         return f"arrived ({event.get('model', '?')}, {event.get('mode', '?')})"
-    if kind == EVENT_ALLOCATION_DECIDED:
-        return (
-            f"interval allocation: w={event.get('workers')} "
-            f"ps={event.get('ps')}"
-        )
     if kind == EVENT_JOB_RESCALED:
         old = event.get("old", ["?", "?"])
         new = event.get("new", ["?", "?"])
@@ -121,6 +124,26 @@ def _describe_outcome(event: Dict) -> str:
     if kind == EVENT_JOB_COMPLETED:
         return f"completed after {event.get('steps', 0):.0f} steps"
     return str(kind)
+
+
+def _describe(event: Dict) -> str:
+    """One line for any of :data:`_REPLAYED_EVENTS`."""
+    kind = event.get("event")
+    if kind == EVENT_DECISION:
+        return describe_decision(event)
+    if kind == EVENT_ALLOCATION_DECIDED:
+        return (
+            f"interval allocation: w={event.get('workers')} "
+            f"ps={event.get('ps')}"
+        )
+    return describe_outcome(event)
+
+
+def _replayed(job: Optional[JobFold]) -> List[Dict]:
+    """The job's :data:`_REPLAYED_EVENTS`, in stream order."""
+    if job is None:
+        return []
+    return [e for e in job.events if e.get("event") in _REPLAYED_EVENTS]
 
 
 def explain_job(
@@ -135,12 +158,7 @@ def explain_job(
     lines: List[str] = []
     final: Optional[Tuple] = None
     saw_decisions = False
-    for event in events:
-        if not isinstance(event, dict) or event.get("job_id") != job_id:
-            continue
-        kind = event.get("event")
-        if kind not in _OUTCOME_EVENTS and kind != EVENT_DECISION:
-            continue
+    for event in _replayed(fold_trace(events).jobs.get(job_id)):
         time = event.get("time")
         if at is not None and isinstance(time, (int, float)) and time > at:
             continue
@@ -148,12 +166,11 @@ def explain_job(
             stamp = f"t={float(time):>10.0f}"
         except (TypeError, ValueError):
             stamp = "t=         ?"
+        lines.append(f"{stamp}  {_describe(event)}")
+        kind = event.get("event")
         if kind == EVENT_DECISION:
             saw_decisions = True
-            lines.append(f"{stamp}  {describe_decision(event)}")
-        else:
-            lines.append(f"{stamp}  {_describe_outcome(event)}")
-        if kind == EVENT_ALLOCATION_DECIDED:
+        elif kind == EVENT_ALLOCATION_DECIDED:
             final = (event.get("workers"), event.get("ps"))
     if lines:
         header = f"{job_id}: {len(lines)} decision/outcome events"
@@ -173,19 +190,24 @@ def explain_job(
 def explain_trace(
     events: Sequence[Dict], job_id: str, at: Optional[float] = None
 ) -> str:
-    """:func:`explain_job` joined into one printable block."""
+    """:func:`explain_job` joined into one printable block.
+
+    A job the trace never mentions gets the list of jobs it does; a job
+    whose first event comes after ``at`` gets that event's time.
+    """
     lines = explain_job(events, job_id, at=at)
-    if not lines:
-        known = sorted(
-            {
-                e.get("job_id")
-                for e in events
-                if isinstance(e, dict) and e.get("job_id")
-            }
+    if lines:
+        return "\n".join(lines)
+    fold = fold_trace(events)
+    replayed = _replayed(fold.jobs.get(job_id))
+    if replayed:
+        return (
+            f"no events for job {job_id!r} at or before t={at:.0f}; "
+            f"its first event is at t={float(replayed[0]['time']):.0f}"
         )
-        preview = ", ".join(known[:8]) + (" ..." if len(known) > 8 else "")
-        return f"no events for job {job_id!r}; jobs in trace: {preview or '(none)'}"
-    return "\n".join(lines)
+    known = sorted(fold.jobs)
+    preview = ", ".join(known[:8]) + (" ..." if len(known) > 8 else "")
+    return f"no events for job {job_id!r}; jobs in trace: {preview or '(none)'}"
 
 
 # -- cross-run diff --------------------------------------------------------------
@@ -228,36 +250,43 @@ def _decision_key(event: Dict) -> Optional[Tuple]:
     return None
 
 
-def _job_sequences(
-    events: Sequence[Dict],
-) -> Tuple[Dict[str, List[Tuple[float, Tuple, Dict]]], Dict[str, float], Dict[str, float]]:
-    """Per-job decision sequences plus arrival and completion times."""
-    sequences: Dict[str, List[Tuple[float, Tuple, Dict]]] = {}
-    arrivals: Dict[str, float] = {}
-    completions: Dict[str, float] = {}
-    for event in events:
-        if not isinstance(event, dict):
-            continue
-        job_id = event.get("job_id")
-        if not job_id:
-            continue
-        kind = event.get("event")
-        if kind == EVENT_JOB_ARRIVED:
-            arrivals[job_id] = float(
-                event.get("arrival_time", event.get("time", 0.0)) or 0.0
-            )
-        elif kind == EVENT_JOB_COMPLETED:
-            finish = event.get("completion_time", event.get("time"))
-            if isinstance(finish, (int, float)):
-                completions[job_id] = float(finish)
+def _sequence(job: Optional[JobFold]) -> List[Tuple[float, Tuple, Dict]]:
+    """``(time, key, event)`` per decision of one job, in stream order."""
+    sequence = []
+    for event in job.events if job is not None else ():
         key = _decision_key(event)
         if key is not None:
             try:
                 time = float(event.get("time", 0.0))
             except (TypeError, ValueError):
                 time = 0.0
-            sequences.setdefault(job_id, []).append((time, key, event))
-    return sequences, arrivals, completions
+            sequence.append((time, key, event))
+    return sequence
+
+
+def _side(sequence: List[Tuple], index: int) -> Tuple[Optional[float], Optional[str]]:
+    """``(time, text)`` of one run's decision *index*; ``None``s once it ran out."""
+    if index >= len(sequence):
+        return None, None
+    time, _, event = sequence[index]
+    return time, _describe(event)
+
+
+def _divergence(a: List[Tuple], b: List[Tuple]) -> Optional[Dict]:
+    """Where two decision sequences first disagree, or ``None`` if they never do."""
+    for index in range(max(len(a), len(b))):
+        if index < len(a) and index < len(b) and a[index][1] == b[index][1]:
+            continue
+        time_a, text_a = _side(a, index)
+        time_b, text_b = _side(b, index)
+        return {"index": index, "time_a": time_a, "time_b": time_b, "a": text_a, "b": text_b}
+    return None
+
+
+def _jct(job: Optional[JobFold]) -> Optional[float]:
+    if job is None or job.arrival is None or job.completion is None:
+        return None
+    return job.completion - job.arrival
 
 
 def trace_diff(
@@ -283,60 +312,17 @@ def trace_diff(
          "divergent_jobs": int, "compared_jobs": int,
          "total_jct_delta": float}
     """
-    seq_a, arr_a, done_a = _job_sequences(events_a)
-    seq_b, arr_b, done_b = _job_sequences(events_b)
+    fold_a = fold_trace(events_a).jobs
+    fold_b = fold_trace(events_b).jobs
     jobs: Dict[str, Dict] = {}
     divergent = 0
     total_delta = 0.0
-    for job_id in sorted(set(seq_a) | set(seq_b) | set(arr_a) | set(arr_b)):
-        a = seq_a.get(job_id, [])
-        b = seq_b.get(job_id, [])
-        divergence: Optional[Dict] = None
-        for index in range(max(len(a), len(b))):
-            if index >= len(a):
-                time_b, _, ev_b = b[index]
-                divergence = {
-                    "index": index,
-                    "time_a": None,
-                    "time_b": time_b,
-                    "a": None,
-                    "b": describe_decision(ev_b)
-                    if ev_b.get("event") == EVENT_DECISION
-                    else _describe_outcome(ev_b),
-                }
-                break
-            if index >= len(b):
-                time_a, _, ev_a = a[index]
-                divergence = {
-                    "index": index,
-                    "time_a": time_a,
-                    "time_b": None,
-                    "a": describe_decision(ev_a)
-                    if ev_a.get("event") == EVENT_DECISION
-                    else _describe_outcome(ev_a),
-                    "b": None,
-                }
-                break
-            time_a, key_a, ev_a = a[index]
-            time_b, key_b, ev_b = b[index]
-            if key_a != key_b:
-                divergence = {
-                    "index": index,
-                    "time_a": time_a,
-                    "time_b": time_b,
-                    "a": describe_decision(ev_a)
-                    if ev_a.get("event") == EVENT_DECISION
-                    else _describe_outcome(ev_a),
-                    "b": describe_decision(ev_b)
-                    if ev_b.get("event") == EVENT_DECISION
-                    else _describe_outcome(ev_b),
-                }
-                break
-        jct_a = jct_b = jct_delta = None
-        if job_id in done_a and job_id in arr_a:
-            jct_a = done_a[job_id] - arr_a[job_id]
-        if job_id in done_b and job_id in arr_b:
-            jct_b = done_b[job_id] - arr_b[job_id]
+    for job_id in sorted(set(fold_a) | set(fold_b)):
+        divergence = _divergence(
+            _sequence(fold_a.get(job_id)), _sequence(fold_b.get(job_id))
+        )
+        jct_a, jct_b = _jct(fold_a.get(job_id)), _jct(fold_b.get(job_id))
+        jct_delta = None
         if jct_a is not None and jct_b is not None:
             jct_delta = jct_b - jct_a
             total_delta += jct_delta

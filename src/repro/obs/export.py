@@ -9,8 +9,9 @@ Two operator-facing views of the same registry snapshot:
   ``_sum``/``_count``, and interpolated p50/p95/p99 estimates as a
   ``*_quantile{quantile=...}`` gauge family. The ``repro metrics-export``
   subcommand wraps it so any scrape-based stack can ingest a run.
-* :func:`render_top` reconstructs cluster/job state from a JSONL trace
-  (optionally joined with a metrics snapshot) and renders the
+* :func:`render_top` renders the cluster/job state
+  :func:`~repro.obs.fold.fold_trace` folds from a JSONL trace
+  (optionally joined with a metrics snapshot) as the
   ``repro top`` table: active jobs, allocations, estimator MAPE per job,
   drift flags -- the "what is my cluster doing and can I trust its
   predictions" screen.
@@ -24,22 +25,14 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.estimators import SIGNAL_REMAINING, SIGNAL_SPEED
+from repro.obs.estimators import SIGNAL_REMAINING, SIGNAL_SPEED, SignalStats
+from repro.obs.fold import fold_trace
 from repro.obs.registry import MetricsRegistry, quantile_from_snapshot
 from repro.obs.tracer import (
-    EVENT_ALLOCATION_DECIDED,
     EVENT_CHECKPOINT_RECORDED,
-    EVENT_DECISION,
-    EVENT_ESTIMATOR_DRIFT,
-    EVENT_ESTIMATOR_SAMPLE,
-    EVENT_INTERVAL_TICK,
-    EVENT_JOB_ARRIVED,
-    EVENT_JOB_COMPLETED,
-    EVENT_JOB_RESTARTED,
     EVENT_LEADER_DEPOSED,
     EVENT_LEADER_ELECTED,
     EVENT_NODE_LEASE_REGRANT,
-    EVENT_PLACEMENT_DECIDED,
     EVENT_WRITE_FENCED,
 )
 from repro.report import format_table
@@ -130,124 +123,19 @@ def render_prometheus(
 # -- the ``repro top`` table ----------------------------------------------------
 
 
-class _JobRow:
-    """Mutable per-job state accumulated while scanning a trace."""
-
-    __slots__ = (
-        "job_id", "model", "mode", "state", "workers", "ps", "servers",
-        "speed_errors", "remaining_errors", "drift_signals", "restarts",
-    )
-
-    def __init__(self, job_id: str):
-        self.job_id = job_id
-        self.model = "?"
-        self.mode = "?"
-        self.state = "pending"
-        self.workers = 0
-        self.ps = 0
-        self.servers = 0
-        self.speed_errors: List[float] = []
-        self.remaining_errors: List[float] = []
-        self.drift_signals: set = set()
-        self.restarts = 0
+#: How ``repro top`` names each :data:`~repro.obs.fold.CONTROL_PLANE_EVENTS` tally.
+_CONTROL_LABELS = {
+    EVENT_LEADER_ELECTED: "elections",
+    EVENT_LEADER_DEPOSED: "depositions",
+    EVENT_WRITE_FENCED: "fenced_writes",
+    EVENT_NODE_LEASE_REGRANT: "lease_regrants",
+    EVENT_CHECKPOINT_RECORDED: "checkpoints",
+}
 
 
-def top_state(events: Sequence[Dict]) -> Dict:
-    """Fold a trace into the cluster/job state ``repro top`` renders.
-
-    Returns ``{"jobs": {job_id: _JobRow}, "ticks": n, "last_tick": dict,
-    "last_time": t, "drift_events": n}``; the scan is a single pass, so
-    re-rendering on a live file is cheap.
-    """
-    jobs: Dict[str, _JobRow] = {}
-    ticks = 0
-    last_tick: Dict = {}
-    last_time = 0.0
-    drift_events = 0
-    control = {
-        "elections": 0,
-        "depositions": 0,
-        "fenced_writes": 0,
-        "lease_regrants": 0,
-        "checkpoints": 0,
-    }
-    decisions = {"grants": 0, "denials": 0, "placements": 0, "shrinks": 0}
-
-    def row(job_id: str) -> _JobRow:
-        if job_id not in jobs:
-            jobs[job_id] = _JobRow(job_id)
-        return jobs[job_id]
-
-    for event in events:
-        kind = event.get("event")
-        last_time = max(last_time, float(event.get("time", 0.0)))
-        if kind == EVENT_JOB_ARRIVED:
-            entry = row(event["job_id"])
-            entry.model = event.get("model", "?")
-            entry.mode = event.get("mode", "?")
-            entry.state = "active"
-        elif kind == EVENT_ALLOCATION_DECIDED:
-            entry = row(event["job_id"])
-            entry.workers = event.get("workers", 0)
-            entry.ps = event.get("ps", 0)
-            if entry.state != "done":
-                entry.state = "running"
-        elif kind == EVENT_PLACEMENT_DECIDED:
-            row(event["job_id"]).servers = event.get("servers", 0)
-        elif kind == EVENT_JOB_COMPLETED:
-            row(event["job_id"]).state = "done"
-        elif kind == EVENT_JOB_RESTARTED:
-            row(event["job_id"]).restarts += 1
-        elif kind == EVENT_ESTIMATOR_SAMPLE:
-            entry = row(event["job_id"])
-            error = float(event.get("error", 0.0))
-            if event.get("signal") == SIGNAL_SPEED:
-                entry.speed_errors.append(error)
-            elif event.get("signal") == SIGNAL_REMAINING:
-                entry.remaining_errors.append(error)
-        elif kind == EVENT_ESTIMATOR_DRIFT:
-            drift_events += 1
-            row(event["job_id"]).drift_signals.add(
-                event.get("signal", "?")
-            )
-        elif kind == EVENT_INTERVAL_TICK:
-            ticks += 1
-            last_tick = event
-        elif kind == EVENT_LEADER_ELECTED:
-            control["elections"] += 1
-        elif kind == EVENT_LEADER_DEPOSED:
-            control["depositions"] += 1
-        elif kind == EVENT_WRITE_FENCED:
-            control["fenced_writes"] += 1
-        elif kind == EVENT_NODE_LEASE_REGRANT:
-            control["lease_regrants"] += 1
-        elif kind == EVENT_CHECKPOINT_RECORDED:
-            control["checkpoints"] += 1
-        elif kind == EVENT_DECISION:
-            dkind = event.get("kind")
-            if dkind == "grant":
-                decisions["grants"] += 1
-            elif dkind == "deny":
-                decisions["denials"] += 1
-            elif dkind == "placement":
-                decisions["placements"] += 1
-            elif dkind == "shrink":
-                decisions["shrinks"] += 1
-    return {
-        "jobs": jobs,
-        "ticks": ticks,
-        "last_tick": last_tick,
-        "last_time": last_time,
-        "drift_events": drift_events,
-        "control": control,
-        "decisions": decisions,
-    }
-
-
-def _mape(errors: Sequence[float]) -> Optional[float]:
-    if not errors:
-        return None
-    return sum(abs(e) for e in errors) / len(errors)
+def _percent(stats: SignalStats, empty: str, unit: str = "") -> str:
+    """MAPE as a percentage, or *empty* when the signal has no samples."""
+    return f"{100 * stats.mape:.1f}{unit}" if stats.count else empty
 
 
 def render_top(
@@ -256,13 +144,13 @@ def render_top(
     max_jobs: Optional[int] = None,
 ) -> str:
     """The ``repro top`` screen: cluster header plus the per-job table."""
-    state = top_state(events)
-    jobs = state["jobs"]
-    tick = state["last_tick"]
+    fold = fold_trace(events)
+    jobs = fold.jobs
+    tick = fold.last_tick
 
     lines: List[str] = []
     lines.append(
-        f"cluster: {state['ticks']} interval(s), last t={state['last_time']:.0f}, "
+        f"cluster: {fold.ticks} interval(s), last t={fold.last_time:.0f}, "
         f"jobs {len(jobs)} "
         f"(running {sum(1 for j in jobs.values() if j.state == 'running')}, "
         f"done {sum(1 for j in jobs.values() if j.state == 'done')})"
@@ -273,30 +161,28 @@ def render_top(
             f"active={tick.get('active_jobs', '?')} "
             f"pending={tick.get('pending_jobs', tick.get('paused_jobs', '?'))}"
         )
-    fleet_speed = _mape(
-        [e for j in jobs.values() for e in j.speed_errors]
-    )
-    fleet_remaining = _mape(
-        [e for j in jobs.values() for e in j.remaining_errors]
-    )
-    if fleet_speed is not None or fleet_remaining is not None:
-        speed_text = "n/a" if fleet_speed is None else f"{100 * fleet_speed:.1f}%"
-        remaining_text = (
-            "n/a" if fleet_remaining is None else f"{100 * fleet_remaining:.1f}%"
-        )
+    speed, remaining = fold.fleet[SIGNAL_SPEED], fold.fleet[SIGNAL_REMAINING]
+    if speed.count or remaining.count:
         lines.append(
-            f"estimators: speed MAPE {speed_text}, loss-curve MAPE "
-            f"{remaining_text}, drift events {state['drift_events']}"
+            f"estimators: speed MAPE {_percent(speed, 'n/a', '%')}, loss-curve "
+            f"MAPE {_percent(remaining, 'n/a', '%')}, drift events {len(fold.drift)}"
         )
-    control = state["control"]
+    control = fold.control
     if any(control.values()):
         lines.append(
             "control plane: "
             + ", ".join(
-                f"{name}={count}" for name, count in control.items() if count
+                f"{_CONTROL_LABELS[kind]}={count}"
+                for kind, count in control.items()
+                if count
             )
         )
-    decisions = state["decisions"]
+    decisions = {
+        "grants": sum(fold.grants.values()),
+        "denials": sum(fold.denials.values()),
+        "placements": sum(fold.placements.values()),
+        "shrinks": fold.shrinks,
+    }
     if any(decisions.values()):
         lines.append(
             "decision ledger: "
@@ -324,8 +210,6 @@ def render_top(
     if max_jobs is not None:
         ordered = ordered[:max_jobs]
     for entry in ordered:
-        speed_mape = _mape(entry.speed_errors)
-        remaining_mape = _mape(entry.remaining_errors)
         rows.append(
             [
                 entry.job_id,
@@ -334,8 +218,8 @@ def render_top(
                 entry.workers,
                 entry.ps,
                 entry.servers,
-                "-" if speed_mape is None else f"{100 * speed_mape:.1f}",
-                "-" if remaining_mape is None else f"{100 * remaining_mape:.1f}",
+                _percent(entry.estimators[SIGNAL_SPEED], "-"),
+                _percent(entry.estimators[SIGNAL_REMAINING], "-"),
                 ",".join(sorted(entry.drift_signals)) or "-",
                 entry.restarts,
             ]

@@ -17,7 +17,7 @@ Several views are produced from the same event stream:
     (``interval > schedule > allocate``) aggregated across the whole
     trace.
 * **Estimator report** -- per-job and fleet speed / loss-curve MAPE and
-  bias recomputed from ``estimator_sample`` events, plus drift events.
+  bias from ``estimator_sample`` events, plus drift events.
 * **Decision ledger summary** -- grant / denial / placement-provenance
   tallies from ``decision`` events (the per-job replay lives in
   ``repro explain``).
@@ -25,6 +25,9 @@ Several views are produced from the same event stream:
   writes, node-lease re-grants and checkpoints from the HA events.
 * **Per-job decision timeline** -- every ``job_*`` / ``*_decided`` event
   for each job in order.
+
+The last four views render from one :func:`~repro.obs.fold.fold_trace`
+pass, the same fold ``repro top`` and ``repro explain`` read.
 
 File reads are *tolerant*: corrupt or truncated JSONL lines are skipped
 and counted, never fatal -- a trace cut short by a crash is precisely the
@@ -42,26 +45,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter as TallyCounter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.obs.explain import describe_decision
+from repro.obs.explain import describe_outcome
+from repro.obs.fold import fold_trace
 from repro.obs.tracer import (
     EVENT_ALLOCATION_DECIDED,
     EVENT_CHECKPOINT_RECORDED,
     EVENT_DECISION,
     EVENT_ESTIMATOR_DRIFT,
     EVENT_ESTIMATOR_SAMPLE,
-    EVENT_JOB_ARRIVED,
-    EVENT_JOB_COMPLETED,
-    EVENT_JOB_RESCALED,
     EVENT_LEADER_DEPOSED,
     EVENT_LEADER_ELECTED,
     EVENT_NODE_LEASE_REGRANT,
     EVENT_PLACEMENT_DECIDED,
     EVENT_SPAN,
     EVENT_STRAGGLER_DETECTED,
-    EVENT_TYPES,
     EVENT_WRITE_FENCED,
     read_trace,
     read_trace_tolerant,
@@ -81,26 +80,6 @@ def _percentile(values: Sequence[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
     return ordered[lo] + (ordered[hi] - ordered[lo]) * frac
-
-
-def event_type_counts(
-    events: Sequence[Dict],
-) -> Tuple[Dict[str, int], Dict[str, int]]:
-    """Tally events by type: ``(known, unknown)`` dicts.
-
-    Event types this build does not declare in ``EVENT_TYPES`` (a trace
-    written by a newer build, or hand-edited) land in the second dict
-    rather than being dropped or crashing the report.
-    """
-    known: TallyCounter = TallyCounter()
-    unknown: TallyCounter = TallyCounter()
-    for event in events:
-        kind = event.get("event")
-        if kind in EVENT_TYPES:
-            known[kind] += 1
-        else:
-            unknown[str(kind)] += 1
-    return dict(known), dict(unknown)
 
 
 # -- span tree: phase breakdown and flame ------------------------------------------
@@ -227,150 +206,29 @@ def render_span_flame(events: Sequence[Dict]) -> List[str]:
     return lines
 
 
-# -- estimator quality ----------------------------------------------------------
+#: Per-job events the timeline leaves out: they carry ``job_id`` but belong
+#: to the flame-tree / estimator / ledger views, and at many per interval
+#: they would drown the timeline (``repro explain`` replays the ledger).
+_OFF_TIMELINE = (EVENT_SPAN, EVENT_ESTIMATOR_SAMPLE, EVENT_DECISION)
 
-
-def estimator_report(events: Sequence[Dict]) -> Dict:
-    """Recompute estimator quality from ``estimator_sample`` events alone.
-
-    Returns ``{"fleet": {signal: {count, mape, bias}}, "jobs": {job_id:
-    {signal: {...}}}, "drift": [drift events]}`` -- the same numbers the
-    live :class:`~repro.obs.estimators.EstimatorTelemetry` maintains, so
-    a trace file is sufficient to audit prediction quality offline.
-    """
-    per_job: Dict[str, Dict[str, List[float]]] = {}
-    fleet: Dict[str, List[float]] = {}
-    drift: List[Dict] = []
-    for event in events:
-        kind = event.get("event")
-        if kind == EVENT_ESTIMATOR_SAMPLE:
-            signal = event.get("signal", "?")
-            error = float(event.get("error", 0.0))
-            fleet.setdefault(signal, []).append(error)
-            per_job.setdefault(event.get("job_id", "?"), {}).setdefault(
-                signal, []
-            ).append(error)
-        elif kind == EVENT_ESTIMATOR_DRIFT:
-            drift.append(event)
-
-    def stats(errors: List[float]) -> Dict[str, float]:
-        return {
-            "count": float(len(errors)),
-            "mape": sum(abs(e) for e in errors) / len(errors),
-            "bias": sum(errors) / len(errors),
-        }
-
-    return {
-        "fleet": {signal: stats(errs) for signal, errs in sorted(fleet.items())},
-        "jobs": {
-            job_id: {signal: stats(errs) for signal, errs in sorted(signals.items())}
-            for job_id, signals in sorted(per_job.items())
-        },
-        "drift": drift,
-    }
-
-
-def decision_summary(events: Sequence[Dict]) -> Dict[str, Dict[str, int]]:
-    """Tally ``decision`` ledger events by kind.
-
-    Returns ``{"grants": {task: n}, "denials": {reason: n}, "placements":
-    {provenance: n}, "shrinks": {"shrink": n}, "sampled": {"sampled": n}}``
-    with empty inner dicts when the trace carries no ledger. Unknown
-    decision kinds are ignored (forward compatibility with newer builds).
-    """
-    grants: TallyCounter = TallyCounter()
-    denials: TallyCounter = TallyCounter()
-    placements: TallyCounter = TallyCounter()
-    shrinks = 0
-    sampled = 0
-    for event in events:
-        if event.get("event") != EVENT_DECISION:
-            continue
-        kind = event.get("kind")
-        if kind == "grant":
-            grants[str(event.get("task", "?"))] += 1
-            if event.get("sampled"):
-                sampled += 1
-        elif kind == "deny":
-            denials[str(event.get("reason", "?"))] += 1
-        elif kind == "placement":
-            placements[str(event.get("provenance", "?"))] += 1
-        elif kind == "shrink":
-            shrinks += 1
-    return {
-        "grants": dict(grants),
-        "denials": dict(denials),
-        "placements": dict(placements),
-        "shrinks": {"shrink": shrinks} if shrinks else {},
-        "sampled": {"sampled": sampled} if sampled else {},
-    }
-
-
-def control_plane_summary(events: Sequence[Dict]) -> Dict[str, int]:
-    """Tally HA control-plane events: elections, fencing, lease re-grants."""
-    tally = {
-        "leader_elections": 0,
-        "leader_depositions": 0,
-        "writes_fenced": 0,
-        "lease_regrants": 0,
-        "checkpoints_recorded": 0,
-    }
-    for event in events:
-        kind = event.get("event")
-        if kind == EVENT_LEADER_ELECTED:
-            tally["leader_elections"] += 1
-        elif kind == EVENT_LEADER_DEPOSED:
-            tally["leader_depositions"] += 1
-        elif kind == EVENT_WRITE_FENCED:
-            tally["writes_fenced"] += 1
-        elif kind == EVENT_NODE_LEASE_REGRANT:
-            tally["lease_regrants"] += 1
-        elif kind == EVENT_CHECKPOINT_RECORDED:
-            tally["checkpoints_recorded"] += 1
-    return tally
-
-
-def job_timelines(events: Sequence[Dict]) -> Dict[str, List[Dict]]:
-    """Group per-job events (anything carrying ``job_id``) by job, in order.
-
-    ``span``, ``estimator_sample`` and ``decision`` events are excluded:
-    they carry ``job_id`` but belong to the flame-tree / estimator /
-    ledger views, and at many per interval they would drown the decision
-    timeline (``repro explain`` renders the ledger per job instead).
-    """
-    timelines: Dict[str, List[Dict]] = {}
-    for event in events:
-        if event.get("event") in (
-            EVENT_SPAN,
-            EVENT_ESTIMATOR_SAMPLE,
-            EVENT_DECISION,
-        ):
-            continue
-        job_id = event.get("job_id")
-        if job_id is not None:
-            timelines.setdefault(job_id, []).append(event)
-    return timelines
+#: How the report names each :data:`~repro.obs.fold.CONTROL_PLANE_EVENTS` tally.
+_CONTROL_LABELS = {
+    EVENT_LEADER_ELECTED: "leader_elections",
+    EVENT_LEADER_DEPOSED: "leader_depositions",
+    EVENT_WRITE_FENCED: "writes_fenced",
+    EVENT_NODE_LEASE_REGRANT: "lease_regrants",
+    EVENT_CHECKPOINT_RECORDED: "checkpoints_recorded",
+}
 
 
 def _describe(event: Dict) -> str:
     kind = event["event"]
-    if kind == EVENT_JOB_ARRIVED:
-        return f"arrived ({event.get('model', '?')}, {event.get('mode', '?')})"
     if kind == EVENT_ALLOCATION_DECIDED:
         return f"allocated w={event.get('workers')} ps={event.get('ps')}"
     if kind == EVENT_PLACEMENT_DECIDED:
         return f"placed on {event.get('servers')} server(s)"
-    if kind == EVENT_JOB_RESCALED:
-        old = event.get("old", ["?", "?"])
-        new = event.get("new", ["?", "?"])
-        return (
-            f"rescaled ({old[0]}, {old[1]}) -> ({new[0]}, {new[1]}), "
-            f"overhead {event.get('overhead', 0):.0f}s"
-        )
     if kind == EVENT_STRAGGLER_DETECTED:
         return f"straggler episode(s): {event.get('episodes')}"
-    if kind == EVENT_JOB_COMPLETED:
-        return f"completed after {event.get('steps', 0):.0f} steps"
     if kind == EVENT_ESTIMATOR_DRIFT:
         return (
             f"estimator drift ({event.get('signal', '?')}): window MAPE "
@@ -396,17 +254,7 @@ def _describe(event: Dict) -> str:
         )
     if kind == EVENT_NODE_LEASE_REGRANT:
         return f"node lease re-granted: {event.get('server', '?')}"
-    if kind == EVENT_DECISION:
-        return describe_decision(event)
-    return kind
-
-
-def decision_timeline(events: Sequence[Dict], job_id: str) -> List[str]:
-    """Human-readable one-liners for one job's lifecycle."""
-    lines = []
-    for event in job_timelines(events).get(job_id, []):
-        lines.append(f"t={event['time']:>10.0f}  {_describe(event)}")
-    return lines
+    return describe_outcome(event)
 
 
 def summarize_trace(
@@ -422,15 +270,15 @@ def summarize_trace(
         sections.append(
             f"warning: skipped {skipped_lines} corrupt/truncated line(s)"
         )
-    known, unknown = event_type_counts(events)
-    if known or unknown:
+    fold = fold_trace(events)
+    if fold.known or fold.unknown:
         inventory = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(known.items())
+            f"{kind}={count}" for kind, count in sorted(fold.known.items())
         )
         sections.append(f"event types: {inventory}")
-        if unknown:
+        if fold.unknown:
             unknown_text = ", ".join(
-                f"{kind}={count}" for kind, count in sorted(unknown.items())
+                f"{kind}={count}" for kind, count in sorted(fold.unknown.items())
             )
             sections.append(f"unknown event types: {unknown_text}")
 
@@ -469,105 +317,94 @@ def summarize_trace(
         sections.append("span flame tree (aggregated across intervals):")
         sections.extend(flame_lines)
 
-    est = estimator_report(events)
-    if est["fleet"]:
+    rows = [
+        [name, signal, stats.count, 100.0 * stats.mape, 100.0 * stats.bias]
+        for name, signals in [("fleet", fold.fleet)]
+        + [(job_id, job.estimators) for job_id, job in sorted(fold.jobs.items())]
+        for signal, stats in sorted(signals.items())
+        if stats.count
+    ]
+    if rows:
         sections.append("")
         sections.append("estimator quality (from estimator_sample events):")
-        rows = [
-            [
-                job_id,
-                signal,
-                int(stats["count"]),
-                100.0 * stats["mape"],
-                100.0 * stats["bias"],
-            ]
-            for job_id, signals in [("fleet", est["fleet"])]
-            + list(est["jobs"].items())
-            for signal, stats in signals.items()
-        ]
         sections.append(
             format_table(
                 ["job", "signal", "samples", "MAPE (%)", "bias (%)"], rows
             )
         )
-        if est["drift"]:
+        if fold.drift:
             sections.append(
-                f"drift events: {len(est['drift'])} "
+                f"drift events: {len(fold.drift)} "
                 + ", ".join(
                     f"{d.get('job_id', '?')}/{d.get('signal', '?')}"
                     f"@t={d.get('time', 0):.0f}"
-                    for d in est["drift"]
+                    for d in fold.drift
                 )
             )
 
-    decisions = decision_summary(events)
-    if any(decisions.values()):
+    if fold.grants or fold.denials or fold.placements or fold.shrinks:
         sections.append("")
         sections.append("decision ledger:")
-        if decisions["grants"]:
+        if fold.grants:
             grants_text = ", ".join(
-                f"{task}={count}"
-                for task, count in sorted(decisions["grants"].items())
+                f"{task}={count}" for task, count in sorted(fold.grants.items())
             )
-            total = sum(decisions["grants"].values())
+            total = sum(fold.grants.values())
             sections.append(f"  grants: {total} ({grants_text})")
-        if decisions["sampled"]:
+        if fold.sampled_grants:
             sections.append(
-                f"  sampled grants: {decisions['sampled']['sampled']} "
+                f"  sampled grants: {fold.sampled_grants} "
                 "(ledger ran in sampled mode; dropped grants are "
                 "counters-only)"
             )
-        if decisions["denials"]:
+        if fold.denials:
             denials_text = ", ".join(
                 f"{reason}={count}"
-                for reason, count in sorted(decisions["denials"].items())
+                for reason, count in sorted(fold.denials.items())
             )
             sections.append(f"  denials: {denials_text}")
-        if decisions["placements"]:
+        if fold.placements:
             placements_text = ", ".join(
                 f"{prov}={count}"
-                for prov, count in sorted(decisions["placements"].items())
+                for prov, count in sorted(fold.placements.items())
             )
             sections.append(f"  placements: {placements_text}")
-        if decisions["shrinks"]:
-            sections.append(f"  shrinks: {decisions['shrinks']['shrink']}")
+        if fold.shrinks:
+            sections.append(f"  shrinks: {fold.shrinks}")
         sections.append(
             "  (replay one job with: repro explain TRACE --job JOB)"
         )
 
-    control = control_plane_summary(events)
+    control = fold.control
     if any(control.values()):
         sections.append("")
         sections.append("control plane (HA):")
         sections.append(
             "  "
             + ", ".join(
-                f"{name}={count}" for name, count in control.items() if count
+                f"{_CONTROL_LABELS[kind]}={count}"
+                for kind, count in control.items()
+                if count
             )
         )
 
-    timelines = job_timelines(events)
+    timelines = {
+        job_id: [e for e in job.events if e["event"] not in _OFF_TIMELINE]
+        for job_id, job in sorted(fold.jobs.items())
+    }
+    timelines = {job_id: shown for job_id, shown in timelines.items() if shown}
     if timelines:
         sections.append("")
         sections.append("per-job decision timelines:")
-        for job_id in sorted(timelines):
-            job_events = timelines[job_id]
+        for job_id, job_events in timelines.items():
             sections.append(f"\n{job_id} ({len(job_events)} events):")
-            shown = job_events
-            if max_events_per_job is not None and len(shown) > max_events_per_job:
+            lines = [f"  t={e['time']:>10.0f}  {_describe(e)}" for e in job_events]
+            if max_events_per_job is not None and len(lines) > max_events_per_job:
                 head = max_events_per_job // 2
                 tail = max_events_per_job - head
-                omitted = len(shown) - head - tail
-                shown = (
-                    shown[:head]
-                    + [{"time": float("nan"), "event": f"... {omitted} more ..."}]
-                    + shown[-tail:]
-                )
-            for event in shown:
-                if event["event"].startswith("..."):
-                    sections.append(f"  {event['event']}")
-                else:
-                    sections.append(f"  t={event['time']:>10.0f}  {_describe(event)}")
+                omitted = len(lines) - head - tail
+                lines = lines[:head] + [f"  ... {omitted} more ..."] + lines[-tail:]
+            sections.extend(lines)
     return "\n".join(sections)
 
 

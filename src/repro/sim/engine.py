@@ -51,7 +51,6 @@ from repro.obs.ledger import (
 )
 from repro.obs.registry import MetricsRegistry, active_registry, use_registry
 from repro.obs.spans import phase_timings, span_tracer_for
-from repro.obs.timeseries import TimeSeriesDB
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -198,7 +197,6 @@ class Simulation:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_plan: Optional[FaultPlan] = None,
-        timeseries: Optional[TimeSeriesDB] = None,
     ):
         if isinstance(scheduler, str):
             # A preset name or an "alloc+place" hybrid.
@@ -251,8 +249,6 @@ class Simulation:
                 mode=mode,
                 top_k=self.config.ledger_top_k,
             )
-        #: Optional metrics-history sink, sampled once per interval.
-        self.timeseries = timeseries
         self.scheduler.instrument(
             tracer=self.tracer,
             metrics=self.metrics,
@@ -733,8 +729,6 @@ class Simulation:
                     active_jobs=len(active),
                     pending_jobs=pending_count,
                 )
-        if self.timeseries is not None:
-            self.timeseries.sample_registry(metrics, now)
         return predictions
 
     def _finalize(
@@ -794,15 +788,13 @@ def simulate(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     fault_plan: Optional[FaultPlan] = None,
-    timeseries: Optional[TimeSeriesDB] = None,
 ) -> SimulationResult:
     """Convenience one-shot wrapper around :class:`Simulation`.
 
     ``tracer`` and ``metrics`` attach the :mod:`repro.obs` sinks; both
     default to off (the null tracer / the currently installed registry).
     ``fault_plan`` scripts deterministic faults on top of
-    ``config.faults`` (see :mod:`repro.faults`); ``timeseries`` attaches
-    a :class:`~repro.obs.timeseries.TimeSeriesDB` sampled every interval.
+    ``config.faults`` (see :mod:`repro.faults`).
     """
     return Simulation(
         cluster,
@@ -812,5 +804,4 @@ def simulate(
         tracer=tracer,
         metrics=metrics,
         fault_plan=fault_plan,
-        timeseries=timeseries,
     ).run()

@@ -13,10 +13,10 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     RecordingTracer,
+    fold_trace,
     quantile_from_snapshot,
     render_prometheus,
     render_top,
-    top_state,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "metrics_export.prom"
@@ -165,28 +165,31 @@ def synthetic_trace():
 
 class TestTop:
     def test_state_folds_trace(self):
-        state = top_state(synthetic_trace())
-        assert state["ticks"] == 1
-        assert state["drift_events"] == 1
-        job = state["jobs"]["j1"]
+        fold = fold_trace(synthetic_trace())
+        assert fold.ticks == 1
+        assert len(fold.drift) == 1
+        assert fold.last_time == 1200.0
+        job = fold.jobs["j1"]
         assert job.model == "resnet-50"
         assert job.state == "done"
         assert (job.workers, job.ps, job.servers) == (4, 2, 3)
-        assert job.speed_errors == [0.2]
+        speed = job.estimators["speed"]
+        assert (speed.count, speed.mape, speed.bias) == (1, 0.2, 0.2)
+        assert job.estimators["remaining"].count == 0
         assert job.drift_signals == {"speed"}
-        assert state["control"] == {
-            "elections": 1,
-            "depositions": 1,
-            "fenced_writes": 1,
-            "lease_regrants": 1,
-            "checkpoints": 1,
+        assert fold.control == {
+            "leader_elected": 1,
+            "leader_deposed": 1,
+            "write_fenced": 1,
+            "node_lease_regrant": 1,
+            "checkpoint_recorded": 1,
         }
-        assert state["decisions"] == {
-            "grants": 1,
-            "denials": 1,
-            "placements": 1,
-            "shrinks": 0,
-        }
+        assert (fold.grants, fold.denials, fold.placements, fold.shrinks) == (
+            {"worker": 1},
+            {"capacity_exhausted": 1},
+            {"fresh": 1},
+            0,
+        )
 
     def test_render_includes_header_estimators_and_table(self):
         text = render_top(synthetic_trace())

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.summarize: trace reports and timelines."""
+"""Tests for repro.obs.summarize and the trace fold it renders from."""
 
 import json
 
@@ -12,10 +12,8 @@ from repro.obs import (
     RecordingTracer,
     read_trace_tolerant,
 )
+from repro.obs.fold import fold_trace
 from repro.obs.summarize import (
-    decision_timeline,
-    event_type_counts,
-    job_timelines,
     phase_breakdown,
     summarize_file,
     summarize_trace,
@@ -102,9 +100,9 @@ class TestEventInventory:
             {"seq": 99, "time": 0.0, "event": "from_the_future", "x": 1},
             {"seq": 100, "time": 0.0, "event": "from_the_future"},
         ]
-        known, unknown = event_type_counts(events)
-        assert known["job_arrived"] == 1
-        assert unknown == {"from_the_future": 2}
+        fold = fold_trace(events)
+        assert fold.known["job_arrived"] == 1
+        assert fold.unknown == {"from_the_future": 2}
         text = summarize_trace(events)
         assert "unknown event types: from_the_future=2" in text
 
@@ -115,18 +113,20 @@ class TestEventInventory:
 
 class TestTimelines:
     def test_groups_events_by_job(self):
-        timelines = job_timelines(small_trace())
-        assert list(timelines) == ["j1"]
-        assert [e["event"] for e in timelines["j1"]] == [
+        jobs = fold_trace(small_trace()).jobs
+        assert list(jobs) == ["j1"]
+        assert [e["event"] for e in jobs["j1"].events] == [
             "job_arrived",
             "allocation_decided",
             "job_completed",
         ]
+        assert (jobs["j1"].arrival, jobs["j1"].completion) == (0.0, 600.0)
 
-    def test_decision_timeline_renders_lines(self):
-        lines = decision_timeline(small_trace(), "j1")
-        assert len(lines) == 3
-        assert any("arrived" in line for line in lines)
+    def test_summary_renders_each_jobs_timeline(self):
+        text = summarize_trace(small_trace())
+        timeline = text.split("j1 (3 events):\n", 1)[1].splitlines()
+        assert len(timeline) == 3
+        assert "arrived (vgg-16, sync)" in timeline[0]
 
 
 class TestSummarize:

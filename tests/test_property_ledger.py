@@ -31,7 +31,8 @@ from repro.obs import (
     read_trace_tolerant,
     use_ledger,
 )
-from repro.obs.summarize import decision_summary, summarize_trace
+from repro.obs.fold import fold_trace
+from repro.obs.summarize import summarize_trace
 from repro.workloads import MODEL_ZOO, StepTimeModel
 
 FAST_MODELS = ("resnet-50", "cnn-rand", "dssm")
@@ -179,9 +180,9 @@ class TestTolerantDecisionReads:
         text = summarize_trace(events, skipped_lines=skipped)
         assert "skipped 1 corrupt/truncated line(s)" in text
         assert "decision ledger:" in text
-        summary = decision_summary(events)
-        assert summary["grants"] == {"worker": 1}
-        assert summary["denials"] == {"converged_yield": 1}
+        fold = fold_trace(events)
+        assert fold.grants == {"worker": 1}
+        assert fold.denials == {"converged_yield": 1}
 
     def test_explain_survives_torn_and_unknown_decisions(self, tmp_path):
         events, _ = read_trace_tolerant(self.write_trace(tmp_path))
@@ -190,6 +191,15 @@ class TestTolerantDecisionReads:
         assert "j1" in text
         # The unknown kind renders as *something* without raising.
         assert "frobnicate" in text or "decision" in text
+
+    def test_explain_before_the_jobs_first_event_names_its_time(self, tmp_path):
+        events, _ = read_trace_tolerant(self.write_trace(tmp_path))
+        late = [dict(event, time=event["time"] + 3600.0) for event in events]
+        assert explain_trace(late, "j1", at=100.0) == (
+            "no events for job 'j1' at or before t=100; "
+            "its first event is at t=3600"
+        )
+        assert explain_trace(late, "j1", at=3600.0).startswith("j1: ")
 
     def test_explain_unknown_job_lists_known_jobs(self, tmp_path):
         events, _ = read_trace_tolerant(self.write_trace(tmp_path))

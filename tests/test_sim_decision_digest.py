@@ -21,7 +21,6 @@ from repro.obs import (
     RecordingTracer,
     read_trace,
 )
-from repro.obs.timeseries import TimeSeriesDB
 from repro.schedulers import make_scheduler
 from repro.sim import SimConfig, simulate
 from repro.sim.metrics import hash_decision
@@ -67,7 +66,6 @@ SINKS = {
     "ledger-off": lambda: {"tracer": RecordingTracer(), "ledger_mode": "off"},
     "ledger-sampled": lambda: {"tracer": RecordingTracer(), "ledger_mode": "sampled"},
     "ledger-full": lambda: {"tracer": RecordingTracer(), "ledger_mode": "full"},
-    "timeseries": lambda: {"metrics": MetricsRegistry(), "timeseries": TimeSeriesDB()},
 }
 
 
