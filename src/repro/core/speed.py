@@ -4,8 +4,10 @@ A :class:`SpeedEstimator` owns a job's ``(p, w, speed)`` sample set. Before
 the job starts, :meth:`bootstrap` runs the paper's short profiling runs on a
 small data sample (a caller-provided ``measure`` callable stands in for the
 10-second pre-runs); during training every interval's observed speed is fed
-back through :meth:`add_sample`, continuously calibrating the fit. A sample
-triggers a refit only when it tells the fit something new (see
+back through :meth:`add_sample`, continuously calibrating the fit. The
+samples live in a :class:`~repro.fitting.speed_model.SpeedSamples` window,
+which keeps the fit's normal equations as running sums. A sample triggers
+a refit only when it tells the fit something new (see
 :data:`SPEED_REFIT_BAND`); each refit hands the previous fit's support
 (``θ > 0``) to the NNLS solver as a warm start.
 """
@@ -20,6 +22,7 @@ from repro.common.errors import FittingError
 from repro.fitting.speed_model import (
     MIN_SAMPLES,
     SpeedModelFit,
+    SpeedSamples,
     fit_speed_model,
     sample_configurations,
 )
@@ -62,7 +65,7 @@ class SpeedEstimator:
         self.mode = mode
         self.global_batch = float(global_batch) if global_batch else 0.0
         self.max_samples = int(max_samples)
-        self._samples: List[Tuple[int, int, float]] = []
+        self._samples = SpeedSamples(mode, global_batch, self.max_samples)
         self._fit: Optional[SpeedModelFit] = None
         self._dirty = False
         #: The configurations the current fit saw.
@@ -75,16 +78,12 @@ class SpeedEstimator:
         """Record one measured speed under configuration ``(p, w)``.
 
         The sample always joins the window; it marks the fit stale only
-        when :meth:`_moves_fit` says it would change the fit.
+        when :meth:`_moves_fit` says it would change the fit. A
+        configuration below 1 or a speed that is not positive and finite
+        raises :class:`FittingError` and leaves the window as it was.
         """
-        if p < 1 or w < 1:
-            raise FittingError(f"invalid configuration (p={p}, w={w})")
-        if speed <= 0:
-            raise FittingError("measured speed must be positive")
+        self._samples.add(p, w, speed)
         p, w, speed = int(p), int(w), float(speed)
-        self._samples.append((p, w, speed))
-        if len(self._samples) > self.max_samples:
-            self._samples.pop(0)
         if not self._dirty:
             self._dirty = self._moves_fit(p, w, speed)
 
@@ -148,7 +147,7 @@ class SpeedEstimator:
                 passive=None if previous is None else np.array(previous.thetas) > 0,
             )
             self._dirty = False
-            self._fit_configs = {(p, w) for p, w, _ in self._samples}
+            self._fit_configs = set(self._samples.configs)
             self._held_back = 0
         return self._fit
 

@@ -20,17 +20,24 @@ transformed, so plain NNLS applies -- no nonlinear optimiser needed:
 The θ coefficients correspond term-by-term to Eqn 2: θ0 ≈ forward
 propagation, θ1 (sync) ≈ backward propagation, the ``w/p`` coefficient ≈
 data transfer, and the ``w``/``p`` coefficients ≈ connection overhead.
+
+The θ problem has at most five columns, so it is solved on its normal
+equations (``AᵀA``, ``Aᵀb``; :class:`~repro.fitting.nnls.NormalEquations`).
+A :class:`SpeedSamples` window keeps them as running sums, so an online
+refit costs a ≤5×5 Lawson–Hanson solve, not a pass over the samples.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.common.errors import FittingError
-from repro.fitting.nnls import nnls
+from repro.fitting.nnls import NormalEquations, nnls
 from repro.obs.registry import active_registry
 from repro.workloads.speed import MODE_ASYNC, MODE_SYNC, validate_mode
 
@@ -96,8 +103,95 @@ class SpeedModelFit:
         return 1.0 / seconds
 
 
+class SpeedSamples:
+    """A window of ``(p, w, speed)`` samples and its Eqn-3/4 normal equations.
+
+    Every added sample updates the normal equations of the linear θ problem
+    (see the module docstring) as running sums; past ``max_samples`` the
+    oldest sample is dropped and subtracted again. Per configuration the
+    window also sums the speeds and their squares, which gives the
+    speed-space residual of a fit from one prediction per configuration.
+    """
+
+    def __init__(
+        self,
+        mode: str,
+        global_batch: Optional[float] = None,
+        max_samples: Optional[int] = None,
+    ):
+        validate_mode(mode)
+        if mode == MODE_SYNC:
+            if global_batch is None or global_batch <= 0:
+                raise FittingError("synchronous fits need a positive global_batch")
+            global_batch = float(global_batch)
+        else:
+            global_batch = 0.0
+        self.mode = mode
+        self.global_batch = global_batch
+        self.max_samples = max_samples
+        self.normal = NormalEquations(MIN_SAMPLES[mode])
+        self._samples: Deque[SpeedSample] = deque()
+        #: (p, w) -> [samples, sum of speeds, sum of squared speeds]
+        self._configs: Dict[Tuple[int, int], List[float]] = {}
+
+    def _row(self, p: int, w: int, speed: float) -> Tuple[List[float], float]:
+        # The linear target is seconds per step.
+        target = w / speed if self.mode == MODE_ASYNC else 1.0 / speed
+        return _design_row(self.mode, float(p), float(w), self.global_batch), target
+
+    def add(self, p: int, w: int, speed: float) -> None:
+        """Add one measured speed; raises :class:`FittingError` when invalid."""
+        if p < 1 or w < 1:
+            raise FittingError(f"invalid sample configuration (p={p}, w={w})")
+        if not (speed > 0 and math.isfinite(speed)):
+            raise FittingError(f"invalid measured speed {speed!r}")
+        sample = (int(p), int(w), float(speed))
+        p, w, speed = sample
+        self.normal.add(*self._row(p, w, speed))
+        stats = self._configs.get((p, w))
+        if stats is None:
+            self._configs[(p, w)] = [1, speed, speed * speed]
+        else:
+            stats[0] += 1
+            stats[1] += speed
+            stats[2] += speed * speed
+        self._samples.append(sample)
+        if self.max_samples is not None and len(self._samples) > self.max_samples:
+            self._drop_oldest()
+
+    def _drop_oldest(self) -> None:
+        p, w, speed = self._samples.popleft()
+        self.normal.remove(*self._row(p, w, speed))
+        stats = self._configs[(p, w)]
+        if stats[0] == 1:
+            del self._configs[(p, w)]
+        else:
+            stats[0] -= 1
+            stats[1] -= speed
+            stats[2] -= speed * speed
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __iter__(self) -> Iterator[SpeedSample]:
+        return iter(self._samples)
+
+    @property
+    def configs(self):
+        """The distinct ``(p, w)`` configurations in the window."""
+        return self._configs.keys()
+
+    def speed_rss(self, fit: SpeedModelFit) -> float:
+        """``sum((fit.predict(p, w) - speed)^2)`` over the window's samples."""
+        rss = 0.0
+        for (p, w), (count, total, squares) in self._configs.items():
+            f = fit.predict(p, w)
+            rss += squares - f * (2.0 * total - count * f)
+        return max(rss, 0.0)
+
+
 def fit_speed_model(
-    samples: Sequence[SpeedSample],
+    samples: Union[Sequence[SpeedSample], SpeedSamples],
     mode: str,
     global_batch: Optional[float] = None,
     passive: Optional[np.ndarray] = None,
@@ -108,7 +202,8 @@ def fit_speed_model(
     ----------
     samples:
         Measurements collected from short sample runs (§3.2) and online
-        observation during training.
+        observation during training: a sequence, or a :class:`SpeedSamples`
+        window whose running normal equations are solved as they stand.
     mode:
         ``"sync"`` or ``"async"``.
     global_batch:
@@ -117,48 +212,38 @@ def fit_speed_model(
         Optional support hint for the θ solve, passed to :func:`nnls`: a
         refit passes ``θ > 0`` of the previous fit.
     """
-    validate_mode(mode)
-    if mode == MODE_SYNC:
-        if global_batch is None or global_batch <= 0:
-            raise FittingError("synchronous fits need a positive global_batch")
+    if isinstance(samples, SpeedSamples):
+        window = samples
+        if window.mode != mode:
+            raise FittingError(f"a {window.mode} window cannot fit a {mode} model")
     else:
-        global_batch = 0.0
+        window = SpeedSamples(mode, global_batch)
+        for p, w, speed in samples:
+            window.add(p, w, speed)
     required = MIN_SAMPLES[mode]
-    if len(samples) < required:
+    if len(window) < required:
         raise FittingError(
-            f"{mode} speed fit needs >= {required} samples, got {len(samples)}"
+            f"{mode} speed fit needs >= {required} samples, got {len(window)}"
         )
-    rows, targets = [], []
-    for p, w, speed in samples:
-        if p < 1 or w < 1:
-            raise FittingError(f"invalid sample configuration (p={p}, w={w})")
-        if speed <= 0 or not np.isfinite(speed):
-            raise FittingError(f"invalid measured speed {speed!r}")
-        rows.append(_design_row(mode, float(p), float(w), float(global_batch)))
-        # Transform speed to the linear target: seconds per step.
-        targets.append(w / speed if mode == MODE_ASYNC else 1.0 / speed)
-
-    coeffs, _ = nnls(np.asarray(rows), np.asarray(targets), passive=passive)
+    coeffs, _ = nnls(window.normal, passive=passive)
     fit = SpeedModelFit(
         mode=mode,
-        thetas=tuple(float(c) for c in coeffs),
+        thetas=tuple(coeffs.tolist()),
         residual=0.0,
-        num_samples=len(samples),
-        global_batch=float(global_batch),
+        num_samples=len(window),
+        global_batch=window.global_batch,
     )
     # Residual sum of squares in speed space, as Table 2 reports.
-    rss = 0.0
-    for p, w, speed in samples:
-        rss += (fit.predict(p, w) - speed) ** 2
+    rss = window.speed_rss(fit)
     metrics = active_registry()
     metrics.counter("est.speed_fits").inc()
     metrics.histogram("est.speed_fit_rss", RSS_BUCKETS).observe(rss)
     return SpeedModelFit(
         mode=mode,
         thetas=fit.thetas,
-        residual=float(rss),
-        num_samples=len(samples),
-        global_batch=float(global_batch),
+        residual=rss,
+        num_samples=len(window),
+        global_batch=window.global_batch,
     )
 
 

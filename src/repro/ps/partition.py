@@ -23,8 +23,9 @@ Two competitors:
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.rand import SeedLike, spawn_rng
@@ -81,16 +82,28 @@ def paa_partition(
     avg_size = total / num_servers
     tiny_cutoff = tiny_fraction * avg_size
 
+    # Blocks arrive largest first: every large block before any medium one,
+    # every medium one before any tiny one. So the least-loaded server of
+    # the slice phase and the fewest-requests server of the tiny phase each
+    # come off a heap that only its own phase changes.
+    by_size = [(0.0, i) for i in range(num_servers)]  # (assigned_size, index)
+    by_requests: Optional[List[Tuple[int, float, int]]] = None
     ordered = sorted(blocks, key=lambda b: (-b.size, b.name))
     for block in ordered:
         if block.size < tiny_cutoff:
-            target = min(servers, key=lambda s: (s.num_requests, s.assigned_size, s.index))
+            if by_requests is None:
+                by_requests = [(s.num_requests, s.assigned_size, s.index) for s in servers]
+                heapq.heapify(by_requests)
+            target = servers[by_requests[0][2]]
             target.add(block.name, block.size)
+            heapq.heapreplace(
+                by_requests, (target.num_requests, target.assigned_size, target.index)
+            )
         elif block.size <= avg_size:
             target = _best_fit(servers, block.size, avg_size)
             target.add(block.name, block.size)
         else:
-            _slice_large(servers, block, avg_size)
+            _slice_large(servers, by_size, block, avg_size)
     return Assignment(servers=servers, algorithm="paa")
 
 
@@ -115,9 +128,16 @@ def _best_fit(
 
 
 def _slice_large(
-    servers: List[ServerLoad], block: ParameterBlock, avg_size: float
+    servers: List[ServerLoad],
+    by_size: List[Tuple[float, int]],
+    block: ParameterBlock,
+    avg_size: float,
 ) -> None:
-    """Slice a block larger than ``avg_size`` into avg-sized partitions."""
+    """Slice a block larger than ``avg_size`` into avg-sized partitions.
+
+    Each slice goes to the least-loaded server, the top of the
+    ``(assigned_size, index)`` heap *by_size*.
+    """
     # Guard the ceil against float error: size/avg can land epsilon above an
     # integer (e.g. one block over 7 servers), which would mint an extra,
     # zero-sized slice -- and ServerLoad rejects non-positive pieces.
@@ -128,8 +148,9 @@ def _slice_large(
         if piece <= 0:
             break
         remaining -= piece
-        target = min(servers, key=lambda s: (s.assigned_size, s.index))
+        target = servers[by_size[0][1]]
         target.add(f"{block.name}/slice-{i}", piece)
+        heapq.heapreplace(by_size, (target.assigned_size, target.index))
 
 
 def partition(

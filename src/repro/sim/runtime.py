@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+import numpy as np
+
 from repro.common.errors import FittingError, SimulationError
 from repro.common.rand import RandomSource
 from repro.core.allocation import TaskAllocation
@@ -225,16 +227,19 @@ class RuntimeJob:
         Losses are *observed* at the job's convergence-equivalent position
         (stale asynchronous steps make less progress, §5.2) but stamped with
         raw step numbers -- which is exactly what a real worker reports.
+        The interval's points are drawn, and handed to the estimator, as
+        one array.
         """
         start, end = int(start_step), int(end_step)
         if end <= start or max_points < 1:
             return
         raw_start, eff_start, penalty = self._last_mapping
-        stride = max(1, (end - start) // max_points)
-        for step in range(start, end, stride):
-            eff = eff_start + max(step - raw_start, 0) / penalty
-            obs = self.emitter.observe(int(eff))
-            self.convergence.add_observation(step, obs.loss)
+        # A ceiling stride: at most max_points points, evenly spaced.
+        stride = -(-(end - start) // max_points)
+        steps = np.arange(start, end, stride)
+        eff = eff_start + np.maximum(steps - raw_start, 0) / penalty
+        losses = self.emitter.observe_many(eff.astype(np.int64))
+        self.convergence.add_observations(steps, losses)
 
     def record_speed(self, p: int, w: int, observed_speed: float) -> None:
         if observed_speed > 0:

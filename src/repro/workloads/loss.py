@@ -88,6 +88,22 @@ class LossEmitter:
             value *= max(1e-3, 1.0 + self._rng.normal(0.0, self.noise_std))
         return LossObservation(step=int(step), loss=float(value))
 
+    def observe_many(self, steps) -> np.ndarray:
+        """Noisy raw losses at every step of *steps*, drawn as arrays.
+
+        Each point has :meth:`observe`'s distribution, but the draws come
+        as three arrays of ``len(steps)``: the outlier tests, the spike
+        factors and the Gaussian factors. A call therefore consumes the
+        generator differently from a loop of :meth:`observe` calls.
+        """
+        steps = np.asarray(steps, dtype=float)
+        values = self.initial_loss * self.curve.losses(steps / self.steps_per_epoch)
+        count = values.size
+        spike = self._rng.random(count) < self.outlier_rate
+        spikes = 1.5 + 2.5 * self._rng.random(count)
+        gauss = np.maximum(1e-3, 1.0 + self._rng.normal(0.0, self.noise_std, count))
+        return values * np.where(spike, spikes, gauss)
+
     def observe_range(
         self, start_step: int, end_step: int, stride: int = 1
     ) -> List[LossObservation]:

@@ -94,6 +94,15 @@ class LossCurveTruth:
             + self.tail_weight / (self.tail_scale * epoch + 1.0)
         )
 
+    def losses(self, epochs: np.ndarray) -> np.ndarray:
+        """:meth:`loss` at every (non-negative) epoch of an array."""
+        epochs = np.asarray(epochs, dtype=float)
+        return (
+            self.plateau
+            + self.exp_weight * np.exp(-self.exp_rate * epochs)
+            + self.tail_weight / (self.tail_scale * epochs + 1.0)
+        )
+
     def epoch_decrease(self, epoch: int) -> float:
         """Loss decrease over epoch number *epoch* (from ``epoch-1`` to ``epoch``)."""
         if epoch < 1:

@@ -55,25 +55,25 @@ SOAK_DRILLS = {
             "expire_node": -1,
             "lease_ttl": 2.0,
         },
-        "84a0b359bb2d2826",
+        "0e3563805638af69",
     ),
     "mid_launch_dead_node": (
         {"crash_point": "mid_launch", "expire_node": 2},
-        "0011d5be50d216cc",
+        "5d52ea6bfe5341e6",
     ),
     # One step launches but never tears down: the crash fires in the drain.
     "crash_in_drain": (
         {"crash_point": "after_checkpoint", "steps": 1},
-        "7e6c4c4235ade939",
+        "f4ecb40a999e4134",
     ),
     "after_launch_first_step": (
         {"crash_point": "after_launch", "steps": 1},
-        "e4bb5fa46f1dca5a",
+        "81fb6a06887bb9de",
     ),
-    "no_leases": ({"expire_node": 1, "lease_ttl": 0}, "c9ad5c5fec806bc9"),
+    "no_leases": ({"expire_node": 1, "lease_ttl": 0}, "3c4da7999e3d7420"),
     "failover": (
         {"kind": "failover", "kills": 2, "crash_point": "mid_step_deposed"},
-        "51502e3f2e2dfa1d",
+        "55728430d4641c26",
     ),
 }
 

@@ -1,5 +1,7 @@
 """Tests for the Lawson-Hanson NNLS solver, cross-checked against SciPy."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -7,7 +9,10 @@ from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.common.errors import FittingError
-from repro.fitting.nnls import LineNNLS, dual_tolerance, nnls, nnls_fit
+from repro.fitting.nnls import LineNNLS, NormalEquations, dual_tolerance, nnls, nnls_fit
+
+# ``repro.fitting`` re-exports the function under the module's name.
+nnls_module = import_module("repro.fitting.nnls")
 
 
 class TestBasics:
@@ -238,16 +243,16 @@ class TestOptimality:
         assert np.all(np.abs(gradient[~active]) <= tol)
 
 
-def counted_lstsq(monkeypatch):
-    """Count ``np.linalg.lstsq`` calls (one per Lawson–Hanson solve)."""
+def counted_solves(monkeypatch):
+    """Count Gram-form least-squares solves (one per Lawson–Hanson step)."""
     calls = []
-    lstsq = np.linalg.lstsq
+    solve = nnls_module._solve_passive
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
+    def counting(normal, cols):
+        calls.append(len(cols))
+        return solve(normal, cols)
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    monkeypatch.setattr(nnls_module, "_solve_passive", counting)
     return calls
 
 
@@ -256,53 +261,131 @@ def same_bits(left, right):
     return x.tobytes() == y.tobytes() and r == s
 
 
+def gram(A, b):
+    """The normal equations of ``A x = b``, added one row at a time."""
+    A = np.asarray(A, dtype=float)
+    normal = NormalEquations(A.shape[1])
+    for row, target in zip(A.tolist(), np.asarray(b, dtype=float).tolist()):
+        normal.add(row, target)
+    return normal
+
+
 class TestPassiveHint:
     def test_correct_hint_is_one_solve(self, monkeypatch):
         rng = np.random.default_rng(4)
         A = rng.uniform(0.5, 2.0, size=(12, 3))
         b = A @ np.array([1.0, 0.0, 2.0]) - 0.01 * A[:, 1]
-        cold = nnls(A, b)
+        normal = gram(A, b)
+        cold = nnls(normal)
         hint = cold[0] > 0
-        calls = counted_lstsq(monkeypatch)
-        assert same_bits(nnls(A, b, passive=hint), cold)
-        assert calls == [(12, 2)]
+        calls = counted_solves(monkeypatch)
+        assert same_bits(nnls(normal, passive=hint), cold)
+        assert calls == [2]
 
     def test_negative_least_squares_coefficient_falls_back(self, monkeypatch):
-        A = np.eye(2)
-        b = np.array([1.0, -1.0])
-        cold = nnls(A, b)
-        calls = counted_lstsq(monkeypatch)
-        warm = nnls(A, b, passive=np.array([True, True]))
+        normal = gram(np.eye(2), [1.0, -1.0])
+        cold = nnls(normal)
+        calls = counted_solves(monkeypatch)
+        warm = nnls(normal, passive=np.array([True, True]))
         assert same_bits(warm, cold)
         np.testing.assert_array_equal(warm[0], [1.0, 0.0])
-        assert calls[0] == (2, 2) and len(calls) > 1  # the hint, then the cold path
+        assert calls[0] == 2 and len(calls) > 1  # the hint, then the cold path
 
     def test_failed_dual_test_falls_back(self, monkeypatch):
         # The hint's fit is positive, but the column it leaves out still
         # reduces the residual: its dual component is 1 > tol.
-        A = np.eye(2)
-        b = np.array([1.0, 1.0])
-        cold = nnls(A, b)
-        calls = counted_lstsq(monkeypatch)
-        warm = nnls(A, b, passive=np.array([True, False]))
+        normal = gram(np.eye(2), [1.0, 1.0])
+        cold = nnls(normal)
+        calls = counted_solves(monkeypatch)
+        warm = nnls(normal, passive=np.array([True, False]))
         assert same_bits(warm, cold)
         np.testing.assert_array_equal(warm[0], [1.0, 1.0])
-        assert calls[0] == (2, 1) and len(calls) > 1
+        assert calls[0] == 1 and len(calls) > 1
 
     def test_all_false_hint_is_the_cold_path(self, monkeypatch):
         rng = np.random.default_rng(5)
-        A = rng.normal(size=(10, 4))
-        b = rng.normal(size=10)
-        cold_calls = counted_lstsq(monkeypatch)
-        cold = nnls(A, b)
+        normal = gram(rng.normal(size=(10, 4)), rng.normal(size=10))
+        cold_calls = counted_solves(monkeypatch)
+        cold = nnls(normal)
         cold_count = len(cold_calls)
-        assert same_bits(nnls(A, b, passive=np.zeros(4, dtype=bool)), cold)
+        assert same_bits(nnls(normal, passive=np.zeros(4, dtype=bool)), cold)
         assert len(cold_calls) == 2 * cold_count
 
     def test_wrong_length_hint_rejected(self):
-        A = np.eye(3)
-        b = np.ones(3)
+        normal = gram(np.eye(3), np.ones(3))
         with pytest.raises(FittingError, match="passive"):
-            nnls(A, b, passive=np.array([True, True]))
+            nnls(normal, passive=np.array([True, True]))
         with pytest.raises(FittingError, match="passive"):
-            nnls(A, b, passive=np.ones((3, 1), dtype=bool))
+            nnls(normal, passive=np.ones((3, 1), dtype=bool))
+
+    def test_dense_form_takes_no_hint(self):
+        with pytest.raises(FittingError, match="passive"):
+            nnls(np.eye(2), np.ones(2), passive=np.array([True, True]))
+
+
+class TestNormalEquations:
+    def test_sums_match_the_matrix_products(self):
+        rng = np.random.default_rng(6)
+        A = rng.uniform(0.1, 5.0, size=(30, 4))
+        b = rng.uniform(0.1, 5.0, size=30)
+        normal = gram(A, b)
+        np.testing.assert_allclose(normal.gram, A.T @ A, rtol=1e-13)
+        np.testing.assert_allclose(normal.rhs, A.T @ b, rtol=1e-13)
+        assert normal.btb == pytest.approx(b @ b, rel=1e-13)
+        assert normal.rows == 30
+        assert normal.tolerance() == dual_tolerance(A, b)
+
+    def test_remove_undoes_add(self):
+        rng = np.random.default_rng(7)
+        A = rng.uniform(0.1, 5.0, size=(20, 3))
+        b = rng.uniform(0.1, 5.0, size=20)
+        normal = gram(A[:10], b[:10])
+        for row, target in zip(A[10:], b[10:]):
+            normal.add(row, target)
+        for row, target in zip(A[:10], b[:10]):
+            normal.remove(row, target)
+        fresh = gram(A[10:], b[10:])
+        np.testing.assert_allclose(normal.gram, fresh.gram, rtol=1e-12)
+        np.testing.assert_allclose(normal.rhs, fresh.rhs, rtol=1e-12)
+        assert normal.rows == fresh.rows
+        # The largest entries left with their rows: the tolerance is exact.
+        assert normal.tolerance() == fresh.tolerance()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, value):
+        normal = NormalEquations(2)
+        with pytest.raises(FittingError):
+            normal.add([1.0, value], 1.0)
+        with pytest.raises(FittingError):
+            normal.add([1.0, 1.0], value)
+        assert normal.rows == 0 and normal.btb == 0.0
+
+    def test_empty_problem_rejected(self):
+        with pytest.raises(FittingError):
+            nnls(NormalEquations(3))
+        with pytest.raises(FittingError):
+            nnls(NormalEquations(3), np.ones(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), m=st.integers(6, 40), n=st.integers(1, 5))
+    def test_matches_the_dense_solve(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0.0, 2.0, size=(m, n))
+        b = A @ np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 2.0, n))
+        b += rng.normal(0.0, 0.1, m)
+        x_dense, r_dense = nnls(A, b)
+        x_gram, r_gram = nnls(gram(A, b))
+        scale = max(1.0, float(np.abs(x_dense).max()))
+        np.testing.assert_allclose(x_gram, x_dense, rtol=0, atol=1e-8 * scale)
+        assert r_gram == pytest.approx(r_dense, rel=1e-7, abs=1e-9)
+
+    def test_dependent_column_is_barred(self):
+        # Column 2 repeats column 0: the Gram solve on both is singular.
+        rng = np.random.default_rng(8)
+        A = rng.uniform(0.5, 2.0, size=(15, 2))
+        A = np.column_stack([A, A[:, 0]])
+        b = A[:, 0] * 1.5 + A[:, 1] * 0.5
+        x, rnorm = nnls(gram(A, b))
+        assert np.all(x >= 0)
+        assert rnorm == pytest.approx(0.0, abs=1e-6)
+        np.testing.assert_allclose(A @ x, b, rtol=1e-9)

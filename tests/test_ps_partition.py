@@ -227,6 +227,62 @@ def reference_paa(blocks, num_servers, tiny_fraction=0.01):
     return pieces
 
 
+def scanning_paa(blocks, num_servers, tiny_fraction=0.01):
+    """PAA as it was written before the heaps: every tiny block and every
+    slice scans all servers with ``min``; returns the servers."""
+    servers = [ServerLoad(i) for i in range(num_servers)]
+    avg_size = sum(b.size for b in blocks) / num_servers
+    for block in sorted(blocks, key=lambda b: (-b.size, b.name)):
+        if block.size < tiny_fraction * avg_size:
+            target = min(servers, key=lambda s: (s.num_requests, s.assigned_size, s.index))
+            target.add(block.name, block.size)
+        elif block.size <= avg_size:
+            target = None
+            for server in servers:
+                remaining = avg_size - server.assigned_size
+                if remaining + 1e-9 >= block.size:
+                    if target is None or remaining < avg_size - target.assigned_size:
+                        target = server
+            if target is None:
+                target = min(servers, key=lambda s: (s.assigned_size, s.index))
+            target.add(block.name, block.size)
+        else:
+            count = max(int(math.ceil(block.size / avg_size - 1e-9)), 1)
+            remaining = block.size
+            for n in range(count):
+                piece = remaining if n == count - 1 else min(avg_size, remaining)
+                if piece <= 0:
+                    break
+                remaining -= piece
+                target = min(servers, key=lambda s: (s.assigned_size, s.index))
+                target.add(f"{block.name}/slice-{n}", piece)
+    return servers
+
+
+class TestHeapPartition:
+    """The slice and tiny phases pick servers off heaps; every piece must
+    land where the scanning version put it."""
+
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_matches_scanning_paa_for_every_ps_count(self, model):
+        blocks = blocks_from_sizes(MODEL_ZOO[model].parameter_blocks())
+        for num_servers in range(1, 65):
+            ours = paa_partition(blocks, num_servers).servers
+            assert ours == scanning_paa(blocks, num_servers)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 50).map(float), min_size=1, max_size=60),
+        num_servers=st.integers(1, 16),
+    )
+    def test_matches_scanning_paa_with_ties(self, sizes, num_servers):
+        # Small integer sizes make equal loads, so the index tie-break
+        # decides.
+        blocks = blocks_from_sizes(sizes)
+        ours = paa_partition(blocks, num_servers).servers
+        assert ours == scanning_paa(blocks, num_servers)
+
+
 class TestRunningLoads:
     """``ServerLoad.assigned_size`` is a running total; it must equal the
     left-to-right ``sum`` of the pieces exactly, and PAA must place every

@@ -261,6 +261,24 @@ class TestEstimatorFallbacks:
         )
 
 
+class TestLossIngestion:
+    @pytest.mark.parametrize("span", [1, 29, 30, 31, 59, 60, 61, 1000, 1001])
+    def test_never_more_points_than_asked(self, span):
+        job = runtime()
+        job.record_losses(0, span, max_points=30)
+        count = job.convergence.observation_count
+        # A ceiling stride keeps at least half the budget once span >= 30.
+        assert min(span, 15) <= count <= 30
+        # Evenly spaced from the range start.
+        steps = job.convergence._steps
+        assert steps[0] == 0 and len(set(b - a for a, b in zip(steps, steps[1:]))) <= 1
+
+    def test_fifty_nine_steps_give_thirty_points(self):
+        job = runtime()
+        job.record_losses(0, 59, max_points=30)
+        assert job.convergence.observation_count == 30
+
+
 class TestImbalance:
     def test_paa_near_one(self):
         # resnet-50 has many blocks, so PAA can balance almost perfectly;
