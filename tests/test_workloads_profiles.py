@@ -196,3 +196,38 @@ class TestSolveTailScale:
             solve_tail_scale(0.6, 0.5, 0.3, 10)  # weights sum past 1
         with pytest.raises(ConfigurationError):
             solve_tail_scale(0.1, 0.4, 0.3, 0)
+
+
+class TestPinnedCalibration:
+    """The zoo's calibrated ``tail_scale`` (as ``float.hex``) and the
+    convergence epochs of each calibrated curve, recorded so that any change
+    to the §2.1 stopping-rule scan shows up as a drift."""
+
+    #: name -> (tail_scale hex, epochs_to_converge at THRESHOLDS x PATIENCES).
+    PINNED = {
+        "resnext-110": ("0x1.785a9b05dcbb4p-7", (20, 21, 24, 49, 50, 53, 168, 169, 172)),
+        "resnet-50": ("0x1.5eba876319029p-7", (17, 18, 21, 54, 55, 58, 198, 199, 202)),
+        "inception-bn": ("0x1.58ed2308158edp-6", (16, 17, 20, 49, 50, 53, 144, 145, 148)),
+        "kaggle-ndsb": ("0x1.534e35484ecf3p-7", (12, 13, 16, 44, 45, 48, 182, 183, 186)),
+        "cnn-rand": ("0x1.c98ae39c35a4cp-9", (7, 8, 11, 11, 12, 15, 129, 130, 133)),
+        "dssm": ("0x1.8da90a4e1df41p-8", (9, 10, 13, 19, 20, 23, 185, 186, 189)),
+        "rnn-lstm": ("0x1.183c1fba26e39p-7", (12, 13, 16, 39, 40, 43, 190, 191, 194)),
+        "seq2seq": ("0x1.9ffdac19d271dp-8", (14, 15, 18, 49, 50, 53, 252, 253, 256)),
+        "deepspeech2": ("0x1.38a19f8df25a7p-7", (16, 17, 20, 59, 60, 63, 220, 221, 224)),
+    }
+    THRESHOLDS = (0.01, 0.002, 0.0005)
+    PATIENCES = (1, 2, 5)
+
+    def test_tail_scales_and_convergence_epochs(self):
+        observed = {
+            name: (
+                profile.loss.tail_scale.hex(),
+                tuple(
+                    profile.loss.epochs_to_converge(threshold, patience)
+                    for threshold in self.THRESHOLDS
+                    for patience in self.PATIENCES
+                ),
+            )
+            for name, profile in MODEL_ZOO.items()
+        }
+        assert observed == self.PINNED
