@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -147,7 +147,8 @@ class RuntimeJob:
         # below the owner threshold for `patience` epochs. Epoch losses are
         # epoch averages, so their noise is much smaller than single
         # observations'.
-        self._epoch_losses: List[float] = []
+        self._epochs_observed = 0
+        self._last_epoch_loss = 0.0
         self._epoch_loss_max = 0.0
         self._below_threshold_streak = 0
         self._epoch_rng = self._seed.child("epoch-loss").rng
@@ -293,19 +294,17 @@ class RuntimeJob:
 
     def _epoch_converged(self, epoch: int) -> bool:
         """Record epoch *epoch*'s observed loss; True when the rule fires."""
-        while len(self._epoch_losses) < epoch:
-            e = len(self._epoch_losses) + 1
-            value = self.emitter.true_loss(e * self.steps_per_epoch)
+        while self._epochs_observed < epoch:
+            self._epochs_observed += 1
+            value = self.emitter.true_loss(self._epochs_observed * self.steps_per_epoch)
             if self._epoch_noise_std > 0:
                 value *= max(
                     1e-3, 1.0 + self._epoch_rng.normal(0.0, self._epoch_noise_std)
                 )
-            self._epoch_losses.append(float(value))
+            previous, self._last_epoch_loss = self._last_epoch_loss, float(value)
             self._epoch_loss_max = max(self._epoch_loss_max, value)
-            if len(self._epoch_losses) >= 2 and self._epoch_loss_max > 0:
-                decrease = (
-                    self._epoch_losses[-2] - self._epoch_losses[-1]
-                ) / self._epoch_loss_max
+            if self._epochs_observed >= 2 and self._epoch_loss_max > 0:
+                decrease = (previous - self._last_epoch_loss) / self._epoch_loss_max
                 if decrease < self.spec.threshold:
                     self._below_threshold_streak += 1
                 else:

@@ -119,13 +119,16 @@ class LossCurveTruth:
         if patience < 1:
             raise ConfigurationError("patience must be at least 1")
         consecutive = 0
+        previous = self.loss(0)
         for epoch in range(1, MAX_EPOCHS + 1):
-            if self.epoch_decrease(epoch) < threshold:
+            current = self.loss(epoch)
+            if previous - current < threshold:
                 consecutive += 1
                 if consecutive >= patience:
                     return epoch
             else:
                 consecutive = 0
+            previous = current
         return MAX_EPOCHS
 
 
