@@ -11,12 +11,11 @@ The scheduler classes assembling these live in :mod:`repro.schedulers`.
 from repro.core.allocation import (
     AllocationRequest,
     AllocationResult,
-    Grant,
     TaskAllocation,
     allocate,
     estimated_time,
 )
-from repro.core.convergence import ConvergenceEstimator, ConvergencePrediction
+from repro.core.convergence import ConvergenceEstimator
 from repro.core.placement import (
     JobLayout,
     PlacementCache,
@@ -30,11 +29,9 @@ from repro.core.speed import SpeedEstimator
 
 __all__ = [
     "ConvergenceEstimator",
-    "ConvergencePrediction",
     "SpeedEstimator",
     "AllocationRequest",
     "AllocationResult",
-    "Grant",
     "TaskAllocation",
     "allocate",
     "estimated_time",

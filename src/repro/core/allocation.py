@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Tuple
 
 from repro.cluster.resources import ResourceVector
 from repro.common.errors import FittingError, SchedulingError
@@ -77,16 +77,6 @@ class AllocationRequest:
 
 
 @dataclass(frozen=True)
-class Grant:
-    """One greedy step: which job received which task kind, at what gain."""
-
-    job_id: str
-    kind: str  # "worker" or "ps"
-    gain: float
-    allocation_after: TaskAllocation
-
-
-@dataclass(frozen=True)
 class AllocationResult:
     """The outcome of one allocation round."""
 
@@ -95,12 +85,6 @@ class AllocationResult:
     starved: Tuple[str, ...]
     #: Why the greedy loop stopped: "capacity" or "gains".
     stop_reason: str
-    #: Resources left unallocated.
-    leftover: ResourceVector
-    #: The greedy grant sequence, populated when ``allocate(trace=True)`` --
-    #: gains are non-increasing up to priority effects, which makes
-    #: decisions auditable ("why did job X get 12 tasks?").
-    grants: Tuple[Grant, ...] = ()
 
 
 def _safe_speed(fn: SpeedFn, p: int, w: int) -> float:
@@ -326,8 +310,6 @@ class _Bidder:
 def allocate(
     requests: Iterable[AllocationRequest],
     capacity: ResourceVector,
-    max_total_tasks: Optional[int] = None,
-    trace: bool = False,
 ) -> AllocationResult:
     """Run one §4.1 allocation round over the active jobs.
 
@@ -339,15 +321,14 @@ def allocate(
     capacity:
         Total cluster capacity (constraint (7) is aggregate; fragmentation
         is the placement algorithm's problem, §4.2).
-    max_total_tasks:
-        Optional safety valve on the number of greedy grants.
 
     Returns
     -------
     AllocationResult
         Jobs that could not get the 1+1 starter allocation are listed in
         ``starved`` and receive no tasks (they will be retried next
-        interval, §4.2's pausing behaviour).
+        interval, §4.2's pausing behaviour). Each grant is recorded on the
+        active decision ledger (:mod:`repro.obs.ledger`).
     """
     requests = list(requests)
     seen = set()
@@ -447,9 +428,6 @@ def allocate(
             heappush(heap, (-bidder.gain, next(counter), bidder, 0))
 
     granted = 0
-    stop_reason = "gains"
-    grant_log: List[Grant] = []
-    limit = max_total_tasks if max_total_tasks is not None else 10_000_000
     bidder = None
     while True:
         if bidder is None:
@@ -517,31 +495,18 @@ def allocate(
                     gain - runner_gain if runner_gain is not None else None
                 ),
             )
-        if trace:
-            grant_log.append(
-                Grant(
-                    job_id=bidder.job_id,
-                    kind=kind,
-                    gain=bidder.gain,
-                    allocation_after=TaskAllocation(bidder.workers, bidder.ps),
-                )
-            )
-        if granted >= limit:
-            stop_reason = "capacity"
-            break
         if not bidder.bid(ledger):
             bidder = None
         elif heap and not -bidder.gain < heap[0][0]:
             heappush(heap, (-bidder.gain, next(counter), bidder, bidder.version))
             bidder = None
 
-    if not heap and granted < limit:
-        # Heap drained: either gains went non-positive or nothing else fit.
-        # A bidder's demands only name resources the capacity has (its
-        # starter fit), so an infinite cached share means a zero share.
-        zero_share = any(b.dom_worker == _INF or b.dom_ps == _INF for b in bidders)
-        any_fits = any(fits(b.worker_checks) or fits(b.ps_checks) for b in bidders)
-        stop_reason = "gains" if any_fits and not zero_share else "capacity"
+    # Heap drained: either gains went non-positive or nothing else fit. A
+    # bidder's demands only name resources the capacity has (its starter
+    # fit), so an infinite cached share means a zero share.
+    zero_share = any(b.dom_worker == _INF or b.dom_ps == _INF for b in bidders)
+    any_fits = any(fits(b.worker_checks) or fits(b.ps_checks) for b in bidders)
+    stop_reason = "gains" if any_fits and not zero_share else "capacity"
 
     if ledger:
         ledger.end_round()
@@ -558,6 +523,4 @@ def allocate(
         allocations={b.job_id: TaskAllocation(b.workers, b.ps) for b in bidders},
         starved=tuple(starved),
         stop_reason=stop_reason,
-        leftover=capacity - ResourceVector({name: used[i] for name, i in index.items()}),
-        grants=tuple(grant_log),
     )

@@ -6,14 +6,13 @@ the job trains, refits the Eqn-1 curve on demand (through
 and answers the scheduler's question: *how many more steps does this job
 need before the §2.1 stopping rule fires?*
 
-The estimator also keeps its prediction history so the Fig.-6 style
-prediction-error-vs-progress analysis can be replayed from a single run.
+Its predictions are recorded, and scored against the truth, by the
+engine's estimator telemetry (:mod:`repro.obs.estimators`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -47,15 +46,6 @@ REFIT_GROWTH = 0.5
 DROP_RATIO = 0.85
 #: ... and this many consecutive such observations restart the fitting.
 DROP_PATIENCE = 5
-
-
-@dataclass(frozen=True)
-class ConvergencePrediction:
-    """One snapshot of the estimator's output."""
-
-    at_step: float
-    total_steps: float
-    remaining_steps: float
 
 
 class ConvergenceEstimator:
@@ -102,7 +92,6 @@ class ConvergenceEstimator:
         self._out_of_band = 0
         #: History length when the current fit was made.
         self._fit_history = 0
-        self._history: List[ConvergencePrediction] = []
         self._below_fit_streak = 0
         self.reset_count = 0
         #: Step number where the current training phase began: after a
@@ -252,14 +241,7 @@ class ConvergenceEstimator:
         """Predicted steps left from *current_step* (default: latest seen)."""
         if current_step is None:
             current_step = self.latest_step
-        total = self.predicted_total_steps()
-        prediction = ConvergencePrediction(
-            at_step=float(current_step),
-            total_steps=total,
-            remaining_steps=max(total - float(current_step), 0.0),
-        )
-        self._history.append(prediction)
-        return prediction.remaining_steps
+        return max(self.predicted_total_steps() - float(current_step), 0.0)
 
     def marginal_efficiency(self, current_step: Optional[float] = None) -> float:
         """Predicted worth of the job's *next* step, in (0, 1].
@@ -287,23 +269,3 @@ class ConvergenceEstimator:
             return 1.0
         ratio = fit.beta1 / denom
         return min(max(ratio * ratio, 0.0), 1.0)
-
-    @property
-    def prediction_history(self) -> Tuple[ConvergencePrediction, ...]:
-        return tuple(self._history)
-
-    def prediction_errors(self, true_total_steps: float) -> List[Tuple[float, float]]:
-        """(progress fraction, relative error) pairs, Fig.-6 style.
-
-        The error is ``(predicted_total - true_total) / true_total`` at each
-        recorded prediction, with progress measured against the true total.
-        """
-        if true_total_steps <= 0:
-            raise FittingError("true_total_steps must be positive")
-        return [
-            (
-                min(pred.at_step / true_total_steps, 1.0),
-                (pred.total_steps - true_total_steps) / true_total_steps,
-            )
-            for pred in self._history
-        ]

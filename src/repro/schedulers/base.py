@@ -152,13 +152,13 @@ def record_decision(
     tracer: Tracer,
     estimators: EstimatorTelemetry,
     steps_done: Mapping[str, float],
-) -> Dict[str, float]:
+) -> None:
     """Trace a decision and note what the online models predict for it.
 
     Emits ``allocation_decided`` per allocation and ``placement_decided``
     per layout. With telemetry on, every allocation with a worker -- placed
     or paused -- records its predicted speed and total steps (``steps_done``
-    plus the view's remaining steps). Returns the predicted speeds by job.
+    plus the view's remaining steps).
     """
     if tracer:
         for job_id, alloc in decision.allocations.items():
@@ -173,21 +173,17 @@ def record_decision(
                 servers=len(layout),
                 layout={server: [nw, np_] for server, (nw, np_) in sorted(layout.items())},
             )
-    speeds: Dict[str, float] = {}
     if not estimators:
-        return speeds
+        return
     by_id = {view.job_id: view for view in views}
     for job_id, alloc in decision.allocations.items():
         view = by_id.get(job_id)
         if view is None or alloc.workers < 1:
             continue
-        speed = view.speed(alloc.ps, alloc.workers)
-        estimators.record_speed_prediction(job_id, speed)
+        estimators.record_speed_prediction(job_id, view.speed(alloc.ps, alloc.workers))
         estimators.record_total_prediction(
             job_id, steps_done.get(job_id, 0.0) + view.remaining_steps
         )
-        speeds[job_id] = speed
-    return speeds
 
 
 class Scheduler(abc.ABC):

@@ -17,7 +17,6 @@ from repro.sim.arena import (
 from repro.sim.engine import (
     SimConfig,
     Simulation,
-    probe_accuracy,
     simulate,
 )
 from repro.sim.manifest import (
@@ -64,7 +63,6 @@ __all__ = [
     "jain_index",
     "run_arena",
     "score_result",
-    "probe_accuracy",
     "LoadProfile",
     "constant_load",
     "diurnal_load",

@@ -16,16 +16,12 @@ configurations). This engine is that simulator:
   the configured partitioner (§5.3) and any injected stragglers (§5.2);
 * completions are solved exactly inside the interval.
 
-One event heap drives the run (:meth:`Simulation._run`). Events are ordered
-by ``(time, rank, seq)``: at one timestamp, arrivals (rank 0) are admitted
-before the scheduling point (rank 1), and completion probes (rank 2) come
-last. Schedule events chain themselves from boundary to boundary only while
-jobs are active, so an idle stretch of the timeline costs no work however
-long it is; the next arrival restarts the chain. A completion probe sits at
-the completion time an interval projected for a running job (only when
-estimator telemetry is attached) and scores that projection when popped:
-``sim.events_completion_confirmed`` if the job had finished, ``..._missed``
-if it had not, ``..._stale`` if a later interval superseded it.
+One event heap drives the run (:meth:`Simulation._run`). It holds only
+arrivals and scheduling points, ordered by ``(time, rank, seq)``: at one
+timestamp, arrivals (rank 0) are admitted before the scheduling point
+(rank 1). Schedule events chain themselves from boundary to boundary only
+while jobs are active, so an idle stretch of the timeline costs no work
+however long it is; the next arrival restarts the chain.
 """
 
 from __future__ import annotations
@@ -78,11 +74,9 @@ from repro.sim.stragglers import (
 )
 from repro.workloads.job import JobSpec
 
-#: Pop order within one timestamp: admissions, then the scheduling point,
-#: then completion probes.
+#: Pop order within one timestamp: admissions, then the scheduling point.
 RANK_ARRIVAL = 0
 RANK_SCHEDULE = 1
-RANK_COMPLETION = 2
 
 #: Multiplicative noise on measured interval speeds.
 SPEED_NOISE_STD = 0.03
@@ -90,28 +84,9 @@ SPEED_NOISE_STD = 0.03
 BOOTSTRAP_SAMPLES = 5
 #: Bytes per training example, for sizing the HDFS files (§5.1).
 EXAMPLE_BYTES = 3072
-
-
-def probe_accuracy(metrics: MetricsRegistry) -> Dict[str, float]:
-    """Summarise completion-probe outcomes from a metrics registry.
-
-    Returns the confirmed/stale/missed counts plus ``accuracy`` -- the
-    fraction of *scored* probes (stale ones superseded by a rescale are
-    excluded) whose job had really finished by its projected time. An
-    event-granular estimator-quality number: 1.0 means every surviving
-    projection was met. All zeros when the run attached no telemetry.
-    """
-    counters = metrics.snapshot().get("counters", {})
-    confirmed = float(counters.get("sim.events_completion_confirmed", 0))
-    stale = float(counters.get("sim.events_completion_stale", 0))
-    missed = float(counters.get("sim.events_completion_missed", 0))
-    scored = confirmed + missed
-    return {
-        "confirmed": confirmed,
-        "stale": stale,
-        "missed": missed,
-        "accuracy": confirmed / scored if scored > 0 else 0.0,
-    }
+#: Loss observations fed to the online estimator per job per interval, at
+#: most (a ceiling stride over the interval's steps).
+LOSS_POINTS_PER_INTERVAL = 30
 
 
 @dataclass(frozen=True)
@@ -135,8 +110,6 @@ class SimConfig:
     scaling_costs: ScalingCosts = field(default_factory=ScalingCosts)
     #: Per-container network bandwidth (bytes/s) for the speed ground truth.
     bandwidth: float = 125e6
-    #: Loss observations fed to the estimator per job per interval.
-    loss_points_per_interval: int = 30
     #: Optional background-load profile (t -> reserved capacity fraction):
     #: the non-DL share of the cluster (§7 "Various workloads"). ``None``
     #: gives the DL scheduler the whole cluster.
@@ -475,9 +448,7 @@ class Simulation:
             job.completion_time = now + overhead + converged_after
 
         if cfg.estimator_mode == "online":
-            job.record_losses(
-                steps_before, job.steps_done, cfg.loss_points_per_interval
-            )
+            job.record_losses(steps_before, job.steps_done, LOSS_POINTS_PER_INTERVAL)
             noise = 1.0 + self._measure_rng.normal(0.0, SPEED_NOISE_STD)
             job.record_speed(p, w, base_speed * max(noise, 0.05))
         return base_speed
@@ -530,8 +501,7 @@ class Simulation:
         """Drive the run from the event heap (see the module docstring).
 
         A schedule event is pending exactly while jobs are active, so at
-        most one is ever on the heap. Per job only the newest completion
-        probe is live.
+        most one is ever on the heap.
         """
         interval = self.config.interval
         max_time = self.config.max_time
@@ -550,7 +520,6 @@ class Simulation:
         admitted = 0
         events_processed = 0
         heap_peak = len(heap)
-        probe_stamps: Dict[str, int] = {}
 
         while heap:
             when, rank, _, payload = heapq.heappop(heap)
@@ -576,33 +545,11 @@ class Simulation:
                 metrics.counter("engine.jobs_admitted").inc()
                 metrics.counter("sim.events_arrival").inc()
 
-            elif rank == RANK_SCHEDULE:
+            else:
                 metrics.counter("sim.events_schedule").inc()
-                predictions = self._process_interval(
-                    when, active, done, timeline, len(specs) - admitted
-                )
+                self._process_interval(when, active, done, timeline, len(specs) - admitted)
                 if active:
                     heapq.heappush(heap, (when + interval, RANK_SCHEDULE, next(seq), None))
-                for job_id, projected in predictions.items():
-                    if job_id not in active:
-                        continue  # completed inside this interval
-                    stamp = probe_stamps.get(job_id, 0) + 1
-                    probe_stamps[job_id] = stamp
-                    heapq.heappush(
-                        heap,
-                        (max(projected, when), RANK_COMPLETION, next(seq), (job_id, stamp)),
-                    )
-
-            else:
-                job_id, stamp = payload
-                if probe_stamps.get(job_id) != stamp:
-                    metrics.counter("sim.events_completion_stale").inc()
-                elif job_id in done:
-                    metrics.counter("sim.events_completion_confirmed").inc()
-                else:
-                    # Still running past its projection: the estimate was
-                    # optimistic (or the job was rescaled down).
-                    metrics.counter("sim.events_completion_missed").inc()
 
             if len(heap) > heap_peak:
                 heap_peak = len(heap)
@@ -618,13 +565,8 @@ class Simulation:
         done: Dict[str, RuntimeJob],
         timeline: List[TimeSlot],
         pending_count: int,
-    ) -> Dict[str, float]:
-        """Run one scheduling interval starting at *now*.
-
-        Returns projected completion times (absolute seconds) for the jobs
-        whose speed was predicted this interval (none without estimator
-        telemetry); :meth:`_run` turns those into completion probes.
-        """
+    ) -> None:
+        """Run one scheduling interval starting at *now*."""
         cfg = self.config
         tracer = self.tracer
         metrics = self.metrics
@@ -652,13 +594,7 @@ class Simulation:
             # What the online models promised for this interval, to be
             # scored against what the jobs actually achieve.
             steps_done = {job_id: job.steps_done for job_id, job in active.items()}
-            speeds = record_decision(decision, views, now, tracer, estimators, steps_done)
-            remaining = {view.job_id: view.remaining_steps for view in views}
-            predictions = {
-                job_id: now + remaining[job_id] / speed
-                for job_id, speed in speeds.items()
-                if speed > 0
-            }
+            record_decision(decision, views, now, tracer, estimators, steps_done)
 
             with spans.span("progress"):
                 nic_shares = self._nic_shares(decision.layouts)
@@ -729,7 +665,6 @@ class Simulation:
                     active_jobs=len(active),
                     pending_jobs=pending_count,
                 )
-        return predictions
 
     def _finalize(
         self,

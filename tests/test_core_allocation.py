@@ -47,6 +47,24 @@ def truth_speed(model="resnet-50", mode="sync"):
     return lambda p, w: truth.speed(p, w)
 
 
+def allocate_with_grants(requests, capacity):
+    """One round under a full decision ledger: the result and its grants."""
+    tracer = RecordingTracer()
+    with use_ledger(DecisionLedger(tracer, MetricsRegistry(), mode="full")):
+        result = allocate(requests, capacity)
+    return result, [e for e in tracer.of_type("decision") if e["kind"] == "grant"]
+
+
+def allocated_demand(requests, result):
+    """The summed demand of every granted task."""
+    used = ResourceVector()
+    for req in requests:
+        alloc = result.allocations.get(req.job_id)
+        if alloc is not None:
+            used = used + req.worker_demand * alloc.workers + req.ps_demand * alloc.ps
+    return used
+
+
 class TestStarterAllocations:
     def test_every_job_gets_one_plus_one(self):
         requests = [request(f"j{i}", 1000, truth_speed()) for i in range(3)]
@@ -75,11 +93,11 @@ class TestCapacityRespect:
         capacity = cpu_mem(100, 200)
         requests = [request(f"j{i}", 10_000 * (i + 1), truth_speed()) for i in range(4)]
         result = allocate(requests, capacity)
-        used = ResourceVector()
-        for alloc in result.allocations.values():
-            used = used + DEMAND * alloc.total
+        used = allocated_demand(requests, result)
         assert used.fits_within(capacity)
-        assert (result.leftover + used) == capacity
+        # The round stopped on capacity: not one more task fits.
+        assert result.stop_reason == "capacity"
+        assert not DEMAND.fits_within(capacity - used)
 
     def test_all_capacity_used_when_gains_positive(self):
         # A single huge job with near-linear async speedups should soak up
@@ -317,26 +335,24 @@ class TestGreedyQuality:
 
 
 class TestGrantTrace:
-    def test_disabled_by_default(self):
-        result = allocate([request("j", 1000, truth_speed())], cpu_mem(40, 80))
-        assert result.grants == ()
+    """The grant sequence, as the decision ledger records it."""
 
     def test_trace_records_every_grant(self):
-        result = allocate(
-            [request("j", 1e6, truth_speed())], cpu_mem(60, 120), trace=True
+        result, grants = allocate_with_grants(
+            [request("j", 1e6, truth_speed())], cpu_mem(60, 120)
         )
         # Starter (1, 1) is not a grant; everything beyond it is.
-        assert len(result.grants) == result.allocations["j"].total - 2
-        for grant in result.grants:
-            assert grant.job_id == "j"
-            assert grant.kind in ("worker", "ps")
-            assert grant.gain > 0
+        assert len(grants) == result.allocations["j"].total - 2
+        for grant in grants:
+            assert grant["job_id"] == "j"
+            assert grant["task"] in ("worker", "ps")
+            assert grant["gain"] > 0
 
     def test_allocation_after_is_cumulative(self):
-        result = allocate(
-            [request("j", 1e6, truth_speed())], cpu_mem(60, 120), trace=True
+        result, grants = allocate_with_grants(
+            [request("j", 1e6, truth_speed())], cpu_mem(60, 120)
         )
-        totals = [g.allocation_after.total for g in result.grants]
+        totals = [g["workers"] + g["ps"] for g in grants]
         assert totals == sorted(totals)
         if totals:
             assert totals[-1] == result.allocations["j"].total
@@ -346,10 +362,10 @@ class TestGrantTrace:
             request("small", 1_000, truth_speed()),
             request("large", 1_000_000, truth_speed()),
         ]
-        result = allocate(requests, cpu_mem(80, 160), trace=True)
+        _, grants = allocate_with_grants(requests, cpu_mem(80, 160))
         # The very first grant goes to the job with the larger gain -- the
         # large job, whose absolute time reduction dominates.
-        assert result.grants[0].job_id == "large"
+        assert grants[0]["job_id"] == "large"
 
 
 def pinned_fleet():
@@ -424,19 +440,16 @@ class TestPinnedDecisions:
 
     def test_trace_grant_log(self):
         requests, capacity = pinned_fleet()
-        result = allocate(requests, capacity, trace=True)
+        result, grants = allocate_with_grants(requests, capacity)
         assert [
-            (g.job_id, g.kind, g.gain, tuple(g.allocation_after)) for g in result.grants[:4]
+            (g["job_id"], g["task"], g["gain"], (g["workers"], g["ps"])) for g in grants[:4]
         ] == [
             ("truth-sync", "ps", 78240000.0, (1, 2)),
             ("weighted-fitted", "ps", 43125000.0, (1, 2)),
             ("capped", "ps", 40608000.00000006, (1, 2)),
             ("huge-b", "worker", 34060800.000000015, (2, 1)),
         ]
-        log = [
-            [g.job_id, g.kind, g.gain.hex(), g.allocation_after.workers, g.allocation_after.ps]
-            for g in result.grants
-        ]
+        log = [[g["job_id"], g["task"], g["gain"].hex(), g["workers"], g["ps"]] for g in grants]
         assert len(log) == 29
         assert sha256_of(log) == (
             "e9814ec384680c34a8a0a3257b59d136e862a02f5038c556aaf288c24d259d33"
@@ -457,7 +470,9 @@ class TestPinnedDecisions:
         }
         assert result.starved == ("giant",)
         assert result.stop_reason == "capacity"
-        assert result.leftover == ResourceVector({"gpu": 4, "memory": 254})
+        assert capacity - allocated_demand(requests, result) == ResourceVector(
+            {"gpu": 4, "memory": 254}
+        )
 
     def test_full_ledger_grants_and_denials(self):
         requests, capacity = pinned_fleet()

@@ -5,10 +5,9 @@ and is tuned for the per-round cost of fleet-sized simulations. This module
 keeps an earlier formulation of the same loop -- one ``push`` per bidder
 that evaluates both +1-task candidates through ``_Bidder.completion_time``,
 capacity checks keyed by resource name, every grant a heap round trip -- as
-the reference. Allocations, starved jobs, the stop reason, the leftover
-capacity, the traced grant sequence (gains compared as ``float.hex``), every
-decision event of a full and a sampled ledger, and every metric counter must
-be identical.
+the reference. Allocations, starved jobs, the stop reason, every decision
+event of a full and a sampled ledger (the grant sequence among them), and
+every metric counter must be identical.
 
 The generated fleets cover the branches of the loop: fractional demands
 (so running totals land within 1e-9 of a capacity), a resource the capacity
@@ -32,7 +31,6 @@ from repro.common.errors import FittingError, SchedulingError
 from repro.core.allocation import (
     AllocationRequest,
     AllocationResult,
-    Grant,
     TaskAllocation,
     allocate,
 )
@@ -104,7 +102,7 @@ class RefBidder:
         return self.completion_time(p, w + 1), self.completion_time(p + 1, w)
 
 
-def ref_allocate(requests, capacity, max_total_tasks=None, trace=False):
+def ref_allocate(requests, capacity):
     requests = list(requests)
     seen = set()
     for request in requests:
@@ -193,9 +191,6 @@ def ref_allocate(requests, capacity, max_total_tasks=None, trace=False):
         push(bidder)
 
     granted = 0
-    stop_reason = "gains"
-    grant_log = []
-    limit = max_total_tasks if max_total_tasks is not None else 10_000_000
     while heap:
         neg_gain, _, bidder, kind, version, t_worker, t_ps = heapq.heappop(heap)
         if bidder.version != version:
@@ -242,33 +237,20 @@ def ref_allocate(requests, capacity, max_total_tasks=None, trace=False):
                 runner_up=runner_up,
                 runner_up_gap=(gain - runner_gain if runner_gain is not None else None),
             )
-        if trace:
-            grant_log.append(
-                Grant(
-                    job_id=bidder.job_id,
-                    kind=kind,
-                    gain=-neg_gain,
-                    allocation_after=TaskAllocation(bidder.workers, bidder.ps),
-                )
-            )
-        if granted >= limit:
-            stop_reason = "capacity"
-            break
         push(bidder)
 
-    if not heap and granted < limit:
-        smallest = min(
-            (
-                min(
-                    b.request.worker_demand.dominant_share(capacity),
-                    b.request.ps_demand.dominant_share(capacity),
-                )
-                for b in bidders
-            ),
-            default=0.0,
-        )
-        any_fits = any(fits(b.worker_checks) or fits(b.ps_checks) for b in bidders)
-        stop_reason = "gains" if any_fits and smallest > 0 else "capacity"
+    smallest = min(
+        (
+            min(
+                b.request.worker_demand.dominant_share(capacity),
+                b.request.ps_demand.dominant_share(capacity),
+            )
+            for b in bidders
+        ),
+        default=0.0,
+    )
+    any_fits = any(fits(b.worker_checks) or fits(b.ps_checks) for b in bidders)
+    stop_reason = "gains" if any_fits and smallest > 0 else "capacity"
 
     if ledger:
         ledger.end_round()
@@ -285,8 +267,6 @@ def ref_allocate(requests, capacity, max_total_tasks=None, trace=False):
         allocations={b.job_id: TaskAllocation(b.workers, b.ps) for b in bidders},
         starved=tuple(starved),
         stop_reason=stop_reason,
-        leftover=capacity - ResourceVector(used),
-        grants=tuple(grant_log),
     )
 
 
@@ -360,8 +340,7 @@ def fleets(draw):
     }
     if draw(st.booleans()):
         capacity["gpu"] = draw(st.sampled_from((1.0, 2.5, 4.0)))
-    max_total = draw(st.sampled_from((None, None, None, 1, 5)))
-    return [rows[i] for i in picks], capacity, max_total
+    return [rows[i] for i in picks], capacity
 
 
 def build_requests(rows):
@@ -380,22 +359,16 @@ def build_requests(rows):
     ]
 
 
-def observe(run, rows, capacity, max_total, mode):
+def observe(run, rows, capacity, mode):
     """One round under a fresh registry and ledger: everything it reports."""
     metrics = MetricsRegistry()
     tracer = RecordingTracer()
     with use_registry(metrics), use_ledger(DecisionLedger(tracer, metrics, mode=mode)):
-        result = run(
-            build_requests(rows), ResourceVector(capacity), max_total_tasks=max_total, trace=True
-        )
+        result = run(build_requests(rows), ResourceVector(capacity))
     return {
         "allocations": [(job, tuple(a)) for job, a in result.allocations.items()],
         "starved": result.starved,
         "stop_reason": result.stop_reason,
-        "leftover": [(name, value.hex()) for name, value in result.leftover.items()],
-        "grants": [
-            (g.job_id, g.kind, g.gain.hex(), tuple(g.allocation_after)) for g in result.grants
-        ],
         # json.dumps tells -0.0 from 0.0 and keeps every event's field order.
         "events": [json.dumps(e) for e in tracer.events if e.get("event") == "decision"],
         "metrics": json.dumps(metrics.snapshot(), sort_keys=True),
@@ -411,9 +384,9 @@ class TestAllocateMatchesReference:
     @EQUIVALENCE
     @given(fleet=fleets(), mode=st.sampled_from(("full", "sampled")))
     def test_same_round(self, fleet, mode):
-        rows, capacity, max_total = fleet
-        assert observe(allocate, rows, capacity, max_total, mode) == observe(
-            ref_allocate, rows, capacity, max_total, mode
+        rows, capacity = fleet
+        assert observe(allocate, rows, capacity, mode) == observe(
+            ref_allocate, rows, capacity, mode
         )
 
     def test_equal_jobs_tie_to_submission_order(self):
@@ -421,9 +394,10 @@ class TestAllocateMatchesReference:
         # which pins the tie rule (the older heap entry wins).
         row = (3e5, (1.0, 0.1, 0.05, None, 2), {"cpu": 1.0}, {"cpu": 0.5}, 1.0, 100, 100)
         rows, capacity = [row] * 3, {"cpu": 9.0}
-        observed = observe(allocate, rows, capacity, None, "full")
-        assert observed == observe(ref_allocate, rows, capacity, None, "full")
-        assert [job for job, *_ in observed["grants"][:3]] == ["j0", "j1", "j2"]
+        observed = observe(allocate, rows, capacity, "full")
+        assert observed == observe(ref_allocate, rows, capacity, "full")
+        grants = [e for e in map(json.loads, observed["events"]) if e["kind"] == "grant"]
+        assert [e["job_id"] for e in grants[:3]] == ["j0", "j1", "j2"]
 
     def test_every_failure_mode_matches(self):
         rows = [
@@ -432,6 +406,6 @@ class TestAllocateMatchesReference:
             for failure in ("raise", "nan", "zero", "negative")
         ]
         capacity = {"cpu": 7.5, "memory": 15.0}
-        observed = observe(allocate, rows, capacity, None, "full")
-        assert observed == observe(ref_allocate, rows, capacity, None, "full")
+        observed = observe(allocate, rows, capacity, "full")
+        assert observed == observe(ref_allocate, rows, capacity, "full")
         assert '"est.fallback.speed_eval"' in observed["metrics"]

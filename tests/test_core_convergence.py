@@ -257,27 +257,6 @@ class TestPrediction:
         feed(estimator, emitter, 0, 20, spe)
         assert estimator.remaining_steps(current_step=1e9) == 0.0
 
-    def test_history_recorded(self, setup):
-        _, spe, emitter, estimator = setup
-        feed(estimator, emitter, 0, 10, spe)
-        estimator.remaining_steps(100)
-        estimator.remaining_steps(200)
-        assert len(estimator.prediction_history) == 2
-
-    def test_prediction_errors_signed(self, setup):
-        _, spe, emitter, estimator = setup
-        feed(estimator, emitter, 0, 10, spe)
-        estimator.remaining_steps(100)
-        pairs = estimator.prediction_errors(true_total_steps=50 * spe)
-        assert len(pairs) == 1
-        progress, error = pairs[0]
-        assert 0 <= progress <= 1
-
-    def test_prediction_errors_validation(self, setup):
-        *_, estimator = setup
-        with pytest.raises(FittingError):
-            estimator.prediction_errors(0)
-
 
 class TestValidation:
     def test_constructor_guards(self):

@@ -8,7 +8,7 @@ Two contracts are pinned here:
   injected. They were first recorded when a fixed-tick loop still ran
   beside it and the two were checked bit-identical, and re-recorded when
   the online §3 estimators began refitting on evidence, a deliberate
-  decision change. Completion probes keep their recorded counts.
+  decision change.
 * The heap-based incremental ``allocate`` (candidate completion times
   carried in heap entries) must grant exactly what
   a from-scratch reference -- same greedy control flow, but recomputing
@@ -39,9 +39,9 @@ from repro.core.allocation import (
 )
 from repro.core.speed import SpeedEstimator
 from repro.faults.config import FaultConfig
-from repro.obs import MetricsRegistry, use_registry
+from repro.obs import DecisionLedger, MetricsRegistry, RecordingTracer, use_ledger, use_registry
 from repro.schedulers import make_scheduler
-from repro.sim import SimConfig, probe_accuracy, simulate
+from repro.sim import SimConfig, simulate
 from repro.workloads import MODEL_ZOO, StepTimeModel, make_job, uniform_arrivals
 
 SEEDS = (3, 11, 42)
@@ -152,22 +152,10 @@ class TestEngineEquivalence:
         assert counters["sim.events_processed"] > 0
         assert counters["sim.events_arrival"] > 0
         assert counters["sim.events_schedule"] > 0
-
-    def test_completion_probe_counts_are_pinned(self):
-        """Seed 3 with a registry attached: the recorded probe outcomes."""
-        metrics = MetricsRegistry()
-        run_one(3, metrics=metrics)
-        counters = metrics.snapshot()["counters"]
-        assert counters["sim.events_completion_confirmed"] == 5
-        assert counters["sim.events_completion_missed"] == 4
-        assert counters["sim.events_completion_stale"] == 74
-        summary = probe_accuracy(metrics)
-        assert (summary["confirmed"], summary["missed"], summary["stale"]) == (5, 4, 74)
-        assert 0.0 <= summary["accuracy"] <= 1.0
-        assert summary["accuracy"] == 5 / 9
-
-    def test_probe_accuracy_without_telemetry(self):
-        assert probe_accuracy(MetricsRegistry())["accuracy"] == 0.0
+        # The heap holds only arrivals and scheduling points.
+        assert counters["sim.events_processed"] == (
+            counters["sim.events_arrival"] + counters["sim.events_schedule"]
+        )
 
 
 # -- incremental allocator vs from-scratch reference -------------------------
@@ -417,12 +405,12 @@ class TestIncrementalAllocatorEquivalence:
         self.assert_matches_reference(requests, capacity)
 
     def test_noisy_fit_grant_log_is_pinned(self):
-        """The ``trace=True`` grant log of each noisy-fit fleet, first
-        recorded when candidates were still scored through a batch
-        ``predict_many``: scalar evaluation must reproduce every grant and
-        gain bit for bit. Re-recorded when speed fits moved to the normal
-        equations: θ moved in its last bits, and so did the gains; every
-        grant stayed where it was."""
+        """The grant log of each noisy-fit fleet, as the decision ledger
+        records it, first recorded when candidates were still scored
+        through a batch ``predict_many``: scalar evaluation must reproduce
+        every grant and gain bit for bit. Re-recorded when speed fits moved
+        to the normal equations: θ moved in its last bits, and so did the
+        gains; every grant stayed where it was."""
         pinned = {
             0: (59, "2c7480bde79be08437a435c1e18f59d2e90c02a0ac653f127afa6392d7dfc1a3"),
             1: (50, "d4852bd5d499a52c84a4ce61a3806c86fd4d694fb103eab6d96d03be176926a7"),
@@ -430,10 +418,13 @@ class TestIncrementalAllocatorEquivalence:
         }
         for seed, (count, digest) in pinned.items():
             requests, capacity = fitted_fleet(seed)
-            result = allocate(requests, capacity, trace=True)
+            tracer = RecordingTracer()
+            with use_ledger(DecisionLedger(tracer, MetricsRegistry(), mode="full")):
+                allocate(requests, capacity)
             log = [
-                [g.job_id, g.kind, g.gain.hex(), *g.allocation_after]
-                for g in result.grants
+                [e["job_id"], e["task"], e["gain"].hex(), e["workers"], e["ps"]]
+                for e in tracer.of_type("decision")
+                if e["kind"] == "grant"
             ]
             assert len(log) == count
             assert hashlib.sha256(json.dumps(log, sort_keys=True).encode()).hexdigest() == digest
@@ -504,7 +495,16 @@ class TestIncrementalAllocatorEquivalence:
         ]
         capacity = ResourceVector({"cpu": 0.1 * (20 + rng.randrange(20)), "memory": 100.0})
         result = self.assert_matches_reference(requests, capacity)
-        assert result.leftover.get("cpu") <= 0.1  # the CPU ran out
+        used = sum(
+            (
+                r.worker_demand * result.allocations[r.job_id].workers
+                + r.ps_demand * result.allocations[r.job_id].ps
+                for r in requests
+                if r.job_id in result.allocations
+            ),
+            ResourceVector(),
+        )
+        assert (capacity - used).get("cpu") <= 0.1  # the CPU ran out
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference_with_priorities(self, seed):
