@@ -6,11 +6,12 @@ count and the job count.
 
 This bench has two parts:
 
-* :func:`schedule_once` / :func:`run_sweep` time one full scheduling round
-  -- §4.1 allocation plus §4.2 placement -- at several scales. Task counts
-  per job are capped at 28, so the largest point handles ~50k tasks; the
-  paper's 100k-task point used a ps:worker grid we cap lower to keep the
-  bench under a minute.
+* :func:`run_sweep` times one full scheduling round
+  (:func:`repro.sim.experiment.fig12_round`, also behind ``repro
+  scalability``) -- §4.1 allocation plus §4.2 placement -- at several
+  scales. Task counts per job are capped at 28, so the largest point
+  handles ~50k tasks; the paper's 100k-task point used a ps:worker grid we
+  cap lower to keep the bench under a minute.
 * :func:`run_scale_scenario` runs a *full simulation* at datacenter
   scale (thousands of GPUs, thousands of jobs) and writes a
   ``BENCH_scale.json`` report that CI's ``benchmark-scale`` job gates
@@ -27,10 +28,9 @@ import sys
 import time
 
 from bench_common import report
-from repro.cluster import Cluster, cpu_mem
+from repro.cluster import Cluster
 from repro.cluster.resources import ResourceVector
-from repro.core.allocation import AllocationRequest, allocate
-from repro.core.placement import PlacementRequest, place_jobs
+from repro.sim.experiment import fig12_round
 
 #: What benchmarks/smoke.py runs at smoke scale (NOT the scale scenario).
 SMOKE_PRODUCERS = ("run_sweep",)
@@ -43,44 +43,10 @@ SCALES = (
     (16_000, 4_000),
 )
 
-DEMAND = cpu_mem(5, 10)
-
-
-def _speed(p, w):
-    # A fitted-function stand-in (Eqn-3 form with typical coefficients).
-    return w / (2.0 + 3.0 * w / p + 0.02 * w + 0.01 * p)
-
-
-def schedule_once(num_nodes, num_jobs):
-    capacity = ResourceVector({"cpu": 16 * num_nodes, "memory": 80 * num_nodes})
-    requests = [
-        AllocationRequest(
-            job_id=f"j{i}",
-            remaining_work=1e5 * (1 + i % 7),
-            speed=_speed,
-            worker_demand=DEMAND,
-            ps_demand=DEMAND,
-            max_workers=14,
-            max_ps=14,
-        )
-        for i in range(num_jobs)
-    ]
-    start = time.perf_counter()
-    allocation = allocate(requests, capacity)
-    cluster = Cluster.homogeneous(num_nodes, cpu_mem(16, 80))
-    placement_requests = [
-        PlacementRequest(j, a.workers, a.ps, DEMAND, DEMAND)
-        for j, a in allocation.allocations.items()
-    ]
-    placement = place_jobs(cluster, placement_requests)
-    elapsed = time.perf_counter() - start
-    tasks = sum(a.total for a in allocation.allocations.values())
-    return elapsed, tasks, len(placement.layouts)
-
 
 def run_sweep():
     return {
-        (nodes, jobs): schedule_once(nodes, jobs) for nodes, jobs in SCALES
+        (nodes, jobs): fig12_round(nodes, jobs) for nodes, jobs in SCALES
     }
 
 

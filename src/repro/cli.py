@@ -571,36 +571,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_scalability(args: argparse.Namespace) -> int:
-    from repro.cluster.resources import ResourceVector
-    from repro.core.allocation import AllocationRequest, allocate
-    from repro.core.placement import PlacementRequest, place_jobs
-
-    demand = cpu_mem(5, 10)
-
-    def speed(p, w):
-        return w / (2.0 + 3.0 * w / p + 0.02 * w + 0.01 * p)
+    from repro.sim.experiment import fig12_round
 
     rows = []
     for nodes, jobs in zip(args.nodes, args.job_counts):
-        capacity = ResourceVector({"cpu": 16 * nodes, "memory": 80 * nodes})
-        requests = [
-            AllocationRequest(
-                f"j{i}", 1e5 * (1 + i % 7), speed, demand, demand,
-                max_workers=14, max_ps=14,
-            )
-            for i in range(jobs)
-        ]
-        start = time.perf_counter()
-        allocation = allocate(requests, capacity)
-        cluster = Cluster.homogeneous(nodes, cpu_mem(16, 80))
-        placement_requests = [
-            PlacementRequest(j, a.workers, a.ps, demand, demand)
-            for j, a in allocation.allocations.items()
-        ]
-        placement = place_jobs(cluster, placement_requests)
-        elapsed = time.perf_counter() - start
-        tasks = sum(a.total for a in allocation.allocations.values())
-        rows.append([nodes, jobs, tasks, len(placement.layouts), elapsed])
+        elapsed, tasks, placed = fig12_round(nodes, jobs)
+        rows.append([nodes, jobs, tasks, placed, elapsed])
     print(format_table(["nodes", "jobs", "tasks", "placed", "seconds"], rows))
     return 0
 

@@ -8,11 +8,15 @@ is a few lines.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.resources import ResourceVector, cpu_mem
 from repro.common.errors import SimulationError
+from repro.core.allocation import AllocationRequest, allocate
+from repro.core.placement import PlacementRequest, place_jobs
 from repro.schedulers.composite import make_scheduler
 from repro.sim.engine import SimConfig, Simulation
 from repro.sim.metrics import SimulationResult, aggregate_results
@@ -122,3 +126,43 @@ def format_comparison(
             f"{s.makespan_std / 3600:7.2f} {norm[name]['makespan']:6.2f}"
         )
     return "\n".join(lines)
+
+
+def _fig12_speed(p: int, w: int) -> float:
+    # A fitted-function stand-in (Eqn-3 form with typical coefficients).
+    return w / (2.0 + 3.0 * w / p + 0.02 * w + 0.01 * p)
+
+
+def fig12_round(num_nodes: int, num_jobs: int) -> Tuple[float, int, int]:
+    """Time one full Fig.-12 scheduling round: §4.1 allocation plus §4.2
+    placement of *num_jobs* identical-shape jobs on *num_nodes* 16-CPU /
+    80-GB servers.
+
+    Task counts per job are capped at 28 (14 workers + 14 PS). Returns
+    ``(seconds, tasks allocated, jobs placed)``.
+    """
+    demand = cpu_mem(5, 10)
+    capacity = ResourceVector({"cpu": 16 * num_nodes, "memory": 80 * num_nodes})
+    requests = [
+        AllocationRequest(
+            job_id=f"j{i}",
+            remaining_work=1e5 * (1 + i % 7),
+            speed=_fig12_speed,
+            worker_demand=demand,
+            ps_demand=demand,
+            max_workers=14,
+            max_ps=14,
+        )
+        for i in range(num_jobs)
+    ]
+    start = time.perf_counter()
+    allocation = allocate(requests, capacity)
+    cluster = Cluster.homogeneous(num_nodes, cpu_mem(16, 80))
+    placement_requests = [
+        PlacementRequest(j, a.workers, a.ps, demand, demand)
+        for j, a in allocation.allocations.items()
+    ]
+    placement = place_jobs(cluster, placement_requests)
+    elapsed = time.perf_counter() - start
+    tasks = sum(a.total for a in allocation.allocations.values())
+    return elapsed, tasks, len(placement.layouts)
