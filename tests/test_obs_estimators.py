@@ -186,28 +186,47 @@ class TestNullTelemetry:
 
 
 @pytest.mark.slow
+def slowdown(t):
+    """The hardware loses 60% of its speed halfway through the arrivals."""
+    return 0.4 if t >= 6000 else 1.0
+
+
 class TestEngineDrift:
     """Acceptance: perturbing ground-truth speed mid-run fires the
-    detector; the same seed unperturbed stays silent."""
+    detector, and fires it more than the same seed's noise alone."""
 
-    def run(self, perturbation=None):
+    def run(self, perturbation=None, seed=0):
         tracer = RecordingTracer()
         simulate(
             Cluster.homogeneous(13, cpu_mem(16, 80)),
             make_scheduler("optimus"),
-            uniform_arrivals(num_jobs=9, window=12000, seed=0),
-            SimConfig(seed=0, speed_perturbation=perturbation),
+            uniform_arrivals(num_jobs=9, window=12000, seed=seed),
+            SimConfig(seed=seed, speed_perturbation=perturbation),
             tracer=tracer,
         )
         return tracer
 
     def test_perturbed_run_fires_drift(self):
-        tracer = self.run(lambda t: 0.4 if t >= 6000 else 1.0)
+        tracer = self.run(slowdown)
         drifts = tracer.of_type(EVENT_ESTIMATOR_DRIFT)
         assert drifts, "perturbed speeds should trip the drift detector"
         assert all(d["window_mape"] > d["threshold"] for d in drifts)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [*range(8), *(pytest.param(seed, marks=pytest.mark.slow) for seed in range(8, 24))],
+    )
+    def test_perturbation_outfires_noise(self, seed):
+        """Early fits on a few dozen noisy points can miss by more than the
+        drift band for several resolutions in a row, so an unperturbed run
+        may fire a few events; the slowdown must fire more, on every seed."""
+        noise = self.run(None, seed=seed).of_type(EVENT_ESTIMATOR_DRIFT)
+        perturbed = self.run(slowdown, seed=seed).of_type(EVENT_ESTIMATOR_DRIFT)
+        assert len(perturbed) > len(noise)
+
     def test_unperturbed_run_is_silent(self):
+        """Pins seed 0's noise draw, which happens to fire no drift event
+        (other seeds fire a few; see ``test_perturbation_outfires_noise``)."""
         tracer = self.run(None)
         assert tracer.of_type(EVENT_ESTIMATOR_DRIFT) == []
         # ...but estimator samples still flow.
