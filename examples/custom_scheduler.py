@@ -16,14 +16,14 @@ from typing import Sequence
 from repro import Cluster, SimConfig, cpu_mem, make_scheduler, simulate
 from repro.cluster.cluster import Cluster as ClusterType
 from repro.core.allocation import TaskAllocation
-from repro.core.placement import PlacementRequest
+from repro.core.placement import PlacementRequest, layout_counts
 from repro.schedulers import JobView, Scheduler, SchedulingDecision
 from repro.schedulers.policies import spread_placement
 from repro.workloads import uniform_arrivals
 
 
 class FixedTwoByTwoScheduler(Scheduler):
-    """Every job gets exactly 2 workers + 2 parameter servers, spread out.
+    """Every job asks for exactly 2 workers + 2 parameter servers, spread out.
 
     This is the "static resource allocation" §2.3 criticises, distilled:
     no job ever benefits from idle capacity, and no job ever shrinks to
@@ -45,9 +45,12 @@ class FixedTwoByTwoScheduler(Scheduler):
             )
             for view in jobs
         ]
+        # The spread policy shrinks a job that no (2, 2) layout fits, so
+        # each job's allocation is read off its layout.
         placement = spread_placement(cluster, requests)
         allocations = {
-            job_id: TaskAllocation(2, 2) for job_id in placement.layouts
+            job_id: TaskAllocation(*layout_counts(layout))
+            for job_id, layout in placement.layouts.items()
         }
         decision = SchedulingDecision(
             allocations=allocations, layouts=dict(placement.layouts)

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
-from repro.cluster.server import ROLE_PS, ROLE_WORKER, Server
+from repro.cluster.server import ROLE_PS, ROLE_WORKER, Server, TaskKey
 from repro.common.errors import SchedulingError
 from repro.core.allocation import (
     AllocationRequest,
@@ -42,6 +42,7 @@ from repro.core.placement import (
     PlacementRequest,
     PlacementResult,
     place_jobs,
+    place_round,
 )
 from repro.schedulers.base import JobView
 
@@ -250,47 +251,33 @@ def optimus_placement(
     return place_jobs(cluster, requests)
 
 
-def _task_list(request: PlacementRequest) -> List[Tuple[str, ResourceVector, int]]:
-    tasks = []
-    for i in range(request.workers):
-        tasks.append((ROLE_WORKER, request.worker_demand, i))
-    for i in range(request.ps):
-        tasks.append((ROLE_PS, request.ps_demand, i))
-    return tasks
-
-
 def _place_task_by(
     cluster: Cluster,
     requests: Sequence[PlacementRequest],
     choose: Callable[[Sequence[Server], ResourceVector], Optional[Server]],
 ) -> PlacementResult:
     """Shared task-at-a-time driver for the spread and pack policies."""
-    layouts: Dict[str, JobLayout] = {}
-    unplaced: List[str] = []
-    for request in requests:
-        chosen: List[Tuple[str, str, int, ResourceVector]] = []
-        feasible = True
-        for role, demand, idx in _task_list(request):
+
+    def place(request: PlacementRequest, first_pass: bool) -> Optional[JobLayout]:
+        chosen: List[Tuple[str, TaskKey]] = []
+        tasks = [(ROLE_WORKER, request.worker_demand, i) for i in range(request.workers)]
+        tasks += [(ROLE_PS, request.ps_demand, i) for i in range(request.ps)]
+        for role, demand, idx in tasks:
             candidates = [s for s in cluster.servers if s.can_fit(demand)]
             server = choose(candidates, demand) if candidates else None
             if server is None:
-                feasible = False
-                break
-            cluster.place(server.name, (request.job_id, role, idx), demand)
-            chosen.append((server.name, role, idx, demand))
-        if not feasible:
-            for server_name, role, idx, _ in chosen:
-                cluster.release(server_name, (request.job_id, role, idx))
-            unplaced.append(request.job_id)
-            continue
+                for server_name, key in chosen:
+                    cluster.release(server_name, key)
+                return None
+            key = (request.job_id, role, idx)
+            cluster.place(server.name, key, demand)
+            chosen.append((server.name, key))
         layout: Dict[str, List[int]] = {}
-        for server_name, role, _, _ in chosen:
-            counts = layout.setdefault(server_name, [0, 0])
-            counts[0 if role == ROLE_WORKER else 1] += 1
-        layouts[request.job_id] = {
-            name: (c[0], c[1]) for name, c in layout.items()
-        }
-    return PlacementResult(layouts=layouts, unplaced=tuple(unplaced))
+        for server_name, (_, role, _) in chosen:
+            layout.setdefault(server_name, [0, 0])[0 if role == ROLE_WORKER else 1] += 1
+        return {name: (c[0], c[1]) for name, c in layout.items()}
+
+    return place_round(cluster, requests, place)
 
 
 def spread_placement(

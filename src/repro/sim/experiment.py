@@ -139,7 +139,8 @@ def fig12_round(num_nodes: int, num_jobs: int) -> Tuple[float, int, int]:
     80-GB servers.
 
     Task counts per job are capped at 28 (14 workers + 14 PS). Returns
-    ``(seconds, tasks allocated, jobs placed)``.
+    ``(seconds, tasks allocated, jobs placed)``; the placed count includes
+    the jobs :func:`~repro.core.placement.place_jobs` had to shrink to fit.
     """
     demand = cpu_mem(5, 10)
     capacity = ResourceVector({"cpu": 16 * num_nodes, "memory": 80 * num_nodes})

@@ -98,12 +98,25 @@ class TestPlacement:
         cluster = Cluster(
             [Server("g", ResourceVector({"cpu": 16, "memory": 64, "gpu": 2}))]
         )
+        cluster.place("g", ("other", "worker", 0), ResourceVector({"gpu": 2}))
         request = PlacementRequest(
             job_id="j", workers=3, ps=1,
             worker_demand=GPU_WORKER, ps_demand=CPU_PS,
         )
         result = place_jobs(cluster, [request])
         assert result.unplaced == ("j",)
+
+    def test_short_of_gpus_shrinks_to_what_fits(self):
+        # Three GPU workers on a 2-GPU server: halved to (1, 1).
+        cluster = Cluster(
+            [Server("g", ResourceVector({"cpu": 16, "memory": 64, "gpu": 2}))]
+        )
+        request = PlacementRequest(
+            job_id="j", workers=3, ps=1,
+            worker_demand=GPU_WORKER, ps_demand=CPU_PS,
+        )
+        result = place_jobs(cluster, [request])
+        assert result.layouts["j"] == {"g": (1, 1)}
 
 
 class TestEndToEnd:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, cpu_mem
 from repro.common.errors import FittingError, SchedulingError
+from repro.obs import DecisionLedger, MetricsRegistry, use_ledger, use_registry
 from repro.schedulers import (
     ALLOCATION_POLICIES,
     PLACEMENT_POLICIES,
@@ -112,6 +113,17 @@ class TestShrinkRetry:
         decision = make_scheduler("optimus").schedule(cluster, views)
         # Both jobs must still run (no starvation).
         assert set(decision.scheduled_jobs) == {"j0", "j1"}
+
+    def test_one_placement_round_per_schedule(self):
+        # 3 x 12 CPUs suggest 7 tasks of 5 CPUs, but only 6 fit: a job is
+        # shrunk, and the shrink pass runs inside the one place_jobs call.
+        cluster = Cluster.homogeneous(3, cpu_mem(12, 64))
+        views = [view(f"j{i}", remaining=10**6) for i in range(2)]
+        registry = MetricsRegistry()
+        with use_registry(registry), use_ledger(DecisionLedger(metrics=registry)):
+            make_scheduler("optimus").schedule(cluster, views)
+        assert registry.counter("decision.shrinks").value >= 1
+        assert registry.counter("placement.rounds").value == 1
 
     def test_truly_unplaceable_job_paused(self):
         cluster = Cluster.homogeneous(1, cpu_mem(8, 16))  # one task max... (5,10)

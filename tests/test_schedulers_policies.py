@@ -147,9 +147,19 @@ class TestPlacementPolicies:
                 assert server.used.fits_within(server.capacity)
 
     def test_unplaceable_rolls_back(self, cluster):
-        result = spread_placement(cluster, [self.request("big", 8, 8)])
+        # Every attempt places workers, then finds no server for a 20-CPU
+        # PS and takes the workers back.
+        request = PlacementRequest("big", 8, 8, cpu_mem(5, 10), cpu_mem(20, 10))
+        result = spread_placement(cluster, [request])
         assert result.unplaced == ("big",)
         assert cluster.placed_task_count() == 0
+
+    def test_oversized_job_is_shrunk(self, cluster):
+        for policy in (spread_placement, pack_placement):
+            fresh = cluster.snapshot()
+            result = policy(fresh, [self.request("big", 8, 8)])
+            assert result.retried == ("big",)
+            assert fresh.placed_task_count("big") == 8  # halved to (4, 4)
 
     def test_layout_totals_match(self, cluster):
         result = pack_placement(cluster, [self.request("j", 5, 3)])
