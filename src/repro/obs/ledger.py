@@ -28,7 +28,7 @@ Record kinds (the ``kind`` field of every ``decision`` event):
 * ``placement`` -- provenance of a job's layout: ``cache`` (replayed by
   the :class:`~repro.core.placement.PlacementCache`) or ``fresh``, plus
   whether the layout spills across servers.
-* ``shrink`` -- the placement shrink-retry loop cut an unplaceable
+* ``shrink`` -- the placement round's shrink pass cut an unplaceable
   allocation down until it fit.
 
 Budget / sampling knob (``mode``):
@@ -44,10 +44,10 @@ Budget / sampling knob (``mode``):
   pay one bool check (the same contract as :data:`NULL_TRACER`).
 
 Like the metrics registry, a process-wide *active* ledger lets the leaf
-allocators (:func:`repro.core.allocation.allocate`, the OASiS auction)
-record decisions without threading a ledger through every policy
-signature: the engine installs one with :func:`use_ledger` around its
-scheduling loop.
+allocators (:func:`repro.core.allocation.allocate`, the OASiS auction) and
+the placement round (:func:`repro.core.placement.place_round`) record
+decisions without threading a ledger through every policy signature: the
+engine installs one with :func:`use_ledger` around its scheduling loop.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class DecisionLedger:
         requested: Tuple[int, int],
         granted: Tuple[int, int],
     ) -> None:
-        """The shrink-retry loop cut *job_id* from *requested* to *granted*."""
+        """The shrink pass cut *job_id* from *requested* to *granted*."""
         self.metrics.counter("decision.shrinks").inc()
         if self.mode == "full" and self.tracer:
             self.tracer.emit(
