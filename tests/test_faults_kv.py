@@ -9,7 +9,7 @@ from repro.common.errors import FaultInjectionError, KVStoreError, TransientKVEr
 from repro.common.rand import RandomSource
 from repro.common.retry import RetryPolicy
 from repro.faults import FlakyKVStore, RetryingKVStore
-from repro.k8s import APIServer, PodSpec, pod_name
+from repro.k8s import APIServer, LeaderElection, PodSpec, pod_name
 from repro.k8s.kvstore import KVStore
 from repro.obs import MetricsRegistry, RecordingTracer
 
@@ -158,3 +158,102 @@ class TestRetryingKVStore:
         assert store.revision == inner.revision
         assert store.compare_and_swap("a", "1", "2")
         assert store.delete("a")
+
+
+def remote_calls(lease_id):
+    """Every round-trip operation of the store interface, by op name."""
+    return {
+        "put": lambda s: s.put("k", "v"),
+        "get": lambda s: s.get("k"),
+        "get_with_revision": lambda s: s.get_with_revision("k"),
+        "delete": lambda s: s.delete("k"),
+        "compare_and_swap": lambda s: s.compare_and_swap("k", None, "v"),
+        "list_prefix": lambda s: s.list_prefix("k"),
+        "keys": lambda s: s.keys(),
+        "contains": lambda s: "k" in s,
+        "grant_lease": lambda s: s.grant_lease(5.0),
+        "renew_lease": lambda s: s.renew_lease(lease_id, 1.0),
+        "revoke_lease": lambda s: s.revoke_lease(lease_id),
+    }
+
+
+def local_calls(lease_id):
+    """The store operations that model local state or server bookkeeping."""
+    return {
+        "revision": lambda s: s.revision,
+        "len": lambda s: len(s),
+        "watch": lambda s: s.watch("k", lambda event: None),
+        "cancel_watch": lambda s: s.cancel_watch(1),
+        "expire_leases": lambda s: s.expire_leases(0.0),
+        "lease_remaining": lambda s: s.lease_remaining(lease_id, 1.0),
+        "lease_ttl": lambda s: s.lease_ttl(lease_id),
+        "lease_keys": lambda s: s.lease_keys(lease_id),
+        "has_lease": lambda s: s.has_lease(lease_id),
+    }
+
+
+REMOTE_OP_NAMES = sorted(remote_calls(0))
+LOCAL_OP_NAMES = sorted(local_calls(0))
+
+
+def always_failing_store():
+    """A flaky front that fails every remote call, over one live lease."""
+    inner = KVStore()
+    lease_id = inner.grant_lease(10.0, 0.0)
+    return FlakyKVStore(inner, error_rate=1.0), lease_id
+
+
+class TestOperationSets:
+    @pytest.mark.parametrize("op", REMOTE_OP_NAMES)
+    def test_remote_op_fails_under_injection(self, op):
+        store, lease_id = always_failing_store()
+        with pytest.raises(TransientKVError, match=f"during {op}$"):
+            remote_calls(lease_id)[op](store)
+        assert store.failures_injected == 1
+
+    @pytest.mark.parametrize("op", LOCAL_OP_NAMES)
+    def test_local_op_never_fails(self, op):
+        store, lease_id = always_failing_store()
+        local_calls(lease_id)[op](store)
+        assert store.failures_injected == 0
+
+    def test_retries_cover_exactly_the_remote_ops(self):
+        flaky, lease_id = always_failing_store()
+        tracer = RecordingTracer()
+        store = RetryingKVStore(
+            flaky, policy=RetryPolicy(max_attempts=2), tracer=tracer
+        )
+        for call in remote_calls(lease_id).values():
+            with pytest.raises(KVStoreError):
+                call(store)
+        for call in local_calls(lease_id).values():
+            call(store)
+        retried = [event["op"] for event in tracer.of_type("kv_retry")]
+        assert retried == list(remote_calls(lease_id))
+        assert "contains" in retried
+        exhausted = tracer.of_type("kv_retry_exhausted")
+        assert [event["op"] for event in exhausted] == retried
+        # One sequence number per operation, shared by its retry events.
+        assert [event["time"] for event in exhausted] == [
+            float(seq) for seq in range(1, len(retried) + 1)
+        ]
+
+    def test_fenced_retrying_store_still_retries_writes(self):
+        flaky = FlakyKVStore(
+            KVStore(), error_rate=0.5, seed=RandomSource(CHAOS_SEED)
+        )
+        tracer = RecordingTracer()
+        api = APIServer(
+            store=RetryingKVStore(
+                flaky, policy=RetryPolicy(max_attempts=40), tracer=tracer
+            )
+        )
+        election = LeaderElection(api.store, "a", ttl=100.0)
+        assert election.campaign(0.0) == 1
+        api.fence_writes(election)
+        for index in range(20):
+            api.register_node(f"n{index}", cpu_mem(16, 64))
+        assert len(api.list_nodes()) == 20
+        retried = {event["op"] for event in tracer.of_type("kv_retry")}
+        assert "put" in retried
+        assert len(tracer.of_type("kv_retry")) == flaky.failures_injected
