@@ -95,7 +95,7 @@ class APIServer:
         self._nodes: _WatchIndex[NodeInfo] = _WatchIndex(
             NODE_PREFIX, NodeInfo.from_json
         )
-        # Every store wrapper forwards watch registration to the raw store,
+        # Every store front forwards watch registration to the store below,
         # so the index sees all writes, fenced or not, from any caller.
         self.store.watch(POD_PREFIX, self._pods.on_event)
         self.store.watch(NODE_PREFIX, self._nodes.on_event)
@@ -112,7 +112,7 @@ class APIServer:
         """
         from repro.k8s.election import FencedKVStore
 
-        self.store = FencedKVStore(getattr(self.store, "raw", self.store), election)
+        self.store = FencedKVStore(self.store, election)
 
     # -- nodes -------------------------------------------------------------------
     def register_node(

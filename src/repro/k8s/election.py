@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional, TypeVar
 
 from repro.common.errors import KVStoreError, StaleLeaderError
-from repro.k8s.kvstore import KVEvent, KVStore
+from repro.k8s.kvstore import WRITE_OPS, KVEvent, KVStore, StoreFront
 from repro.obs.registry import MetricsRegistry, active_registry
 from repro.obs.tracer import (
     EVENT_LEADER_DEPOSED,
@@ -53,6 +53,8 @@ ELECTION_PREFIX = "/election/"
 LEADER_KEY = ELECTION_PREFIX + "leader"
 #: The fencing-token counter; unleased, survives every reign.
 EPOCH_KEY = ELECTION_PREFIX + "epoch"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,9 @@ class LeaderElection:
             raise KVStoreError("election candidates need a non-empty name")
         if ttl <= 0:
             raise KVStoreError("election lease ttl must be positive")
-        # Elections always talk to the raw store: a fenced store would
+        # Elections always talk past the fence: a fenced store would
         # reject the very campaign that re-establishes leadership.
-        self.store: KVStore = getattr(store, "raw", store)
+        self.store: KVStore = unfenced(store)
         self.candidate = candidate
         self.ttl = float(ttl)
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -151,7 +153,10 @@ class LeaderElection:
             return False
         if self.store.lease_remaining(self._lease_id, now) <= 0:
             return False
-        record = self.current_leader()
+        return self.owns(self.current_leader())
+
+    def owns(self, record: Optional[LeaderRecord]) -> bool:
+        """True iff *record* is this candidate's current (or last) reign."""
         return (
             record is not None
             and record.name == self.candidate
@@ -178,7 +183,7 @@ class LeaderElection:
                 and self.store.lease_remaining(record.lease_id, now) > 0
             )
             if alive:
-                if record.name == self.candidate and record.epoch == self._epoch:
+                if self.owns(record):
                     return self._epoch  # already reigning
                 return None  # a live rival reigns; back off
             self._depose_record(record, now)
@@ -225,12 +230,7 @@ class LeaderElection:
                 raise KVStoreError(
                     f"election lease {self._lease_id} is gone"
                 )
-            record = self.current_leader()
-            if (
-                record is None
-                or record.name != self.candidate
-                or record.epoch != self._epoch
-            ):
+            if not self.owns(self.current_leader()):
                 raise KVStoreError("leader record no longer ours")
             self.store.renew_lease(self._lease_id, now)
         except KVStoreError:
@@ -244,11 +244,7 @@ class LeaderElection:
         if self._lease_id is None:
             return
         record = self.current_leader()
-        if (
-            record is not None
-            and record.name == self.candidate
-            and record.epoch == self._epoch
-        ):
+        if self.owns(record):
             self.store.revoke_lease(record.lease_id)
         self.mark_deposed(now, reason="resign")
 
@@ -283,11 +279,7 @@ class LeaderElection:
         :class:`FencedKVStore` raises :class:`StaleLeaderError`.
         """
         record = self.current_leader()
-        if (
-            record is not None
-            and record.name == self.candidate
-            and record.epoch == self._epoch
-        ):
+        if self.owns(record):
             self.store.revoke_lease(record.lease_id)
             self.store.delete(LEADER_KEY)  # in case the lease was already gone
         elif self._lease_id is not None:
@@ -312,7 +304,7 @@ class LeaderElection:
                 reason="lapsed",
             )
         self.metrics.counter("election.depositions").inc()
-        if record.name == self.candidate and record.epoch == self._epoch:
+        if self.owns(record):
             self._deposed_emitted = True  # just traced our own stale reign
             self._lease_id = None
 
@@ -329,39 +321,46 @@ class LeaderElection:
             self.observed_leader = None  # a torn record is no leader
 
 
-class FencedKVStore:
+def unfenced(store: KVStore) -> KVStore:
+    """*store* without its leadership fence, if it has one.
+
+    The one unwrap rule: only a :class:`FencedKVStore` is stripped, so a
+    fence over a retrying front keeps the retries when it is re-fenced,
+    and elections campaign through them.
+    """
+    return store.inner if isinstance(store, FencedKVStore) else store
+
+
+class FencedKVStore(StoreFront):
     """A write guard: every mutation checks the holder still reigns.
 
     Reads pass straight through (stale reads are harmless in this
     architecture -- decisions are revalidated at write time); writes
-    first verify that the wrapped election's claim is still the live
-    leader record. A deposed holder's write raises
-    :class:`StaleLeaderError` *before* touching the store, emits
-    ``write_fenced`` and marks the election deposed, so the first fenced
-    write is also how a paused leader discovers its reign ended.
+    (:data:`~repro.k8s.kvstore.WRITE_OPS`) first verify that the wrapped
+    election's claim is still the live leader record. A deposed holder's
+    write raises :class:`StaleLeaderError` *before* touching the store,
+    emits ``write_fenced`` and marks the election deposed, so the first
+    fenced write is also how a paused leader discovers its reign ended.
     """
 
     def __init__(self, store: KVStore, election: LeaderElection):
-        #: The unwrapped store (never double-wrap; elections campaign here).
-        self.raw: KVStore = getattr(store, "raw", store)
+        # Never double-wrap: a fenced store is re-fenced over its inner one.
+        super().__init__(unfenced(store))
         self.election = election
         #: Mutations rejected so far (also counted as ``election.writes_fenced``).
         self.fenced_writes = 0
 
-    # -- the fence -----------------------------------------------------------------
-    def _check(self, op: str, key: str) -> None:
+    def _call(self, op: str, target: str, run: Callable[[], T]) -> T:
+        if op not in WRITE_OPS:
+            return run()
         election = self.election
         lease_id = election._lease_id
-        reigning = False
-        if lease_id is not None and self.raw.has_lease(lease_id):
-            record = election.current_leader()
-            reigning = (
-                record is not None
-                and record.name == election.candidate
-                and record.epoch == election.epoch
-            )
-        if reigning:
-            return
+        if (
+            lease_id is not None
+            and self.inner.has_lease(lease_id)
+            and election.owns(election.current_leader())
+        ):
+            return run()
         self.fenced_writes += 1
         if election.tracer:
             election.tracer.emit(
@@ -370,87 +369,11 @@ class FencedKVStore:
                 leader=election.candidate,
                 epoch=election.epoch,
                 op=op,
-                key=key,
+                key=target,
             )
         election.metrics.counter("election.writes_fenced").inc()
         election.mark_deposed(election.now)
         raise StaleLeaderError(
-            f"{op} {key!r} rejected: {election.candidate!r} "
+            f"{op} {target!r} rejected: {election.candidate!r} "
             f"(epoch {election.epoch}) is no longer the leader"
         )
-
-    # -- guarded mutations ---------------------------------------------------------
-    def put(self, key: str, value: str, lease: Optional[int] = None) -> int:
-        self._check("put", key)
-        return self.raw.put(key, value, lease=lease)
-
-    def delete(self, key: str) -> bool:
-        self._check("delete", key)
-        return self.raw.delete(key)
-
-    def compare_and_swap(
-        self,
-        key: str,
-        expected: Optional[str],
-        value: str,
-        lease: Optional[int] = None,
-    ) -> bool:
-        self._check("compare_and_swap", key)
-        return self.raw.compare_and_swap(key, expected, value, lease=lease)
-
-    def grant_lease(self, ttl: float, now: float = 0.0) -> int:
-        self._check("grant_lease", "<lease>")
-        return self.raw.grant_lease(ttl, now)
-
-    def renew_lease(self, lease_id: int, now: float) -> float:
-        self._check("renew_lease", f"<lease {lease_id}>")
-        return self.raw.renew_lease(lease_id, now)
-
-    def revoke_lease(self, lease_id: int) -> List[str]:
-        self._check("revoke_lease", f"<lease {lease_id}>")
-        return self.raw.revoke_lease(lease_id)
-
-    def expire_leases(self, now: float) -> List[int]:
-        self._check("expire_leases", "<leases>")
-        return self.raw.expire_leases(now)
-
-    # -- pass-through reads --------------------------------------------------------
-    @property
-    def revision(self) -> int:
-        return self.raw.revision
-
-    def get(self, key: str) -> Optional[str]:
-        return self.raw.get(key)
-
-    def get_with_revision(self, key: str) -> Tuple[Optional[str], int]:
-        return self.raw.get_with_revision(key)
-
-    def list_prefix(self, prefix: str) -> Dict[str, str]:
-        return self.raw.list_prefix(prefix)
-
-    def keys(self, pattern: str = "*") -> List[str]:
-        return self.raw.keys(pattern)
-
-    def __len__(self) -> int:
-        return len(self.raw)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.raw
-
-    def lease_remaining(self, lease_id: int, now: float) -> float:
-        return self.raw.lease_remaining(lease_id, now)
-
-    def lease_ttl(self, lease_id: int) -> float:
-        return self.raw.lease_ttl(lease_id)
-
-    def lease_keys(self, lease_id: int) -> List[str]:
-        return self.raw.lease_keys(lease_id)
-
-    def has_lease(self, lease_id: int) -> bool:
-        return self.raw.has_lease(lease_id)
-
-    def watch(self, prefix: str, callback: Callable) -> int:
-        return self.raw.watch(prefix, callback)
-
-    def cancel_watch(self, watch_id: int) -> bool:
-        return self.raw.cancel_watch(watch_id)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.common.errors import KVStoreError
 
@@ -31,6 +31,20 @@ class KVEvent:
 
 
 WatchCallback = Callable[[KVEvent], None]
+T = TypeVar("T")
+
+#: Operations that make a round trip to etcd: a flaky hop fails them and a
+#: client retries them. Watch registration, ``len`` and the lessor's own
+#: bookkeeping (expiry, lease introspection) are local state.
+REMOTE_OPS = frozenset(
+    {"put", "get", "get_with_revision", "delete", "compare_and_swap", "list_prefix",
+     "keys", "contains", "grant_lease", "renew_lease", "revoke_lease"}
+)
+#: Operations that mutate the store: a deposed leader's fence rejects them.
+WRITE_OPS = frozenset(
+    {"put", "delete", "compare_and_swap", "grant_lease", "renew_lease", "revoke_lease",
+     "expire_leases"}
+)
 
 
 @dataclass
@@ -275,3 +289,104 @@ class KVStore:
     def _validate_key(key: str) -> None:
         if not key or not isinstance(key, str):
             raise KVStoreError("keys must be non-empty strings")
+
+
+class StoreFront:
+    """One forwarding layer over a :class:`KVStore` (or another front).
+
+    Every public store operation reaches :attr:`inner` through one hook,
+    :meth:`_call`, which gets the operation's name (see :data:`REMOTE_OPS`
+    and :data:`WRITE_OPS`), its target -- the key, prefix or pattern, or
+    ``"<lease>"``, ``"<lease N>"``, ``"<leases>"`` for lease calls -- and a
+    thunk that runs it. A front (fault injection, retries, the leadership
+    fence) overrides only :meth:`_call`; fronts stack, each being a store.
+    """
+
+    def __init__(self, inner: KVStore):
+        self.inner = inner
+
+    def _call(self, op: str, target: str, run: Callable[[], T]) -> T:
+        return run()
+
+    @property
+    def revision(self) -> int:
+        return self._call("revision", "", lambda: self.inner.revision)
+
+    def put(self, key: str, value: str, lease: Optional[int] = None) -> int:
+        return self._call("put", key, lambda: self.inner.put(key, value, lease=lease))
+
+    def get(self, key: str) -> Optional[str]:
+        return self._call("get", key, lambda: self.inner.get(key))
+
+    def get_with_revision(self, key: str) -> Tuple[Optional[str], int]:
+        return self._call("get_with_revision", key, lambda: self.inner.get_with_revision(key))
+
+    def delete(self, key: str) -> bool:
+        return self._call("delete", key, lambda: self.inner.delete(key))
+
+    def compare_and_swap(
+        self, key: str, expected: Optional[str], value: str, lease: Optional[int] = None
+    ) -> bool:
+        return self._call(
+            "compare_and_swap",
+            key,
+            lambda: self.inner.compare_and_swap(key, expected, value, lease=lease),
+        )
+
+    def list_prefix(self, prefix: str) -> Dict[str, str]:
+        return self._call("list_prefix", prefix, lambda: self.inner.list_prefix(prefix))
+
+    def keys(self, pattern: str = "*") -> List[str]:
+        return self._call("keys", pattern, lambda: self.inner.keys(pattern))
+
+    def __len__(self) -> int:
+        return self._call("len", "", lambda: len(self.inner))
+
+    def __contains__(self, key: str) -> bool:
+        return self._call("contains", key, lambda: key in self.inner)
+
+    def grant_lease(self, ttl: float, now: float = 0.0) -> int:
+        return self._call("grant_lease", "<lease>", lambda: self.inner.grant_lease(ttl, now))
+
+    def renew_lease(self, lease_id: int, now: float) -> float:
+        return self._call(
+            "renew_lease", f"<lease {lease_id}>", lambda: self.inner.renew_lease(lease_id, now)
+        )
+
+    def revoke_lease(self, lease_id: int) -> List[str]:
+        return self._call(
+            "revoke_lease", f"<lease {lease_id}>", lambda: self.inner.revoke_lease(lease_id)
+        )
+
+    def expire_leases(self, now: float) -> List[int]:
+        return self._call("expire_leases", "<leases>", lambda: self.inner.expire_leases(now))
+
+    def lease_remaining(self, lease_id: int, now: float) -> float:
+        return self._call(
+            "lease_remaining",
+            f"<lease {lease_id}>",
+            lambda: self.inner.lease_remaining(lease_id, now),
+        )
+
+    def lease_ttl(self, lease_id: int) -> float:
+        return self._call(
+            "lease_ttl", f"<lease {lease_id}>", lambda: self.inner.lease_ttl(lease_id)
+        )
+
+    def lease_keys(self, lease_id: int) -> List[str]:
+        return self._call(
+            "lease_keys", f"<lease {lease_id}>", lambda: self.inner.lease_keys(lease_id)
+        )
+
+    def has_lease(self, lease_id: int) -> bool:
+        return self._call(
+            "has_lease", f"<lease {lease_id}>", lambda: self.inner.has_lease(lease_id)
+        )
+
+    def watch(self, prefix: str, callback: WatchCallback) -> int:
+        return self._call("watch", prefix, lambda: self.inner.watch(prefix, callback))
+
+    def cancel_watch(self, watch_id: int) -> bool:
+        return self._call(
+            "cancel_watch", f"<watch {watch_id}>", lambda: self.inner.cancel_watch(watch_id)
+        )

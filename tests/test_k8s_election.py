@@ -237,7 +237,7 @@ class TestFencedWrites:
         a = election(store, "a")
         fenced = FencedKVStore(store, a)
         refenced = FencedKVStore(fenced, a)
-        assert refenced.raw is store
+        assert refenced.inner is store
 
     def test_stale_leader_error_is_not_a_kvstore_error(self):
         # The reconcile degradation path absorbs KVStoreError; a fenced
