@@ -92,6 +92,15 @@ _GROUP_CONTROL_KEYS = ("arrivals", "jobs", "offset", "prefix", "seed", "path")
 PERTURBATION_KINDS = ("step", "ramp", "sine")
 
 
+def _reject_unknown_keys(spec: Dict, known: List[str], where: str) -> None:
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"{where} has unknown key(s): {', '.join(unknown)} "
+            f"(known: {', '.join(known)})"
+        )
+
+
 def _number(spec: Dict, key: str, where: str, default=None, minimum=None):
     value = spec.get(key, default)
     if value is None:
@@ -134,12 +143,7 @@ class ScenarioSpec:
                 f"scenario must be an object, got {type(spec).__name__}"
             )
         known = [f.name for f in dataclasses.fields(cls)]
-        unknown = sorted(set(spec) - set(known))
-        if unknown:
-            raise ConfigurationError(
-                f"scenario has unknown key(s): {', '.join(unknown)} "
-                f"(known: {', '.join(known)})"
-            )
+        _reject_unknown_keys(spec, known, "scenario")
         workload = spec.get("workload")
         if not isinstance(workload, list) or not workload:
             raise ConfigurationError(
@@ -173,6 +177,11 @@ class ScenarioSpec:
         for section in ("faults", "plan", "checker"):
             if not isinstance(spec.get(section, {}), dict):
                 raise ConfigurationError(f"scenario {section!r} must be an object")
+        _reject_unknown_keys(
+            spec.get("faults", {}),
+            [f.name for f in dataclasses.fields(FaultConfig)],
+            "scenario 'faults'",
+        )
         waves = spec.get("fault_waves", [])
         if not isinstance(waves, list):
             raise ConfigurationError("scenario 'fault_waves' must be a list")
