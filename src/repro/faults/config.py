@@ -2,10 +2,11 @@
 
 :class:`FaultConfig` is the single immutable description of "how hostile
 is this cluster": node mean-time-between-failures, per-task crash
-probabilities, KV-store flakiness and checkpoint loss. A default-constructed
-config injects nothing at all -- the acceptance bar for this subsystem is
-that a run with the default config is bit-identical to a run on a build
-that has no fault code in it.
+probabilities and checkpoint loss. A default-constructed config injects
+nothing at all -- the acceptance bar for this subsystem is that a run with
+the default config is bit-identical to a run on a build that has no fault
+code in it. KV-store flakiness is not a knob here: it is the
+``error_rate`` of the :class:`repro.faults.FlakyKVStore` a caller builds.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class FaultConfig:
         Probability that, when a job must restart, its latest checkpoint
         turns out lost/corrupted and the job falls back to the previous
         one (or to zero progress when none remains).
-    kv_error_rate:
-        Probability that a single KV-store/API operation fails with a
-        :class:`~repro.common.errors.TransientKVError` (applied by
-        :class:`repro.faults.FlakyKVStore`, not by the sim engine).
     max_node_failures:
         Optional cap on the total number of node crashes injected over a
         run; ``None`` means unbounded.
@@ -51,7 +48,6 @@ class FaultConfig:
     node_downtime: Tuple[float, float] = (600.0, 1800.0)
     task_crash_rate: float = 0.0
     checkpoint_loss_rate: float = 0.0
-    kv_error_rate: float = 0.0
     max_node_failures: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -62,7 +58,7 @@ class FaultConfig:
             raise FaultInjectionError(
                 "node_downtime must be (low, high) with 0 <= low <= high"
             )
-        for name in ("task_crash_rate", "checkpoint_loss_rate", "kv_error_rate"):
+        for name in ("task_crash_rate", "checkpoint_loss_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise FaultInjectionError(f"{name} must be in [0, 1]")
@@ -77,11 +73,6 @@ class FaultConfig:
             or self.task_crash_rate > 0
             or self.checkpoint_loss_rate > 0
         )
-
-    @property
-    def enabled(self) -> bool:
-        """True when *any* fault channel (engine or KV) is active."""
-        return self.engine_enabled or self.kv_error_rate > 0
 
     def failure_probability(self, interval: float) -> float:
         """P(a live node fails within *interval* seconds)."""

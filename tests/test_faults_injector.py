@@ -35,7 +35,6 @@ def drive(injector, steps=200, interval=60.0, servers=SERVERS):
 class TestFaultConfig:
     def test_default_injects_nothing(self):
         config = FaultConfig()
-        assert not config.enabled
         assert not config.engine_enabled
         assert config.failure_probability(60.0) == 0.0
 
@@ -49,14 +48,7 @@ class TestFaultConfig:
         with pytest.raises(FaultInjectionError):
             FaultConfig(checkpoint_loss_rate=-0.1)
         with pytest.raises(FaultInjectionError):
-            FaultConfig(kv_error_rate=2.0)
-        with pytest.raises(FaultInjectionError):
             FaultConfig(max_node_failures=-1)
-
-    def test_kv_rate_enables_but_not_engine(self):
-        config = FaultConfig(kv_error_rate=0.1)
-        assert config.enabled
-        assert not config.engine_enabled
 
     def test_failure_probability_model(self):
         config = FaultConfig(node_mtbf=1000.0)
@@ -104,7 +96,6 @@ class TestFaultPlan:
 class TestFaultInjector:
     def test_falsy_when_nothing_configured(self):
         assert not FaultInjector()
-        assert not FaultInjector(FaultConfig(kv_error_rate=0.5))  # KV is not engine
         assert FaultInjector(FaultConfig(node_mtbf=1000.0))
         assert FaultInjector(plan=FaultPlan(task_crashes=(TaskCrash(1.0, "j"),)))
 
