@@ -251,7 +251,6 @@ class ControlLoop:
                     targets,
                     job_progress=dict(progress or {}),
                     scope=scope,
-                    raise_on_failure=False,
                 )
         if tracer:
             for job_id in report.jobs_scaled:
@@ -412,7 +411,6 @@ class ControlLoop:
             [],
             job_progress=dict(progress or {}),
             scope=self._known_jobs,
-            raise_on_failure=False,
         )
         self._known_jobs = set(report.jobs_failed)
         return report

@@ -194,9 +194,8 @@ class ReconcileReport:
     #: Jobs whose rescale failed mid-flight and were restored to their
     #: previous pods (graceful degradation; see :meth:`JobController.reconcile`).
     jobs_rolled_back: Tuple[str, ...] = ()
-    #: Jobs whose checkpoint/teardown step hit a KV failure and whose cycle
-    #: was skipped this pass (retried next pass; only populated with
-    #: ``raise_on_failure=False``).
+    #: Jobs whose checkpoint/teardown step (or progress checkpoint) hit a KV
+    #: failure and whose cycle was skipped this pass (retried next pass).
     jobs_failed: Tuple[str, ...] = ()
 
 
@@ -407,7 +406,6 @@ class JobController:
         targets: List[JobTarget],
         job_progress: Optional[Dict[str, float]] = None,
         scope: Optional[set] = None,
-        raise_on_failure: bool = True,
     ) -> ReconcileReport:
         """Drive the cluster to the desired state.
 
@@ -423,10 +421,11 @@ class JobController:
         back to the pods it ran with before and recorded in
         ``report.jobs_rolled_back``. A KV failure during the checkpoint or
         teardown step skips that job's cycle (``report.jobs_failed``; the
-        next pass retries). With ``raise_on_failure=True`` (the default)
-        the original :class:`KVStoreError` is then re-raised -- loud by
-        default; the deploy loop passes ``False`` to keep the other jobs
-        reconciling and degrade gracefully.
+        next pass retries). Either way the pass goes on with the other
+        jobs: no :class:`KVStoreError` escapes. A fenced write
+        (:class:`~repro.common.errors.StaleLeaderError`) and an injected
+        controller crash (:class:`~repro.common.errors.ControllerCrashed`)
+        are not KV failures and still propagate.
 
         ``scope`` limits which jobs this controller is allowed to tear
         down: pods of jobs outside the scope (other tenants' workloads, §7
@@ -438,13 +437,6 @@ class JobController:
         scaled: List[str] = []
         rolled_back: List[str] = []
         failed: List[str] = []
-
-        def finalize() -> ReconcileReport:
-            report.jobs_scaled = tuple(scaled)
-            report.jobs_rolled_back = tuple(rolled_back)
-            report.jobs_failed = tuple(failed)
-            return report
-
         desired = {t.job_id: t for t in targets}
         # One read of the pod table drives the whole pass. A job's pods
         # change only inside that job's own cycle below, so its slice of
@@ -476,9 +468,6 @@ class JobController:
                 self.release_job(job_id)
             except KVStoreError:
                 failed.append(job_id)
-                if raise_on_failure:
-                    finalize()
-                    raise
 
         for job_id, target in desired.items():
             pods = pods_by_job.get(job_id, [])
@@ -492,9 +481,6 @@ class JobController:
                             report.progress_updates += 1
                     except KVStoreError:
                         failed.append(job_id)
-                        if raise_on_failure:
-                            finalize()
-                            raise
                 continue
             previous_pods = [p for p in pods if p.bound]
             if job_id in existing_jobs:
@@ -516,9 +502,6 @@ class JobController:
                         self._crash(CRASH_AFTER_TEARDOWN, job_id)
                 except KVStoreError:
                     failed.append(job_id)
-                    if raise_on_failure:
-                        finalize()
-                        raise
                     continue
             try:
                 restored = self.load_checkpoint(job_id) is not None
@@ -544,16 +527,16 @@ class JobController:
                         JobIntent.for_target(target, INTENT_TORN_DOWN)
                     )
                 rolled_back.append(job_id)
-                if raise_on_failure:
-                    finalize()
-                    raise
                 continue
             if restored:
                 report.checkpoints_restored += 1
             report.pods_created += created
             scaled.append(job_id)
 
-        return finalize()
+        report.jobs_scaled = tuple(scaled)
+        report.jobs_rolled_back = tuple(rolled_back)
+        report.jobs_failed = tuple(failed)
+        return report
 
     # -- crash recovery -----------------------------------------------------------
     def replay_intents(self) -> List[Tuple[str, str, str]]:

@@ -167,7 +167,7 @@ class TestGracefulTeardownDegradation:
             return real_put(key, value, lease=lease)
 
         monkeypatch.setattr(api.store, "put", failing_put)
-        report = controller.reconcile([], raise_on_failure=False)
+        report = controller.reconcile([])
         assert report.jobs_failed == ("a",)
         # Job b's teardown still went through.
         assert api.list_pods(job_id="b") == []
@@ -175,7 +175,7 @@ class TestGracefulTeardownDegradation:
         assert "a" in controller.managed_jobs()
 
         monkeypatch.undo()
-        retry = controller.reconcile([], raise_on_failure=False)
+        retry = controller.reconcile([])
         assert retry.jobs_failed == ()
         assert api.list_pods(job_id="a") == []
 

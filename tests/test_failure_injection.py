@@ -4,7 +4,6 @@ never silently corrupt state."""
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
-from repro.common.errors import KVStoreError
 from repro.common.rand import RandomSource
 from repro.core.allocation import TaskAllocation
 from repro.k8s import APIServer, JobController, JobTarget
@@ -103,7 +102,7 @@ class TestOrchestratorFailures:
         server.register_node("n0", cpu_mem(16, 64))
         return server
 
-    def test_overcommitting_target_raises(self, api):
+    def test_overcommitting_target_is_rolled_back(self, api):
         controller = JobController(api)
         target = JobTarget(
             job_id="greedy",
@@ -111,10 +110,14 @@ class TestOrchestratorFailures:
             ps_demand=cpu_mem(5, 10),
             layout={"n0": (4, 4)},  # 40 CPU on a 16-CPU node
         )
-        with pytest.raises(KVStoreError):
-            controller.reconcile([target])
+        report = controller.reconcile([target])
+        assert report.jobs_rolled_back == ("greedy",)
+        assert report.jobs_scaled == () and report.jobs_failed == ()
+        # A new job has no previous pods to restore: nothing stays bound.
+        assert api.list_pods(job_id="greedy") == []
+        assert api.node("n0").allocated == cpu_mem(0, 0)
 
-    def test_unknown_node_in_target_raises(self, api):
+    def test_unknown_node_in_target_is_rolled_back(self, api):
         controller = JobController(api)
         target = JobTarget(
             job_id="lost",
@@ -122,11 +125,13 @@ class TestOrchestratorFailures:
             ps_demand=cpu_mem(5, 10),
             layout={"ghost-node": (1, 1)},
         )
-        with pytest.raises(KVStoreError):
-            controller.reconcile([target])
+        report = controller.reconcile([target])
+        assert report.jobs_rolled_back == ("lost",)
+        assert api.list_pods(job_id="lost") == []
+        assert api.node("n0").allocated == cpu_mem(0, 0)
 
     def test_failed_reconcile_leaves_partial_pods_visible(self, api):
-        """A mid-flight failure is loud; the operator can inspect state."""
+        """A mid-flight failure is reported; the operator can inspect state."""
         controller = JobController(api)
         bad = JobTarget(
             job_id="partial",
@@ -134,11 +139,13 @@ class TestOrchestratorFailures:
             ps_demand=cpu_mem(5, 10),
             layout={"n0": (3, 3)},  # workers fit (15 CPU); the ps don't
         )
-        with pytest.raises(KVStoreError):
-            controller.reconcile([bad])
+        report = controller.reconcile([bad])
+        assert report.jobs_rolled_back == ("partial",)
         # Whatever was bound is still accounted for consistently.
         node = api.node("n0")
         assert node.allocated.fits_within(node.capacity)
+        bound = [p for p in api.list_pods(job_id="partial") if p.bound]
+        assert node.allocated == cpu_mem(5 * len(bound), 10 * len(bound))
 
 
 class TestWorkloadEdgeCases:

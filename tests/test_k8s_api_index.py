@@ -206,9 +206,7 @@ class TestFencedAndRolledBack:
         before = {p.name: p.node for p in api.list_pods()}
         # n1 holds three 5-cpu pods, not four: the fourth bind fails and the
         # job is rolled back onto its previous pods.
-        report = controller.reconcile(
-            [target({"n1": (4, 0)})], raise_on_failure=False
-        )
+        report = controller.reconcile([target({"n1": (4, 0)})])
         assert report.jobs_rolled_back == ("a",)
         assert {p.name: p.node for p in api.list_pods()} == before
         assert all(p.restarts == 1 for p in api.list_pods())
