@@ -102,6 +102,11 @@ class ChunkStore:
         self._files[name] = data_file
         return data_file
 
+    def remove_file(self, name: str) -> None:
+        """Forget a stored file and its chunks."""
+        if self._files.pop(name, None) is None:
+            raise DataStoreError(f"unknown file {name!r}")
+
     def file(self, name: str) -> DataFile:
         try:
             return self._files[name]

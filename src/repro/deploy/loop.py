@@ -311,7 +311,8 @@ class ControlLoop:
 
         The Fig.-6 replay: each interval's predicted total is scored
         against the steps the job actually needed. Returns the number of
-        predictions resolved and drops any still-pending speed prediction.
+        predictions resolved and drops any still-pending speed prediction
+        and the job's drift windows.
         """
         resolved = self.estimators.resolve_totals(
             job_id, total_steps, float(self._step_index)

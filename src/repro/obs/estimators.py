@@ -173,9 +173,16 @@ class EstimatorTelemetry:
         return len(predictions)
 
     def discard_job(self, job_id: str) -> None:
-        """Drop pending predictions for a job that will never resolve them."""
+        """Forget a finished job's pending predictions and drift windows.
+
+        Nothing resolves against the job again, so only its per-job
+        :class:`SignalStats` stay (for :meth:`job_stats` and
+        :meth:`snapshot`).
+        """
         self._pending_speed.pop(job_id, None)
         self._pending_totals.pop(job_id, None)
+        for signal in SIGNALS:
+            self._windows.pop((signal, job_id), None)
 
     def _resolve(
         self, signal: str, job_id: str, predicted: float, actual: float, time: float

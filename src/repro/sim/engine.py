@@ -515,7 +515,7 @@ class Simulation:
             for spec in specs
         ]
         active: Dict[str, RuntimeJob] = {}
-        done: Dict[str, RuntimeJob] = {}
+        done: Dict[str, JobRecord] = {}
         timeline: List[TimeSlot] = []
         admitted = 0
         events_processed = 0
@@ -562,7 +562,7 @@ class Simulation:
         self,
         now: float,
         active: Dict[str, RuntimeJob],
-        done: Dict[str, RuntimeJob],
+        done: Dict[str, JobRecord],
         timeline: List[TimeSlot],
         pending_count: int,
     ) -> None:
@@ -638,8 +638,11 @@ class Simulation:
             if finished:
                 self.scheduler.notify_jobs_finished(finished)
             for job_id in finished:
+                # The job is reduced to its record here, so memory follows
+                # the active jobs rather than every job ever admitted.
                 job = active.pop(job_id)
-                done[job_id] = job
+                done[job_id] = _job_record(job)
+                job.detach_data(self._store)
                 if estimators:
                     # Fig.-6 replay: score every total-steps prediction
                     # made over the job's life against the true total.
@@ -669,28 +672,15 @@ class Simulation:
     def _finalize(
         self,
         active: Dict[str, RuntimeJob],
-        done: Dict[str, RuntimeJob],
+        done: Dict[str, JobRecord],
         never_admitted: Sequence[JobSpec],
         timeline: List[TimeSlot],
     ) -> SimulationResult:
         cfg = self.config
-        done.update(active)  # unfinished jobs (hit max_time) included as such
-        records = {
-            job_id: JobRecord(
-                job_id=job_id,
-                model=job.spec.model_name,
-                mode=job.spec.mode,
-                arrival_time=job.spec.arrival_time,
-                completion_time=job.completion_time,
-                total_steps=job.steps_done,
-                scaling_time=job.scaling_time_total,
-                num_scalings=job.num_scalings,
-                chunks_moved=job.chunks_moved,
-                num_restarts=job.num_restarts,
-                steps_lost=job.steps_lost_total,
-            )
-            for job_id, job in done.items()
-        }
+        # Unfinished jobs (hit max_time) are included as such.
+        records = dict(done)
+        for job_id, job in active.items():
+            records[job_id] = _job_record(job)
         # Jobs never admitted (arrival beyond max_time) count as unfinished.
         for spec in never_admitted:
             records[spec.job_id] = JobRecord(
@@ -713,6 +703,23 @@ class Simulation:
             decision_digest=self._decision_digest.hexdigest(),
             phase_timings=phase_timings(self.spans.metrics) or None,
         )
+
+
+def _job_record(job: RuntimeJob) -> JobRecord:
+    """The outcome of one admitted job: all the result keeps of it."""
+    return JobRecord(
+        job_id=job.spec.job_id,
+        model=job.spec.model_name,
+        mode=job.spec.mode,
+        arrival_time=job.spec.arrival_time,
+        completion_time=job.completion_time,
+        total_steps=job.steps_done,
+        scaling_time=job.scaling_time_total,
+        num_scalings=job.num_scalings,
+        chunks_moved=job.chunks_moved,
+        num_restarts=job.num_restarts,
+        steps_lost=job.steps_lost_total,
+    )
 
 
 def simulate(

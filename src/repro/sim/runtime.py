@@ -111,10 +111,13 @@ class RuntimeJob:
         )
 
         # Synthetic-error mode (Fig. 15): fixed sign per job, magnitude
-        # decaying with progress.
-        rng = self._seed.child("errors").rng
-        self._conv_error = convergence_error * (1 if rng.random() < 0.5 else -1)
-        self._speed_error = speed_error * (1 if rng.random() < 0.5 else -1)
+        # decaying with progress. Streams are built at their first draw, so
+        # a job carries only the generators its estimator mode reads.
+        self._conv_error = self._speed_error = 0.0
+        if convergence_error or speed_error:
+            rng = self._seed.child("errors").rng
+            self._conv_error = convergence_error * (1 if rng.random() < 0.5 else -1)
+            self._speed_error = speed_error * (1 if rng.random() < 0.5 else -1)
 
         # Progress / lifecycle. ``steps_done`` counts raw training steps
         # (what the speed function predicts); ``effective_steps`` counts
@@ -151,7 +154,7 @@ class RuntimeJob:
         self._last_epoch_loss = 0.0
         self._epoch_loss_max = 0.0
         self._below_threshold_streak = 0
-        self._epoch_rng = self._seed.child("epoch-loss").rng
+        self._epoch_noise = self._seed.child("epoch-loss")
         self._epoch_noise_std = loss_noise_std / math.sqrt(25.0)
         #: Safety valve: force-stop far beyond the profile's target.
         self.max_steps = (
@@ -171,7 +174,6 @@ class RuntimeJob:
             if partition_algorithm == "paa"
             else {}
         )
-        self._speed_rng = self._seed.child("speed-measure").rng
 
     # -- data serving --------------------------------------------------------
     def attach_data(self, store: ChunkStore, example_bytes: int = 3072) -> None:
@@ -185,6 +187,12 @@ class RuntimeJob:
         if name not in store:
             store.add_file(name, size)
         self.chunk_assignment = ChunkAssignment(store.file(name), 1)
+
+    def detach_data(self, store: ChunkStore) -> None:
+        """Drop the finished job's training data from the chunk store."""
+        if self.chunk_assignment is not None:
+            store.remove_file(self.chunk_assignment.data_file.name)
+            self.chunk_assignment = None
 
     def rebalance_data(self, num_workers: int) -> int:
         if self.chunk_assignment is None:
@@ -212,10 +220,9 @@ class RuntimeJob:
     # -- profiling / observation feeds -------------------------------------------
     def bootstrap_speed(self, num_samples: int = 5, max_grid: int = 16) -> None:
         """The §3.2 pre-run: profile a few (p, w) configurations."""
+        rng = self._seed.child("speed-measure").rng
         self.speed_estimator.bootstrap(
-            measure=lambda p, w: self.truth.measured_speed(
-                p, w, seed=self._speed_rng
-            ),
+            measure=lambda p, w: self.truth.measured_speed(p, w, seed=rng),
             max_ps=max_grid,
             max_workers=max_grid,
             num_samples=num_samples,
@@ -299,7 +306,7 @@ class RuntimeJob:
             value = self.emitter.true_loss(self._epochs_observed * self.steps_per_epoch)
             if self._epoch_noise_std > 0:
                 value *= max(
-                    1e-3, 1.0 + self._epoch_rng.normal(0.0, self._epoch_noise_std)
+                    1e-3, 1.0 + self._epoch_noise.rng.normal(0.0, self._epoch_noise_std)
                 )
             previous, self._last_epoch_loss = self._last_epoch_loss, float(value)
             self._epoch_loss_max = max(self._epoch_loss_max, value)

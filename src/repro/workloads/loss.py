@@ -15,6 +15,7 @@ module produces such observations from a profile's smooth
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Sequence
 
 import numpy as np
@@ -71,7 +72,12 @@ class LossEmitter:
         self.initial_loss = float(initial_loss)
         self.noise_std = float(noise_std)
         self.outlier_rate = float(outlier_rate)
-        self._rng = spawn_rng(seed, "loss-noise")
+        self._seed = seed
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The ``loss-noise`` stream, built at the first noisy observation."""
+        return spawn_rng(self._seed, "loss-noise")
 
     def true_loss(self, step: float) -> float:
         """Smooth raw loss at a (possibly fractional) step count."""

@@ -48,6 +48,15 @@ class TestChunkStore:
         with pytest.raises(DataStoreError):
             store.file("missing")
 
+    def test_remove_file(self):
+        store = ChunkStore(NODES)
+        store.add_file("data", 1)
+        store.remove_file("data")
+        assert "data" not in store
+        assert sum(store.node_chunk_counts().values()) == 0
+        with pytest.raises(DataStoreError):
+            store.remove_file("data")
+
     def test_validation(self):
         with pytest.raises(DataStoreError):
             ChunkStore([])

@@ -124,6 +124,16 @@ class TestDriftDetection:
             telem.record_speed_prediction(job_id, 10.0 * (1.0 + rel_error))
             telem.resolve_speed(job_id, 10.0, time=float(i))
 
+    def test_discard_job_drops_windows_but_keeps_stats(self):
+        telem, _, _ = self.make(window=3, threshold=0.5)
+        self.feed(telem, [0.6, 0.6])
+        telem.discard_job("j1")
+        # A fresh window: two old samples no longer count toward a drift.
+        self.feed(telem, [0.6])
+        assert telem.drift_events == 0
+        assert telem.job_stats("j1", SIGNAL_SPEED).count == 3
+        assert telem.snapshot()["jobs"]["j1"][SIGNAL_SPEED]["count"] == 3
+
     def test_fires_only_on_full_window_above_threshold(self):
         telem, tracer, metrics = self.make(window=3, threshold=0.5)
         self.feed(telem, [0.6, 0.6])  # window not yet full

@@ -1,11 +1,14 @@
 """Integration tests for the discrete-time simulation engine."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
 from repro.common.errors import SimulationError
+from repro.obs import SIGNAL_SPEED, MetricsRegistry
 from repro.schedulers import make_scheduler
 from repro.sim import SimConfig, Simulation, StragglerConfig, simulate
 from repro.workloads import make_job, uniform_arrivals
@@ -171,3 +174,49 @@ class TestOptions:
         job = make_job("cnn-rand", job_id="dup")
         with pytest.raises(SimulationError):
             Simulation(cluster(), make_scheduler("optimus"), [job, job])
+
+
+class TestFinishedJobsAreFreed:
+    """A completed job is reduced to its record at once, so the run's
+    memory follows the active jobs instead of every job admitted."""
+
+    def test_only_active_jobs_stay_alive_at_finalize(self, monkeypatch):
+        alive = {}
+        checked = {}
+        admit, finalize = Simulation._admit, Simulation._finalize
+
+        def tracking_admit(self, spec):
+            job = admit(self, spec)
+            alive[spec.job_id] = weakref.ref(job)
+            return job
+
+        def checking_finalize(self, active, done, never_admitted, timeline):
+            gc.collect()
+            checked["finished"] = sorted(done)
+            checked["unfinished"] = sorted(active)
+            checked["leaked"] = sorted(j for j in done if alive[j]() is not None)
+            checked["datasets"] = sorted(self._store.file_names)
+            telemetry = self.estimators
+            checked["windows"] = sorted({job for _, job in telemetry._windows})
+            checked["speed_samples"] = {
+                j: telemetry.job_stats(j, SIGNAL_SPEED).count for j in done
+            }
+            return finalize(self, active, done, never_admitted, timeline)
+
+        monkeypatch.setattr(Simulation, "_admit", tracking_admit)
+        monkeypatch.setattr(Simulation, "_finalize", checking_finalize)
+        config = SimConfig(seed=3, estimator_mode="online", max_time=3_600.0)
+        simulate(
+            cluster(),
+            make_scheduler("optimus"),
+            small_workload(num_jobs=6),
+            config,
+            metrics=MetricsRegistry(),
+        )
+
+        finished, unfinished = checked["finished"], checked["unfinished"]
+        assert finished and unfinished
+        assert checked["leaked"] == []
+        assert checked["datasets"] == [f"data/{j}" for j in unfinished]
+        assert not set(checked["windows"]) & set(finished)
+        assert all(count > 0 for count in checked["speed_samples"].values())

@@ -313,6 +313,37 @@ class TestDataServing:
         job.note_interval(alloc, job.scaling_overhead(alloc))
         assert job.chunk_assignment.num_workers == 4
 
+    def test_detach_drops_the_file(self):
+        job = runtime()
+        store = ChunkStore(["dn-0", "dn-1"])
+        job.attach_data(store)
+        job.detach_data(store)
+        assert store.file_names == ()
+        assert job.chunk_assignment is None
+
+
+class TestRandomStreams:
+    def test_oracle_job_never_builds_the_loss_noise_stream(self):
+        job = runtime(estimator_mode="oracle", scale=0.01)
+        while not job.completed:
+            job.advance(600.0, 50.0)
+        assert "_rng" not in vars(job.emitter)
+
+    def test_online_job_builds_it_at_the_first_observation(self):
+        job = runtime(estimator_mode="online")
+        assert "_rng" not in vars(job.emitter)
+        job.record_losses(0, 60, max_points=30)
+        assert "_rng" in vars(job.emitter)
+
+    def test_late_streams_draw_what_eager_ones_did(self):
+        # A stream's seed is its label path: building it at the first draw
+        # cannot change what it draws.
+        job = runtime(estimator_mode="noisy", convergence_error=0.2, speed_error=0.2)
+        eager = RandomSource(1).child(f"job-{job.spec.job_id}").child("errors").rng
+        signs = [1 if eager.random() < 0.5 else -1 for _ in range(2)]
+        assert job._conv_error == 0.2 * signs[0]
+        assert job._speed_error == 0.2 * signs[1]
+
 
 class TestScalingCosts:
     def test_scale_cost_grows_with_model(self):

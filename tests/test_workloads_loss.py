@@ -27,6 +27,18 @@ class TestTrueLoss:
         assert emitter.true_loss(0) > emitter.true_loss(5000)
 
 
+class TestLazyNoiseStream:
+    def test_same_draws_as_an_eager_generator(self, curve):
+        from repro.common.rand import spawn_rng
+
+        lazy = LossEmitter(curve, steps_per_epoch=100, seed=3)
+        eager = LossEmitter(
+            curve, steps_per_epoch=100, seed=spawn_rng(3, "loss-noise")
+        )
+        steps = np.arange(0, 3000, 7)
+        assert np.array_equal(lazy.observe_many(steps), eager.observe_many(steps))
+
+
 class TestObserve:
     def test_observation_fields(self, emitter):
         obs = emitter.observe(42)
