@@ -91,6 +91,10 @@ _GROUP_CONTROL_KEYS = ("arrivals", "jobs", "offset", "prefix", "seed", "path")
 
 PERTURBATION_KINDS = ("step", "ramp", "sine")
 
+#: The scripted faults a scenario's ``plan`` section may list (the ones
+#: :func:`build_fault_plan` reads).
+PLAN_KEYS = ("node_crashes", "task_crashes", "checkpoint_losses")
+
 
 def _reject_unknown_keys(spec: Dict, known: List[str], where: str) -> None:
     unknown = sorted(set(spec) - set(known))
@@ -181,6 +185,12 @@ class ScenarioSpec:
             spec.get("faults", {}),
             [f.name for f in dataclasses.fields(FaultConfig)],
             "scenario 'faults'",
+        )
+        _reject_unknown_keys(spec.get("plan", {}), list(PLAN_KEYS), "scenario 'plan'")
+        _reject_unknown_keys(
+            spec.get("checker", {}),
+            [f.name for f in dataclasses.fields(CheckerConfig)],
+            "scenario 'checker'",
         )
         waves = spec.get("fault_waves", [])
         if not isinstance(waves, list):

@@ -54,15 +54,28 @@ class TestScenarioSpec:
                 {"workload": [{"arrivals": "uniform"}], "chaos_level": 11}
             )
 
-    @pytest.mark.parametrize("key", ["node_mtbf_typo", "kv_error_rate"])
-    def test_unknown_fault_key(self, key):
-        # Caught at load, not as a TypeError from FaultConfig(**faults) at run.
+    @pytest.mark.parametrize(
+        "section, key, first_known",
+        [
+            pytest.param("faults", "node_mtbf_typo", "node_mtbf", id="node_mtbf_typo"),
+            pytest.param("faults", "kv_error_rate", "node_mtbf", id="kv_error_rate"),
+            pytest.param("checker", "stall_bnd", "recovery_slack", id="checker-stall_bnd"),
+            pytest.param("plan", "node_crash", "node_crashes", id="plan-node_crash"),
+            pytest.param(
+                "plan", "controller_crashes", "node_crashes", id="plan-controller_crashes"
+            ),
+        ],
+    )
+    def test_unknown_fault_key(self, section, key, first_known):
+        # Caught at load: a faults typo would otherwise be a TypeError from
+        # FaultConfig(**faults) at run, and a checker or plan typo would be
+        # silently ignored (no stall bound, no scripted crash).
         with pytest.raises(
             ConfigurationError,
-            match=f"'faults' has unknown key.*{key}.*known: node_mtbf, ",
+            match=f"'{section}' has unknown key.*{key}.*known: {first_known}, ",
         ):
             ScenarioSpec.from_dict(
-                {"workload": [{"arrivals": "uniform"}], "faults": {key: 100}}
+                {"workload": [{"arrivals": "uniform"}], section: {key: 100}}
             )
 
     @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=os.path.basename)
