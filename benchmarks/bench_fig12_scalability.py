@@ -24,6 +24,7 @@ This bench has two parts:
 
 import argparse
 import json
+import resource
 import sys
 import time
 
@@ -90,6 +91,7 @@ ONLINE_KEYS = (
     "speed_mape",
     "remaining_mape",
     "remaining_bias",
+    "peak_rss_mb",
 )
 
 
@@ -100,7 +102,8 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0, estimator_mode="
     estimators, so loss-curve fitting does not drown out the
     event-loop/allocator/placement cost being measured; ``"online"`` runs
     the paper's §3 estimators and also reports ``fit_seconds``, the total
-    of the ``fit`` spans. Returns the ``BENCH_scale.json`` report dict;
+    of the ``fit`` spans. ``peak_rss_mb`` is the process's ``ru_maxrss``
+    read right after the run. Returns the ``BENCH_scale.json`` report dict;
     CI gates every numeric field, and requires the behaviour keys and
     ``decision_digest`` to match exactly, through
     ``benchmarks/check_regression.py``.
@@ -139,6 +142,9 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0, estimator_mode="
         metrics=registry,
     )
     wall = time.perf_counter() - start
+    # The process's high-water mark so far (KiB on Linux), read right
+    # after this run.
+    peak_rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     counters = registry.snapshot()["counters"]
     events = counters.get("sim.events_processed", 0.0)
@@ -160,6 +166,7 @@ def run_scale_scenario(num_gpus=5_000, num_jobs=10_000, seed=0, estimator_mode="
         "placement_cache_hits": int(cache.hits if cache else 0),
         "average_jct_seconds": round(result.average_jct, 2),
         "decision_digest": result.decision_digest,
+        "peak_rss_mb": round(peak_rss_kib / 1024.0, 1),
     }
     if estimator_mode != "oracle":  # oracle estimates are never fitted
         scale_report["fit_seconds"] = round(registry.histogram("phase.fit").total, 4)
@@ -188,6 +195,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     scale_report = run_scale_scenario(args.gpus, args.jobs, seed=args.seed)
     if args.online:
+        # ru_maxrss is a process high-water mark: online_peak_rss_mb reads
+        # the online run only because that run comes second and is larger.
         online = run_scale_scenario(
             args.gpus, args.jobs, seed=args.seed, estimator_mode="online"
         )
