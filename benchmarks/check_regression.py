@@ -15,7 +15,7 @@ two kinds of key must match the baseline exactly:
   the SHA-256 over every interval's allocation and placement
   (``SimulationResult.decision_digest``);
 * the behaviour keys in :data:`BEHAVIOUR_KEYS` (JCTs, completion and
-  event counts, the online estimators' prediction-error keys, the
+  event counts, both estimator modes' prediction-error keys, the
   failover drill's fencing and takeover counts).
 
 A changed exact key fails the check however small the change.
@@ -83,8 +83,8 @@ HIGHER_IS_BETTER_SUFFIXES = (
 #: Behaviour keys of the seeded benchmark runs (``BENCH_scale.json``,
 #: then ``BENCH_failover.json``): they only move when decisions move, so
 #: they must match the baseline exactly, like every ``*_digest`` key.
-#: The online estimators' error keys are deterministic per seed too, and
-#: a signed bias has no meaningful ratio to gate.
+#: The estimators' error keys, oracle and online, are deterministic per
+#: seed too, and a signed bias has no meaningful ratio to gate.
 BEHAVIOUR_KEYS = frozenset(
     {
         "average_jct_seconds",
@@ -92,6 +92,9 @@ BEHAVIOUR_KEYS = frozenset(
         "events_processed",
         "schedule_events",
         "placement_cache_hits",
+        "speed_mape",
+        "remaining_mape",
+        "remaining_bias",
         "online_average_jct_seconds",
         "online_jobs_completed",
         "online_speed_mape",

@@ -49,14 +49,18 @@ class RandomSource:
             seed = int(np.random.SeedSequence().entropy) % (2**32)
         self.seed = int(seed)
         self._path: tuple = _entropy if _entropy is not None else ()
-        self._sequence = np.random.SeedSequence((self.seed,) + self._path)
         self._rng: Optional[np.random.Generator] = None
 
     @property
     def rng(self) -> np.random.Generator:
-        """The generator for this node; created lazily, then cached."""
+        """The generator for this node; created at the first draw, then cached.
+
+        Its ``SeedSequence`` is built here too, so a node that is only a
+        parent of other streams holds no numpy object.
+        """
         if self._rng is None:
-            self._rng = np.random.default_rng(self._sequence)
+            sequence = np.random.SeedSequence((self.seed,) + self._path)
+            self._rng = np.random.default_rng(sequence)
         return self._rng
 
     def child(self, label: str) -> "RandomSource":

@@ -145,22 +145,31 @@ class RuntimeJob:
         self.num_restarts = 0
         self.steps_lost_total = 0.0
 
-        # Observed-convergence state (§2.1): the running system stops the
-        # job when the *observed* per-epoch training-loss decrease stays
-        # below the owner threshold for `patience` epochs. Epoch losses are
-        # epoch averages, so their noise is much smaller than single
-        # observations'.
-        self._epochs_observed = 0
-        self._last_epoch_loss = 0.0
-        self._epoch_loss_max = 0.0
-        self._below_threshold_streak = 0
-        self._epoch_noise = self._seed.child("epoch-loss")
-        self._epoch_noise_std = loss_noise_std / math.sqrt(25.0)
-        #: Safety valve: force-stop far beyond the profile's target.
-        self.max_steps = (
-            max(3.0 * spec.profile.target_epochs, spec.profile.target_epochs + 50)
-            * self.steps_per_epoch
-        )
+        # Observed convergence (§2.1): the running system stops the job when
+        # the *observed* per-epoch loss decrease stays below the owner
+        # threshold for `patience` epochs, or at a safety valve far beyond the
+        # profile's target. Epoch losses are epoch averages, so their noise is
+        # much smaller than single observations'. The rule never reads the
+        # allocation, so the stopping epoch is fixed here, at admission.
+        target = spec.profile.target_epochs
+        max_steps = max(3.0 * target, target + 50) * self.steps_per_epoch
+        epoch_noise_std = loss_noise_std / math.sqrt(25.0)
+        rng = self._seed.child("epoch-loss").rng if epoch_noise_std > 0 else None
+        previous = loss_max = 0.0
+        streak = epoch = 0
+        while True:
+            epoch += 1
+            value = self.emitter.true_loss(epoch * self.steps_per_epoch)
+            if rng is not None:
+                value *= max(1e-3, 1.0 + rng.normal(0.0, epoch_noise_std))
+            loss_max = max(loss_max, value)
+            if epoch >= 2 and loss_max > 0:
+                below = (previous - value) / loss_max < spec.threshold
+                streak = streak + 1 if below else 0
+            previous = value
+            if streak >= spec.patience or epoch * self.steps_per_epoch >= max_steps:
+                break
+        self.stop_epoch = epoch
 
         # Data serving (§5.1).
         self.chunk_assignment: Optional[ChunkAssignment] = None
@@ -270,11 +279,11 @@ class RuntimeJob:
     ) -> Optional[float]:
         """Advance training by ``speed * run_time`` raw steps.
 
-        The job stops when the *observed* per-epoch loss decrease has stayed
-        below the owner threshold for ``patience`` consecutive epochs --
-        evaluated epoch by epoch as boundaries are crossed, exactly like the
-        running system would. Returns the number of seconds into the window
-        at which the job converged, or ``None`` if it is still running.
+        The job completes when its convergence-equivalent progress reaches
+        the boundary of :attr:`stop_epoch`. Returns the number of seconds
+        into the window at which the job converged, or ``None`` if it is
+        still running. A checkpoint rollback re-crosses epochs but never
+        moves the stop.
         """
         if self.completed:
             return 0.0
@@ -286,37 +295,15 @@ class RuntimeJob:
         eff_start = self.effective_steps
         self._last_mapping = (raw_start, eff_start, penalty)
         eff_target = eff_start + eff_speed * run_time
-        epoch = int(eff_start // self.steps_per_epoch) + 1
-        while epoch * self.steps_per_epoch <= eff_target:
-            boundary = epoch * self.steps_per_epoch
-            if self._epoch_converged(epoch) or boundary >= self.max_steps:
-                self.effective_steps = boundary
-                self.steps_done = raw_start + (boundary - eff_start) * penalty
-                self.completed = True
-                return (boundary - eff_start) / eff_speed
-            epoch += 1
+        boundary = self.stop_epoch * self.steps_per_epoch
+        if boundary <= eff_target:
+            self.effective_steps = boundary
+            self.steps_done = raw_start + (boundary - eff_start) * penalty
+            self.completed = True
+            return (boundary - eff_start) / eff_speed
         self.effective_steps = eff_target
         self.steps_done = raw_start + speed * run_time
         return None
-
-    def _epoch_converged(self, epoch: int) -> bool:
-        """Record epoch *epoch*'s observed loss; True when the rule fires."""
-        while self._epochs_observed < epoch:
-            self._epochs_observed += 1
-            value = self.emitter.true_loss(self._epochs_observed * self.steps_per_epoch)
-            if self._epoch_noise_std > 0:
-                value *= max(
-                    1e-3, 1.0 + self._epoch_noise.rng.normal(0.0, self._epoch_noise_std)
-                )
-            previous, self._last_epoch_loss = self._last_epoch_loss, float(value)
-            self._epoch_loss_max = max(self._epoch_loss_max, value)
-            if self._epochs_observed >= 2 and self._epoch_loss_max > 0:
-                decrease = (previous - self._last_epoch_loss) / self._epoch_loss_max
-                if decrease < self.spec.threshold:
-                    self._below_threshold_streak += 1
-                else:
-                    self._below_threshold_streak = 0
-        return self._below_threshold_streak >= self.spec.patience
 
     # -- estimates served to the scheduler -------------------------------------
     def _record_fallback(self, stage: str, exc: FittingError) -> None:

@@ -94,6 +94,9 @@ BEHAVIOUR_KEYS = [
     "events_processed",
     "schedule_events",
     "placement_cache_hits",
+    "speed_mape",
+    "remaining_mape",
+    "remaining_bias",
     "online_average_jct_seconds",
     "online_jobs_completed",
     "online_speed_mape",
@@ -126,6 +129,9 @@ def test_behaviour_key_change_fails(tmp_path, key):
         ("online_remaining_mape", 0.3254, 0.3197),
         # A signed bias: crossing zero has no meaningful ratio.
         ("online_remaining_bias", 0.1537, -0.0021),
+        # The oracle's error keys gate the same way.
+        ("speed_mape", 0.1201, 0.1222),
+        ("remaining_bias", -0.0513, 0.0009),
     ],
 )
 def test_estimator_quality_key_is_exact(tmp_path, key, before, after):

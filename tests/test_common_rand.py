@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.common.rand import RandomSource, spawn_rng
+from repro.common.rand import RandomSource, _label_key, spawn_rng
 
 
 class TestRandomSource:
@@ -35,6 +35,28 @@ class TestRandomSource:
     def test_rng_cached(self):
         src = RandomSource(1)
         assert src.rng is src.rng
+
+    def test_child_builds_no_sequence_before_first_draw(self, monkeypatch):
+        eager_sequence = np.random.SeedSequence
+        built = []
+
+        def counting_sequence(*args, **kwargs):
+            built.append(args)
+            return eager_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting_sequence)
+        node = RandomSource(11).child("job-7").child("epoch-loss")
+        assert built == []
+        assert not any(
+            isinstance(value, (eager_sequence, np.random.Generator))
+            for value in vars(node).values()
+        )
+        drawn = node.rng.random(3)
+        assert len(built) == 1
+        # The same draws an eagerly built sequence for that path gives.
+        path = (11, _label_key("job-7"), _label_key("epoch-loss"))
+        eager = np.random.default_rng(eager_sequence(path))
+        assert list(drawn) == list(eager.random(3))
 
     def test_none_seed_records_seed(self):
         src = RandomSource(None)

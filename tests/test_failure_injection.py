@@ -1,6 +1,11 @@
 """Failure-injection tests: the pipeline must degrade loudly or gracefully,
 never silently corrupt state."""
 
+import math
+import os
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
@@ -10,7 +15,9 @@ from repro.k8s import APIServer, JobController, JobTarget
 from repro.schedulers import JobView, Scheduler, SchedulingDecision, make_scheduler
 from repro.sim import SimConfig, simulate
 from repro.sim.runtime import RuntimeJob
-from repro.workloads import make_job, uniform_arrivals
+from repro.workloads import make_job, uniform_arrivals, with_lr_drops, zoo_names
+
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
 class TestEstimatorFailures:
@@ -31,6 +38,124 @@ class TestEstimatorFailures:
         # No bootstrap at all: the speed function must still be callable.
         fn = job.speed_function()
         assert fn(2, 2) > 0
+
+
+class PerEpochObserverJob(RuntimeJob):
+    """Reference: the §2.1 rule evaluated epoch by epoch as boundaries are
+    crossed, the way the simulator did before the stop was fixed at
+    admission. A re-crossed epoch (after a rollback) reports the streak of
+    the latest epoch already observed."""
+
+    def __init__(self, spec, seed, loss_noise_std):
+        super().__init__(spec, seed, estimator_mode="oracle", loss_noise_std=loss_noise_std)
+        self.epochs_observed = 0
+        self.last_epoch_loss = self.epoch_loss_max = 0.0
+        self.streak = 0
+        self.epoch_noise = self._seed.child("epoch-loss")
+        self.epoch_noise_std = loss_noise_std / math.sqrt(25.0)
+        target = spec.profile.target_epochs
+        self.max_steps = max(3.0 * target, target + 50) * self.steps_per_epoch
+
+    def advance(self, run_time, speed, workers=1):
+        if self.completed:
+            return 0.0
+        if run_time <= 0 or speed <= 0:
+            return None
+        penalty = self.staleness_penalty(workers)
+        eff_speed = speed / penalty
+        raw_start, eff_start = self.steps_done, self.effective_steps
+        eff_target = eff_start + eff_speed * run_time
+        epoch = int(eff_start // self.steps_per_epoch) + 1
+        while epoch * self.steps_per_epoch <= eff_target:
+            boundary = epoch * self.steps_per_epoch
+            if self.epoch_converged(epoch) or boundary >= self.max_steps:
+                self.effective_steps = boundary
+                self.steps_done = raw_start + (boundary - eff_start) * penalty
+                self.completed = True
+                return (boundary - eff_start) / eff_speed
+            epoch += 1
+        self.effective_steps = eff_target
+        self.steps_done = raw_start + speed * run_time
+        return None
+
+    def epoch_converged(self, epoch):
+        while self.epochs_observed < epoch:
+            self.epochs_observed += 1
+            value = self.emitter.true_loss(self.epochs_observed * self.steps_per_epoch)
+            if self.epoch_noise_std > 0:
+                value *= max(1e-3, 1.0 + self.epoch_noise.rng.normal(0.0, self.epoch_noise_std))
+            previous, self.last_epoch_loss = self.last_epoch_loss, float(value)
+            self.epoch_loss_max = max(self.epoch_loss_max, value)
+            if self.epochs_observed >= 2 and self.epoch_loss_max > 0:
+                decrease = (previous - self.last_epoch_loss) / self.epoch_loss_max
+                self.streak = self.streak + 1 if decrease < self.spec.threshold else 0
+        return self.streak >= self.spec.patience
+
+
+def _drive_against_reference(spec, seed, loss_noise_std=0.015):
+    """Advance a job and the reference through the same random chunks,
+    checkpoints and rollbacks; every outcome must match exactly."""
+    job = RuntimeJob(spec, RandomSource(seed), estimator_mode="oracle", loss_noise_std=loss_noise_std)
+    ref = PerEpochObserverJob(spec, RandomSource(seed), loss_noise_std)
+    rng = np.random.default_rng(seed)
+    now = 0.0
+    for _ in range(2_000):
+        run_time = float(rng.uniform(10.0, 900.0))
+        speed = float(rng.uniform(0.05, 2.5)) * job.steps_per_epoch / run_time
+        workers = int(rng.integers(1, 17))
+        offset = job.advance(run_time, speed, workers)
+        assert offset == ref.advance(run_time, speed, workers)
+        assert job.effective_steps == ref.effective_steps
+        assert job.steps_done == ref.steps_done
+        if offset is not None:
+            return job, ref
+        now += run_time
+        op = rng.random()
+        if op < 0.3:
+            job.record_checkpoint(now)
+            ref.record_checkpoint(now)
+        elif op < 0.4:
+            lost = bool(rng.random() < 0.5)
+            job.rollback_to_checkpoint(now, lost=lost)
+            ref.rollback_to_checkpoint(now, lost=lost)
+    raise AssertionError(f"{spec.job_id} never completed")
+
+
+class TestStopEpochMatchesPerEpochObserver:
+    """The stop drawn at admission equals the per-epoch rule, through
+    random chunks, worker counts, checkpoints and rollbacks."""
+
+    SEEDS = [CHAOS_SEED * 3 + k for k in range(3)]
+
+    @pytest.mark.parametrize("loss_noise_std", [0.015, 0.0])
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_every_table1_profile(self, mode, loss_noise_std):
+        rollbacks = 0
+        for seed in self.SEEDS:
+            for model in zoo_names():
+                spec = make_job(model, mode=mode, job_id=f"{model}-{seed}")
+                job, ref = _drive_against_reference(spec, seed, loss_noise_std)
+                assert job.effective_steps == job.stop_epoch * job.steps_per_epoch
+                rollbacks += ref.num_restarts
+        assert rollbacks > 0
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_stepped_lr_drop_curve(self, mode):
+        for seed in self.SEEDS:
+            for model in zoo_names():
+                profile = make_job(model).profile
+                drops = [profile.target_epochs // 3, profile.target_epochs // 2]
+                stepped = profile.with_overrides(loss=with_lr_drops(profile.loss, drops))
+                spec = replace(make_job(model, mode=mode, job_id=f"{model}-{seed}"), profile=stepped)
+                _drive_against_reference(spec, seed)
+
+    def test_safety_valve_stops_a_job_that_never_converges(self):
+        for seed in self.SEEDS:
+            spec = make_job("cnn-rand", job_id=f"valve-{seed}", patience=10_000)
+            job, ref = _drive_against_reference(spec, seed)
+            assert job.effective_steps == ref.max_steps
+            target = spec.profile.target_epochs
+            assert job.stop_epoch == max(3 * target, target + 50)
 
 
 class MisbehavingScheduler(Scheduler):
