@@ -5,8 +5,9 @@ Paper: injecting synthetic errors into the convergence and speed estimates
 makespan, with diminishing slope; speed errors hurt more than convergence
 errors; ~15% degradation at (20% convergence, 10% speed) error.
 
-We run the simulator in its "noisy" estimator mode, which is exactly the
-paper's v*(1±e) protocol.
+We run the simulator's oracle with ``convergence_error`` / ``speed_error``
+set, which perturbs the ground truth by exactly the paper's v*(1±e)
+protocol.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ def run_sensitivity():
                 "optimus",
                 jobs=jobs,
                 seed=seed,
-                estimator_mode="noisy",
+                estimator_mode="oracle",
                 convergence_error=conv_error,
                 speed_error=speed_error,
             )

@@ -36,6 +36,7 @@ from repro.sim import (
     run_arena,
     simulate,
 )
+from repro.sim.runtime import ESTIMATOR_MODES
 from repro.workloads import (
     MODEL_ZOO,
     StepTimeModel,
@@ -693,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate_cmd.add_argument("--seed", type=int, default=0)
     simulate_cmd.add_argument(
-        "--estimator", choices=("online", "oracle", "noisy"), default="online"
+        "--estimator", choices=ESTIMATOR_MODES, default="online"
     )
     simulate_cmd.add_argument(
         "--partition", choices=("paa", "mxnet"), default="paa"
@@ -947,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", help="replay a workload trace file instead of generating one"
     )
     arena.add_argument(
-        "--estimator", choices=("online", "oracle", "noisy"), default="online"
+        "--estimator", choices=ESTIMATOR_MODES, default="online"
     )
     arena.add_argument(
         "--json", action="store_true", help="print the full report as JSON"

@@ -96,9 +96,10 @@ class SimConfig:
     interval: float = 600.0
     max_time: float = 14 * 86400.0
     seed: int = 0
-    #: "online" (fit §3 models from observations), "oracle" (ground truth),
-    #: or "noisy" (oracle with injected, progress-decaying errors; Fig. 15).
+    #: "online" (fit §3 models from observations) or "oracle" (ground truth).
     estimator_mode: str = "online"
+    #: Fig. 15's injected, progress-decaying errors on the oracle's remaining
+    #: steps and speed; non-zero values need ``estimator_mode="oracle"``.
     convergence_error: float = 0.0
     speed_error: float = 0.0
     stragglers: StragglerConfig = field(default_factory=StragglerConfig)
@@ -145,6 +146,12 @@ class SimConfig:
         if self.estimator_mode not in ESTIMATOR_MODES:
             raise SimulationError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}"
+            )
+        if self.estimator_mode == "online" and (
+            self.convergence_error or self.speed_error
+        ):
+            raise SimulationError(
+                "convergence_error and speed_error need estimator_mode='oracle'"
             )
         if self.partition_algorithm not in ("paa", "mxnet"):
             raise SimulationError("partition_algorithm must be 'paa' or 'mxnet'")

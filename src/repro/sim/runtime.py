@@ -12,6 +12,7 @@ speeds); the ground truth stays on the simulator's side of the fence.
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -41,7 +42,7 @@ PRIOR_EPOCHS = 30.0
 #: is deterministic per model type, so every job of one profile shares them.
 _PAA_IMBALANCE: Dict[ModelProfile, Dict[int, float]] = {}
 
-ESTIMATOR_MODES = ("online", "oracle", "noisy")
+ESTIMATOR_MODES = ("online", "oracle")
 
 
 @dataclass
@@ -81,6 +82,11 @@ class RuntimeJob:
             raise SimulationError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}"
             )
+        if estimator_mode == "online" and (convergence_error or speed_error):
+            raise SimulationError(
+                "convergence_error and speed_error perturb the oracle; "
+                "online estimates carry their own error"
+            )
         self.spec = spec
         self.estimator_mode = estimator_mode
         self.partition_algorithm = partition_algorithm
@@ -99,20 +105,21 @@ class RuntimeJob:
             seed=self._seed.child("loss"),
         )
 
-        # Online estimators (§3).
-        self.convergence = ConvergenceEstimator(
-            threshold=spec.threshold,
-            steps_per_epoch=self.steps_per_epoch,
-            patience=spec.patience,
-        )
-        self.speed_estimator = SpeedEstimator(
-            mode=spec.mode,
-            global_batch=spec.profile.global_batch,
-        )
+        # Online estimators (§3). An oracle job has none.
+        if estimator_mode == "online":
+            self.convergence = ConvergenceEstimator(
+                threshold=spec.threshold,
+                steps_per_epoch=self.steps_per_epoch,
+                patience=spec.patience,
+            )
+            self.speed_estimator = SpeedEstimator(
+                mode=spec.mode,
+                global_batch=spec.profile.global_batch,
+            )
 
-        # Synthetic-error mode (Fig. 15): fixed sign per job, magnitude
-        # decaying with progress. Streams are built at their first draw, so
-        # a job carries only the generators its estimator mode reads.
+        # The oracle's synthetic errors (Fig. 15): fixed sign per job,
+        # magnitude decaying with progress. Streams are built at their first
+        # draw, so a job carries only the generators its estimator mode reads.
         self._conv_error = self._speed_error = 0.0
         if convergence_error or speed_error:
             rng = self._seed.child("errors").rng
@@ -335,15 +342,13 @@ class RuntimeJob:
         return min(self.effective_steps / self.true_total_steps, 1.0)
 
     def estimated_remaining_steps(self) -> float:
+        if self.estimator_mode == "online":
+            return self._online_remaining()
         floor = 0.0 if self.completed else self.spec.patience * self.steps_per_epoch
-        if self.estimator_mode == "oracle":
-            return max(self.true_total_steps - self.effective_steps, floor)
-        if self.estimator_mode == "noisy":
-            decay = 1.0 - self._progress_fraction()
-            error = self._conv_error * decay
-            true_remaining = max(self.true_total_steps - self.effective_steps, 0.0)
-            return max(true_remaining * (1.0 + error), floor)
-        return self._online_remaining()
+        remaining = max(self.true_total_steps - self.effective_steps, 0.0)
+        if self._conv_error:
+            remaining *= 1.0 + self._conv_error * (1.0 - self._progress_fraction())
+        return max(remaining, floor)
 
     def speed_function(self) -> Callable[[int, int], float]:
         if self.estimator_mode == "online":
@@ -353,34 +358,29 @@ class RuntimeJob:
                 except FittingError as exc:
                     self._record_fallback("speed_fit", exc)
             return self.truth.speed  # pre-bootstrap corner
-        if self.estimator_mode == "noisy":
-            # A speed-estimation error of magnitude e perturbs every
-            # configuration's predicted speed independently (a mis-fitted
-            # surface), not by one global factor -- a global factor would
-            # preserve the marginal-gain ordering and be invisible to the
-            # allocator. The perturbation decays with progress (§6.3).
-            decay = 1.0 - self._progress_fraction()
-            magnitude = abs(self._speed_error) * decay
-            job_key = self.spec.job_id
+        if not self._speed_error:
+            return self.truth.speed
+        # A speed-estimation error of magnitude e perturbs every
+        # configuration's predicted speed independently (a mis-fitted
+        # surface), not by one global factor -- a global factor would
+        # preserve the marginal-gain ordering and be invisible to the
+        # allocator. The perturbation decays with progress (§6.3).
+        magnitude = abs(self._speed_error) * (1.0 - self._progress_fraction())
+        job_key = self.spec.job_id
 
-            def noisy_speed(p: int, w: int) -> float:
-                import zlib
+        def noisy_speed(p: int, w: int) -> float:
+            digest = zlib.crc32(f"{job_key}:{p}:{w}".encode("utf8"))
+            direction = (digest % 20001) / 10000.0 - 1.0  # in [-1, 1]
+            return self.truth.speed(p, w) * max(1.0 + magnitude * direction, 0.05)
 
-                digest = zlib.crc32(f"{job_key}:{p}:{w}".encode("utf8"))
-                direction = (digest % 20001) / 10000.0 - 1.0  # in [-1, 1]
-                return self.truth.speed(p, w) * max(
-                    1.0 + magnitude * direction, 0.05
-                )
-
-            return noisy_speed
-        return self.truth.speed
+        return noisy_speed
 
     def loss_efficiency(self) -> float:
         """The loss-curve statistical-efficiency term (goodput policies).
 
         Online mode asks the fitted convergence curve how much the next
-        step is worth relative to the phase start; the oracle/noisy modes
-        model convergence-*time* errors only, so they report neutral 1.0.
+        step is worth relative to the phase start; the oracle models
+        convergence-*time* errors only, so it reports a neutral 1.0.
         """
         if self.estimator_mode != "online":
             return 1.0
@@ -392,7 +392,9 @@ class RuntimeJob:
             spec=self.spec,
             remaining_steps=self.estimated_remaining_steps(),
             speed=self.speed_function(),
-            observation_count=self.convergence.observation_count,
+            observation_count=self.convergence.observation_count
+            if self.estimator_mode == "online"
+            else 0,
             progress=self._progress_fraction(),
             current_allocation=self.last_allocation if self.was_running
             else TaskAllocation(0, 0),

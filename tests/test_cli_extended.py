@@ -46,6 +46,14 @@ class TestSimulateCommand:
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out)["summary"]["finished"] >= 1
 
+    @pytest.mark.parametrize("command", ["simulate", "arena"])
+    def test_estimator_choice_lists_the_modes(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--estimator", "noisy"])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err.split("invalid choice")[1]
+        assert "online" in message and "oracle" in message
+
     def test_partition_choice_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--partition", "roundrobin"])

@@ -9,6 +9,7 @@ and that it moves when a decision moves.
 
 import hashlib
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import Cluster, cpu_mem
@@ -117,3 +118,31 @@ class TestDecisionDigest:
         assert digest_of({"j": (2, 1)}, {"j": {"s0": [2, 1]}}) == base
         assert digest_of({"j": (1, 1)}, {"j": {"s0": (1, 1)}}) != base
         assert digest_of({"j": (2, 1)}, {"j": {"s0": (1, 1), "s1": (1, 0)}}) != base
+
+
+class TestOracleErrors:
+    """The oracle perturbed by Fig. 15's injected errors: twelve jobs on
+    thirteen servers, one decision digest per (convergence, speed) error.
+    At zero error it is the plain oracle."""
+
+    DIGESTS = {
+        (0.0, 0.0): "07bc203cd8cb4a17681314ea76abcb9967669f3a34f3c5a417314f21e4be5d51",
+        (0.3, 0.0): "6f243576bf1ef22bcfb9e5662be54b240ce16c2e7161e4d5dd93c2c9c02772de",
+        (0.0, 0.3): "10a1072056c0b56a0c0c5ba8fba62c21b7c3882bd617f55c7516028aad73dec4",
+        (0.2, 0.1): "07f1594910b441b960a9aadbd35f73cb78477c9cf1a895dc814b8db16dd52e7f",
+    }
+
+    @pytest.mark.parametrize("convergence_error, speed_error", sorted(DIGESTS))
+    def test_digest_is_pinned(self, convergence_error, speed_error):
+        result = simulate(
+            Cluster.homogeneous(13, cpu_mem(16, 80)),
+            make_scheduler("optimus"),
+            uniform_arrivals(num_jobs=12, seed=3),
+            SimConfig(
+                seed=5,
+                estimator_mode="oracle",
+                convergence_error=convergence_error,
+                speed_error=speed_error,
+            ),
+        )
+        assert result.decision_digest == self.DIGESTS[convergence_error, speed_error]

@@ -175,6 +175,15 @@ class TestOptions:
         with pytest.raises(SimulationError):
             Simulation(cluster(), make_scheduler("optimus"), [job, job])
 
+    def test_errors_need_the_oracle(self):
+        """Online estimates carry their own error; injected ones would be
+        silently dropped."""
+        with pytest.raises(SimulationError, match="estimator_mode='oracle'"):
+            SimConfig(convergence_error=0.3)
+        with pytest.raises(SimulationError, match="estimator_mode='oracle'"):
+            SimConfig(estimator_mode="online", speed_error=0.1)
+        SimConfig(estimator_mode="oracle", convergence_error=0.3, speed_error=0.1)
+
 
 class TestFinishedJobsAreFreed:
     """A completed job is reduced to its record at once, so the run's

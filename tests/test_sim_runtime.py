@@ -3,10 +3,11 @@
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
-from repro.common.errors import FittingError
+from repro.common.errors import FittingError, SimulationError
 from repro.common.rand import RandomSource
 from repro.core.allocation import TaskAllocation
 from repro.core.convergence import ConvergenceEstimator
+from repro.core.speed import SpeedEstimator
 from repro.datastore import ChunkStore
 from repro.obs import DecisionLedger, RecordingTracer, use_ledger
 from repro.obs.explain import describe_decision, explain_job
@@ -132,7 +133,7 @@ class TestEstimates:
         assert remaining == pytest.approx(max(expected, 2 * job.steps_per_epoch))
 
     def test_noisy_mode_biased_then_decaying(self):
-        job = runtime(estimator_mode="noisy", convergence_error=0.5, seed=7)
+        job = runtime(estimator_mode="oracle", convergence_error=0.5, seed=7)
         early = job.estimated_remaining_steps()
         truth = job.true_total_steps
         assert early != pytest.approx(truth)  # biased at start
@@ -143,7 +144,7 @@ class TestEstimates:
         fn = oracle.speed_function()
         assert fn(4, 4) == pytest.approx(oracle.truth.speed(4, 4))
 
-        noisy = runtime(estimator_mode="noisy", speed_error=0.3, seed=5)
+        noisy = runtime(estimator_mode="oracle", speed_error=0.3, seed=5)
         fn_noisy = noisy.speed_function()
         # Per-configuration distortion bounded by the error magnitude...
         ratios = [fn_noisy(p, w) / noisy.truth.speed(p, w)
@@ -152,6 +153,20 @@ class TestEstimates:
         # ...deterministic per configuration, and not globally uniform.
         assert fn_noisy(4, 4) == fn_noisy(4, 4)
         assert max(ratios) - min(ratios) > 0.01
+
+    def test_only_online_jobs_build_estimators(self):
+        oracle = runtime(estimator_mode="oracle", convergence_error=0.2)
+        assert not hasattr(oracle, "convergence")
+        assert not hasattr(oracle, "speed_estimator")
+        assert oracle.view().observation_count == 0
+        online = runtime(estimator_mode="online")
+        assert isinstance(online.convergence, ConvergenceEstimator)
+        assert isinstance(online.speed_estimator, SpeedEstimator)
+
+    @pytest.mark.parametrize("error", ["convergence_error", "speed_error"])
+    def test_online_job_rejects_oracle_errors(self, error):
+        with pytest.raises(SimulationError, match="perturb the oracle"):
+            runtime(estimator_mode="online", **{error: 0.1})
 
     def test_online_speed_after_bootstrap(self):
         job = runtime(estimator_mode="online")
@@ -338,7 +353,7 @@ class TestRandomStreams:
     def test_late_streams_draw_what_eager_ones_did(self):
         # A stream's seed is its label path: building it at the first draw
         # cannot change what it draws.
-        job = runtime(estimator_mode="noisy", convergence_error=0.2, speed_error=0.2)
+        job = runtime(estimator_mode="oracle", convergence_error=0.2, speed_error=0.2)
         eager = RandomSource(1).child(f"job-{job.spec.job_id}").child("errors").rng
         signs = [1 if eager.random() < 0.5 else -1 for _ in range(2)]
         assert job._conv_error == 0.2 * signs[0]
