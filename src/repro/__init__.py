@@ -32,114 +32,34 @@ Package map
   KV substrate, checkpoint loss) and the matching recovery machinery.
 """
 
-from repro.cluster import Cluster, ResourceVector, Server, cpu_mem
-from repro.faults import (
-    FaultConfig,
-    FaultInjector,
-    FaultPlan,
-    FlakyKVStore,
-    NodeCrash,
-    RetryingKVStore,
-    TaskCrash,
-)
-from repro.core import (
-    AllocationRequest,
-    ConvergenceEstimator,
-    PlacementRequest,
-    SpeedEstimator,
-    TaskAllocation,
-    allocate,
-    place_jobs,
-)
-from repro.fitting import fit_loss_curve, fit_speed_model, nnls
-from repro.obs import JsonlTracer, MetricsRegistry, RecordingTracer
-from repro.ps import mxnet_partition, paa_partition
-from repro.schedulers import (
-    JobView,
-    Scheduler,
-    SchedulingDecision,
-    make_scheduler,
-)
-from repro.sim import (
-    SimConfig,
-    Simulation,
-    SimulationResult,
-    StragglerConfig,
-    compare_schedulers,
-    normalized,
-    simulate,
-)
-from repro.workloads import (
-    MODEL_ZOO,
-    JobSpec,
-    LossEmitter,
-    ModelProfile,
-    StepTimeModel,
-    get_profile,
-    google_trace_arrivals,
-    make_job,
-    poisson_arrivals,
-    uniform_arrivals,
-)
+from repro.common.exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # cluster
-    "Cluster",
-    "Server",
-    "ResourceVector",
-    "cpu_mem",
-    # core
-    "ConvergenceEstimator",
-    "SpeedEstimator",
-    "AllocationRequest",
-    "TaskAllocation",
-    "allocate",
-    "PlacementRequest",
-    "place_jobs",
-    # fitting
-    "nnls",
-    "fit_loss_curve",
-    "fit_speed_model",
-    # ps
-    "paa_partition",
-    "mxnet_partition",
-    # obs
-    "RecordingTracer",
-    "JsonlTracer",
-    "MetricsRegistry",
-    # faults
-    "FaultConfig",
-    "FaultPlan",
-    "NodeCrash",
-    "TaskCrash",
-    "FaultInjector",
-    "FlakyKVStore",
-    "RetryingKVStore",
-    # schedulers
-    "Scheduler",
-    "JobView",
-    "SchedulingDecision",
-    "make_scheduler",
-    # sim
-    "SimConfig",
-    "Simulation",
-    "simulate",
-    "SimulationResult",
-    "StragglerConfig",
-    "compare_schedulers",
-    "normalized",
-    # workloads
-    "MODEL_ZOO",
-    "ModelProfile",
-    "get_profile",
-    "JobSpec",
-    "make_job",
-    "LossEmitter",
-    "StepTimeModel",
-    "uniform_arrivals",
-    "poisson_arrivals",
-    "google_trace_arrivals",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".cluster": ("Cluster", "Server", "ResourceVector", "cpu_mem"),
+        ".core": (
+            "ConvergenceEstimator", "SpeedEstimator", "AllocationRequest", "TaskAllocation",
+            "allocate", "PlacementRequest", "place_jobs",
+        ),
+        ".fitting": ("nnls", "fit_loss_curve", "fit_speed_model"),
+        ".ps": ("paa_partition", "mxnet_partition"),
+        ".obs": ("RecordingTracer", "JsonlTracer", "MetricsRegistry"),
+        ".faults": (
+            "FaultConfig", "FaultPlan", "NodeCrash", "TaskCrash", "FaultInjector", "FlakyKVStore",
+            "RetryingKVStore",
+        ),
+        ".schedulers": ("Scheduler", "JobView", "SchedulingDecision", "make_scheduler"),
+        ".sim": (
+            "SimConfig", "Simulation", "simulate", "SimulationResult", "StragglerConfig",
+            "compare_schedulers", "normalized",
+        ),
+        ".workloads": (
+            "MODEL_ZOO", "ModelProfile", "get_profile", "JobSpec", "make_job", "LossEmitter",
+            "StepTimeModel", "uniform_arrivals", "poisson_arrivals", "google_trace_arrivals",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -23,23 +23,11 @@ from typing import List, Optional
 
 from repro.cluster import Cluster, cpu_mem
 from repro.common.errors import ConfigurationError
-from repro.common.units import format_duration
 from repro.faults import CRASH_POINTS, RECONCILE_CRASH_POINTS
-from repro.ps import blocks_from_sizes, mxnet_partition, paa_partition
-from repro.report import bar_chart, format_table, result_to_json, sparkline
-from repro.sim import (
-    SimConfig,
-    StragglerConfig,
-    constant_load,
-    diurnal_load,
-    format_arena,
-    run_arena,
-    simulate,
-)
+from repro.sim import SimConfig
 from repro.sim.runtime import ESTIMATOR_MODES
 from repro.workloads import (
     MODEL_ZOO,
-    StepTimeModel,
     get_profile,
     google_trace_arrivals,
     poisson_arrivals,
@@ -48,6 +36,8 @@ from repro.workloads import (
 
 
 def _cmd_models(args: argparse.Namespace) -> int:
+    from repro.common.units import format_duration
+
     print(
         f"{'model':14s} {'params(M)':>9s} {'type':>4s} {'dataset':>22s} "
         f"{'examples':>10s} {'epochs@ref':>10s} {'1-GPU time':>11s}"
@@ -65,6 +55,8 @@ def _cmd_models(args: argparse.Namespace) -> int:
 
 
 def _cmd_speed(args: argparse.Namespace) -> int:
+    from repro.workloads import StepTimeModel
+
     profile = get_profile(args.model)
     model = StepTimeModel(profile, args.mode)
     print(f"{args.model} ({args.mode}) training speed in steps/s:")
@@ -79,6 +71,8 @@ def _cmd_speed(args: argparse.Namespace) -> int:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from repro.ps import blocks_from_sizes, mxnet_partition, paa_partition
+
     profile = get_profile(args.model)
     blocks = blocks_from_sizes(profile.parameter_blocks())
     mx = mxnet_partition(blocks, args.num_ps, seed=args.seed)
@@ -130,14 +124,19 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.obs import JsonlTracer, MetricsRegistry
+    from repro.report import bar_chart, format_table, result_to_json, sparkline
     from repro.schedulers import make_scheduler
+    from repro.sim import StragglerConfig, simulate
 
     jobs = _build_workload(args)
     background = None
-    if args.background == "constant":
-        background = constant_load(args.background_fraction)
-    elif args.background == "diurnal":
-        background = diurnal_load(peak=args.background_fraction)
+    if args.background != "none":
+        from repro.sim import constant_load, diurnal_load
+
+        if args.background == "constant":
+            background = constant_load(args.background_fraction)
+        else:
+            background = diurnal_load(peak=args.background_fraction)
     from repro.faults import FaultConfig
 
     faults = FaultConfig(
@@ -257,6 +256,7 @@ def _cmd_drill(args: argparse.Namespace) -> int:
     bound pods, and per-job progress loss bounded by one interval.
     """
     from repro.deploy import CrashDrillConfig, run_crash_drill
+    from repro.report import format_table
 
     config = CrashDrillConfig(
         seed=args.seed,
@@ -369,6 +369,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     ``--self-test`` seeds violations into a known-good stream and asserts
     the checker catches them. Exit 0 means every invariant held.
     """
+    from repro.report import format_table
     from repro.soak import CheckerConfig, check_trace_file, run_selftest
 
     modes = sum(1 for m in (args.scenario, args.check, args.self_test) if m)
@@ -572,6 +573,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_scalability(args: argparse.Namespace) -> int:
+    from repro.report import format_table
     from repro.sim.experiment import fig12_round
 
     rows = []
@@ -584,6 +586,7 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
 
 def _cmd_arena(args: argparse.Namespace) -> int:
     from repro.common.errors import ReproError
+    from repro.sim import format_arena, run_arena
 
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     jobs = _build_workload(args)

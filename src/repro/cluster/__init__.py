@@ -4,29 +4,13 @@ This package knows nothing about deep learning; it provides the capacity
 accounting that the schedulers and the simulator are built on.
 """
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.resources import (
-    BANDWIDTH,
-    CPU,
-    GPU,
-    MEMORY,
-    ZERO,
-    ResourceVector,
-    cpu_mem,
-)
-from repro.cluster.server import ROLE_PS, ROLE_WORKER, Server, TaskKey
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "Server",
-    "ResourceVector",
-    "cpu_mem",
-    "TaskKey",
-    "ROLE_PS",
-    "ROLE_WORKER",
-    "CPU",
-    "MEMORY",
-    "GPU",
-    "BANDWIDTH",
-    "ZERO",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".cluster": ("Cluster",),
+        ".server": ("Server", "TaskKey", "ROLE_PS", "ROLE_WORKER"),
+        ".resources": ("ResourceVector", "cpu_mem", "CPU", "MEMORY", "GPU", "BANDWIDTH", "ZERO"),
+    },
+)

@@ -8,50 +8,18 @@ This package deliberately contains no scheduling logic; it only provides
 * :mod:`repro.common.units` -- byte/time unit helpers and formatting.
 """
 
-from repro.common.errors import (
-    CapacityError,
-    ConfigurationError,
-    FaultInjectionError,
-    FittingError,
-    KVStoreError,
-    PlacementError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    TransientKVError,
-)
-from repro.common.rand import RandomSource, spawn_rng
-from repro.common.retry import RetryPolicy, call_with_retry
-from repro.common.units import (
-    GB,
-    KB,
-    MB,
-    format_bytes,
-    format_duration,
-    hours,
-    minutes,
-)
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "CapacityError",
-    "ConfigurationError",
-    "FittingError",
-    "PlacementError",
-    "ReproError",
-    "SchedulingError",
-    "SimulationError",
-    "KVStoreError",
-    "TransientKVError",
-    "FaultInjectionError",
-    "RandomSource",
-    "spawn_rng",
-    "RetryPolicy",
-    "call_with_retry",
-    "KB",
-    "MB",
-    "GB",
-    "format_bytes",
-    "format_duration",
-    "hours",
-    "minutes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".errors": (
+            "CapacityError", "ConfigurationError", "FittingError", "PlacementError", "ReproError",
+            "SchedulingError", "SimulationError", "KVStoreError", "TransientKVError",
+            "FaultInjectionError",
+        ),
+        ".rand": ("RandomSource", "spawn_rng"),
+        ".retry": ("RetryPolicy", "call_with_retry"),
+        ".units": ("KB", "MB", "GB", "format_bytes", "format_duration", "hours", "minutes"),
+    },
+)

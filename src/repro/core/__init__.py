@@ -8,38 +8,19 @@
 The scheduler classes assembling these live in :mod:`repro.schedulers`.
 """
 
-from repro.core.allocation import (
-    AllocationRequest,
-    AllocationResult,
-    TaskAllocation,
-    allocate,
-    estimated_time,
-)
-from repro.core.convergence import ConvergenceEstimator
-from repro.core.placement import (
-    JobLayout,
-    PlacementCache,
-    PlacementRequest,
-    PlacementResult,
-    place_jobs,
-    split_evenly,
-    transfer_units,
-)
-from repro.core.speed import SpeedEstimator
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "ConvergenceEstimator",
-    "SpeedEstimator",
-    "AllocationRequest",
-    "AllocationResult",
-    "TaskAllocation",
-    "allocate",
-    "estimated_time",
-    "PlacementCache",
-    "PlacementRequest",
-    "PlacementResult",
-    "JobLayout",
-    "place_jobs",
-    "split_evenly",
-    "transfer_units",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".convergence": ("ConvergenceEstimator",),
+        ".speed": ("SpeedEstimator",),
+        ".allocation": (
+            "AllocationRequest", "AllocationResult", "TaskAllocation", "allocate", "estimated_time",
+        ),
+        ".placement": (
+            "PlacementCache", "PlacementRequest", "PlacementResult", "JobLayout", "place_jobs",
+            "split_evenly", "transfer_units",
+        ),
+    },
+)

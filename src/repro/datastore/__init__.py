@@ -1,19 +1,13 @@
 """HDFS-like data serving substrate (§5.1)."""
 
-from repro.datastore.hdfs import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_REPLICATION,
-    Chunk,
-    ChunkAssignment,
-    ChunkStore,
-    DataFile,
-)
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "Chunk",
-    "DataFile",
-    "ChunkStore",
-    "ChunkAssignment",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_REPLICATION",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".hdfs": (
+            "Chunk", "DataFile", "ChunkStore", "ChunkAssignment", "DEFAULT_CHUNK_SIZE",
+            "DEFAULT_REPLICATION",
+        ),
+    },
+)

@@ -19,44 +19,20 @@ See ``docs/fault_tolerance.md`` for the fault model and recovery
 semantics.
 """
 
-from repro.faults.config import FaultConfig
-from repro.faults.crashpoints import (
-    CRASH_AFTER_CHECKPOINT,
-    CRASH_AFTER_ELECTED,
-    CRASH_AFTER_LAUNCH,
-    CRASH_AFTER_TEARDOWN,
-    CRASH_BEFORE_CAMPAIGN,
-    CRASH_MID_LAUNCH,
-    CRASH_MID_STEP_DEPOSED,
-    CRASH_POINTS,
-    RECONCILE_CRASH_POINTS,
-    ControllerCrash,
-    CrashPointInjector,
-)
-from repro.faults.injector import FaultInjector, IntervalFaults, NodeOutage
-from repro.faults.kv import FlakyKVStore, RetryingKVStore
-from repro.faults.plan import CheckpointLoss, FaultPlan, NodeCrash, TaskCrash
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "FaultConfig",
-    "FaultPlan",
-    "NodeCrash",
-    "TaskCrash",
-    "CheckpointLoss",
-    "ControllerCrash",
-    "CrashPointInjector",
-    "CRASH_POINTS",
-    "RECONCILE_CRASH_POINTS",
-    "CRASH_AFTER_CHECKPOINT",
-    "CRASH_AFTER_TEARDOWN",
-    "CRASH_MID_LAUNCH",
-    "CRASH_AFTER_LAUNCH",
-    "CRASH_BEFORE_CAMPAIGN",
-    "CRASH_AFTER_ELECTED",
-    "CRASH_MID_STEP_DEPOSED",
-    "FaultInjector",
-    "IntervalFaults",
-    "NodeOutage",
-    "FlakyKVStore",
-    "RetryingKVStore",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".config": ("FaultConfig",),
+        ".plan": ("FaultPlan", "NodeCrash", "TaskCrash", "CheckpointLoss"),
+        ".crashpoints": (
+            "ControllerCrash", "CrashPointInjector", "CRASH_POINTS", "RECONCILE_CRASH_POINTS",
+            "CRASH_AFTER_CHECKPOINT", "CRASH_AFTER_TEARDOWN", "CRASH_MID_LAUNCH",
+            "CRASH_AFTER_LAUNCH", "CRASH_BEFORE_CAMPAIGN", "CRASH_AFTER_ELECTED",
+            "CRASH_MID_STEP_DEPOSED",
+        ),
+        ".injector": ("FaultInjector", "IntervalFaults", "NodeOutage"),
+        ".kv": ("FlakyKVStore", "RetryingKVStore"),
+    },
+)

@@ -5,71 +5,25 @@ controller implementing checkpoint-based elastic scaling -- the plumbing the
 real Optimus gets from Kubernetes + etcd.
 """
 
-from repro.k8s.api import HEARTBEAT_PREFIX, NODE_PREFIX, POD_PREFIX, APIServer
-from repro.k8s.controller import (
-    CHECKPOINT_PREFIX,
-    INTENT_CHECKPOINTED,
-    INTENT_DONE,
-    INTENT_LAUNCHING,
-    INTENT_PHASES,
-    INTENT_PREFIX,
-    INTENT_TORN_DOWN,
-    MANAGED_PREFIX,
-    JobController,
-    JobIntent,
-    JobTarget,
-    ReconcileReport,
-)
-from repro.k8s.election import (
-    ELECTION_PREFIX,
-    EPOCH_KEY,
-    LEADER_KEY,
-    FencedKVStore,
-    LeaderElection,
-    LeaderRecord,
-)
-from repro.k8s.kvstore import KVEvent, KVStore, Lease
-from repro.k8s.objects import (
-    PHASE_FAILED,
-    PHASE_PENDING,
-    PHASE_RUNNING,
-    PHASE_SUCCEEDED,
-    NodeInfo,
-    PodSpec,
-    pod_name,
-)
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "KVStore",
-    "KVEvent",
-    "Lease",
-    "APIServer",
-    "NodeInfo",
-    "PodSpec",
-    "pod_name",
-    "JobController",
-    "JobIntent",
-    "JobTarget",
-    "ReconcileReport",
-    "LeaderElection",
-    "LeaderRecord",
-    "FencedKVStore",
-    "NODE_PREFIX",
-    "POD_PREFIX",
-    "HEARTBEAT_PREFIX",
-    "ELECTION_PREFIX",
-    "LEADER_KEY",
-    "EPOCH_KEY",
-    "CHECKPOINT_PREFIX",
-    "INTENT_PREFIX",
-    "MANAGED_PREFIX",
-    "INTENT_PHASES",
-    "INTENT_CHECKPOINTED",
-    "INTENT_TORN_DOWN",
-    "INTENT_LAUNCHING",
-    "INTENT_DONE",
-    "PHASE_PENDING",
-    "PHASE_RUNNING",
-    "PHASE_SUCCEEDED",
-    "PHASE_FAILED",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".kvstore": ("KVStore", "KVEvent", "Lease"),
+        ".api": ("APIServer", "NODE_PREFIX", "POD_PREFIX", "HEARTBEAT_PREFIX"),
+        ".objects": (
+            "NodeInfo", "PodSpec", "pod_name", "PHASE_PENDING", "PHASE_RUNNING", "PHASE_SUCCEEDED",
+            "PHASE_FAILED",
+        ),
+        ".controller": (
+            "JobController", "JobIntent", "JobTarget", "ReconcileReport", "CHECKPOINT_PREFIX",
+            "INTENT_PREFIX", "MANAGED_PREFIX", "INTENT_PHASES", "INTENT_CHECKPOINTED",
+            "INTENT_TORN_DOWN", "INTENT_LAUNCHING", "INTENT_DONE",
+        ),
+        ".election": (
+            "LeaderElection", "LeaderRecord", "FencedKVStore", "ELECTION_PREFIX", "LEADER_KEY",
+            "EPOCH_KEY",
+        ),
+    },
+)

@@ -39,199 +39,48 @@ dependencies:
   decision per job (``repro trace diff``).
 """
 
-from repro.obs.estimators import (
-    NULL_ESTIMATOR_TELEMETRY,
-    SIGNAL_REMAINING,
-    SIGNAL_SPEED,
-    SIGNALS,
-    EstimatorTelemetry,
-    NullEstimatorTelemetry,
-    SignalStats,
-    estimator_telemetry_for,
-)
-from repro.obs.export import (
-    EXPORT_QUANTILES,
-    render_prometheus,
-    render_top,
-)
-from repro.obs.explain import (
-    describe_decision,
-    explain_job,
-    explain_trace,
-    format_trace_diff,
-    trace_diff,
-)
-from repro.obs.fold import JobFold, TraceFold, fold_trace
-from repro.obs.ledger import (
-    DENIAL_REASONS,
-    LEDGER_MODES,
-    NULL_LEDGER,
-    DecisionLedger,
-    NullDecisionLedger,
-    active_ledger,
-    install_ledger,
-    use_ledger,
-)
-from repro.obs.registry import (
-    DEFAULT_TIME_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    active_registry,
-    install_registry,
-    quantile_from_snapshot,
-    use_registry,
-)
-from repro.obs.spans import (
-    NULL_SPAN_TRACER,
-    NullSpanTracer,
-    Span,
-    SpanTracer,
-    phase_timings,
-    span_tracer_for,
-)
-from repro.obs.summarize import (
-    phase_breakdown,
-    render_span_flame,
-    span_flame,
-    span_tree,
-    summarize_file,
-    summarize_trace,
-)
-from repro.obs.tracer import (
-    EVENT_ALLOCATION_DECIDED,
-    EVENT_CHECKPOINT_MISSING,
-    EVENT_CHECKPOINT_RECORDED,
-    EVENT_DECISION,
-    EVENT_ESTIMATOR_DRIFT,
-    EVENT_ESTIMATOR_SAMPLE,
-    EVENT_INTERVAL_TICK,
-    EVENT_JOB_ARRIVED,
-    EVENT_JOB_COMPLETED,
-    EVENT_JOB_RESCALED,
-    EVENT_INTENT_REPLAYED,
-    EVENT_JOB_RESTARTED,
-    EVENT_KV_RETRY,
-    EVENT_KV_RETRY_EXHAUSTED,
-    EVENT_LEADER_DEPOSED,
-    EVENT_LEADER_ELECTED,
-    EVENT_NODE_CORDONED,
-    EVENT_NODE_FAILED,
-    EVENT_NODE_LEASE_REGRANT,
-    EVENT_NODE_LEASE_RENEWED,
-    EVENT_NODE_RECOVERED,
-    EVENT_PLACEMENT_DECIDED,
-    EVENT_RESCALE_ROLLED_BACK,
-    EVENT_SPAN,
-    EVENT_STRAGGLER_DETECTED,
-    EVENT_TASK_CRASHED,
-    EVENT_TYPES,
-    EVENT_WRITE_FENCED,
-    NULL_TRACER,
-    JsonlTracer,
-    NullTracer,
-    RecordingTracer,
-    Tracer,
-    read_trace,
-    read_trace_tolerant,
-)
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    # tracer
-    "Tracer",
-    "NullTracer",
-    "RecordingTracer",
-    "JsonlTracer",
-    "NULL_TRACER",
-    "read_trace",
-    "read_trace_tolerant",
-    "EVENT_TYPES",
-    "EVENT_JOB_ARRIVED",
-    "EVENT_ALLOCATION_DECIDED",
-    "EVENT_PLACEMENT_DECIDED",
-    "EVENT_JOB_RESCALED",
-    "EVENT_STRAGGLER_DETECTED",
-    "EVENT_JOB_COMPLETED",
-    "EVENT_INTERVAL_TICK",
-    "EVENT_NODE_FAILED",
-    "EVENT_NODE_RECOVERED",
-    "EVENT_TASK_CRASHED",
-    "EVENT_JOB_RESTARTED",
-    "EVENT_KV_RETRY",
-    "EVENT_KV_RETRY_EXHAUSTED",
-    "EVENT_RESCALE_ROLLED_BACK",
-    "EVENT_CHECKPOINT_MISSING",
-    "EVENT_NODE_CORDONED",
-    "EVENT_NODE_LEASE_RENEWED",
-    "EVENT_INTENT_REPLAYED",
-    "EVENT_SPAN",
-    "EVENT_ESTIMATOR_SAMPLE",
-    "EVENT_ESTIMATOR_DRIFT",
-    "EVENT_CHECKPOINT_RECORDED",
-    "EVENT_LEADER_ELECTED",
-    "EVENT_LEADER_DEPOSED",
-    "EVENT_WRITE_FENCED",
-    "EVENT_NODE_LEASE_REGRANT",
-    "EVENT_DECISION",
-    # ledger
-    "DecisionLedger",
-    "NullDecisionLedger",
-    "NULL_LEDGER",
-    "LEDGER_MODES",
-    "DENIAL_REASONS",
-    "active_ledger",
-    "install_ledger",
-    "use_ledger",
-    # explain
-    "describe_decision",
-    "explain_job",
-    "explain_trace",
-    "trace_diff",
-    "format_trace_diff",
-    # spans
-    "Span",
-    "SpanTracer",
-    "NullSpanTracer",
-    "NULL_SPAN_TRACER",
-    "span_tracer_for",
-    "phase_timings",
-    # estimators
-    "EstimatorTelemetry",
-    "NullEstimatorTelemetry",
-    "NULL_ESTIMATOR_TELEMETRY",
-    "estimator_telemetry_for",
-    "SignalStats",
-    "SIGNAL_SPEED",
-    "SIGNAL_REMAINING",
-    "SIGNALS",
-    # registry
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "DEFAULT_TIME_BUCKETS",
-    "active_registry",
-    "install_registry",
-    "use_registry",
-    "quantile_from_snapshot",
-    # fold
-    "fold_trace",
-    "TraceFold",
-    "JobFold",
-    # export
-    "render_prometheus",
-    "render_top",
-    "EXPORT_QUANTILES",
-    # summarize
-    "phase_breakdown",
-    "summarize_trace",
-    "summarize_file",
-    "span_tree",
-    "span_flame",
-    "render_span_flame",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".tracer": (
+            "Tracer", "NullTracer", "RecordingTracer", "JsonlTracer", "NULL_TRACER", "read_trace",
+            "read_trace_tolerant", "EVENT_TYPES", "EVENT_JOB_ARRIVED", "EVENT_ALLOCATION_DECIDED",
+            "EVENT_PLACEMENT_DECIDED", "EVENT_JOB_RESCALED", "EVENT_STRAGGLER_DETECTED",
+            "EVENT_JOB_COMPLETED", "EVENT_INTERVAL_TICK", "EVENT_NODE_FAILED",
+            "EVENT_NODE_RECOVERED", "EVENT_TASK_CRASHED", "EVENT_JOB_RESTARTED", "EVENT_KV_RETRY",
+            "EVENT_KV_RETRY_EXHAUSTED", "EVENT_RESCALE_ROLLED_BACK", "EVENT_CHECKPOINT_MISSING",
+            "EVENT_NODE_CORDONED", "EVENT_NODE_LEASE_RENEWED", "EVENT_INTENT_REPLAYED",
+            "EVENT_SPAN", "EVENT_ESTIMATOR_SAMPLE", "EVENT_ESTIMATOR_DRIFT",
+            "EVENT_CHECKPOINT_RECORDED", "EVENT_LEADER_ELECTED", "EVENT_LEADER_DEPOSED",
+            "EVENT_WRITE_FENCED", "EVENT_NODE_LEASE_REGRANT", "EVENT_DECISION",
+        ),
+        ".ledger": (
+            "DecisionLedger", "NullDecisionLedger", "NULL_LEDGER", "LEDGER_MODES", "DENIAL_REASONS",
+            "active_ledger", "install_ledger", "use_ledger",
+        ),
+        ".explain": (
+            "describe_decision", "explain_job", "explain_trace", "trace_diff", "format_trace_diff",
+        ),
+        ".spans": (
+            "Span", "SpanTracer", "NullSpanTracer", "NULL_SPAN_TRACER", "span_tracer_for",
+            "phase_timings",
+        ),
+        ".estimators": (
+            "EstimatorTelemetry", "NullEstimatorTelemetry", "NULL_ESTIMATOR_TELEMETRY",
+            "estimator_telemetry_for", "SignalStats", "SIGNAL_SPEED", "SIGNAL_REMAINING", "SIGNALS",
+        ),
+        ".registry": (
+            "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
+            "DEFAULT_TIME_BUCKETS", "active_registry", "install_registry", "use_registry",
+            "quantile_from_snapshot",
+        ),
+        ".fold": ("fold_trace", "TraceFold", "JobFold"),
+        ".export": ("render_prometheus", "render_top", "EXPORT_QUANTILES"),
+        ".summarize": (
+            "phase_breakdown", "summarize_trace", "summarize_file", "span_tree", "span_flame",
+            "render_span_flame",
+        ),
+    },
+)

@@ -1,37 +1,17 @@
 """Parameter-server substrate: blocks, partitioning and load metrics (§5.3)."""
 
-from repro.ps.blocks import (
-    Assignment,
-    ParameterBlock,
-    ServerLoad,
-    blocks_from_sizes,
-)
-from repro.ps.microsim import (
-    MicroStepConfig,
-    MicroStepResult,
-    closed_form_step_time,
-    simulate_step,
-)
-from repro.ps.partition import (
-    MXNET_DEFAULT_THRESHOLD,
-    PAA_TINY_FRACTION,
-    mxnet_partition,
-    paa_partition,
-    partition,
-)
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "ParameterBlock",
-    "ServerLoad",
-    "Assignment",
-    "blocks_from_sizes",
-    "mxnet_partition",
-    "paa_partition",
-    "partition",
-    "MXNET_DEFAULT_THRESHOLD",
-    "PAA_TINY_FRACTION",
-    "MicroStepConfig",
-    "MicroStepResult",
-    "simulate_step",
-    "closed_form_step_time",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".blocks": ("ParameterBlock", "ServerLoad", "Assignment", "blocks_from_sizes"),
+        ".partition": (
+            "mxnet_partition", "paa_partition", "partition", "MXNET_DEFAULT_THRESHOLD",
+            "PAA_TINY_FRACTION",
+        ),
+        ".microsim": (
+            "MicroStepConfig", "MicroStepResult", "simulate_step", "closed_form_step_time",
+        ),
+    },
+)

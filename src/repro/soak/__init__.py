@@ -8,23 +8,15 @@ within bounds, checkpoints never regress, and every span tree closes --
 plus a self-test that seeds violations and proves they are detected.
 """
 
-from repro.soak.checker import (
-    REPORT_VERSION,
-    CheckerConfig,
-    InvariantChecker,
-    Violation,
-    check_events,
-    check_trace_file,
-)
-from repro.soak.selftest import SELFTEST_SCENARIO, run_selftest
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "REPORT_VERSION",
-    "CheckerConfig",
-    "InvariantChecker",
-    "Violation",
-    "check_events",
-    "check_trace_file",
-    "SELFTEST_SCENARIO",
-    "run_selftest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".checker": (
+            "REPORT_VERSION", "CheckerConfig", "InvariantChecker", "Violation", "check_events",
+            "check_trace_file",
+        ),
+        ".selftest": ("SELFTEST_SCENARIO", "run_selftest"),
+    },
+)

@@ -5,90 +5,31 @@ calibrated loss curves and Eqn-2 timing constants, noisy loss/speed
 observation generators, job specifications and arrival processes.
 """
 
-from repro.workloads.arrivals import (
-    bursty_arrivals,
-    diurnal_arrivals,
-    google_trace_arrivals,
-    poisson_arrivals,
-    uniform_arrivals,
-)
-from repro.workloads.csvtrace import jobs_from_csv, load_csv_trace
-from repro.workloads.job import (
-    DEFAULT_PS_DEMAND,
-    DEFAULT_WORKER_DEMAND,
-    JobSpec,
-    make_job,
-)
-from repro.workloads.loss import LossEmitter, LossObservation, epoch_averaged
-from repro.workloads.lr_schedule import SteppedLossCurve, with_lr_drops
-from repro.workloads.profiles import (
-    MODEL_ZOO,
-    LossCurveTruth,
-    ModelProfile,
-    get_profile,
-    solve_tail_scale,
-    zoo_names,
-)
-from repro.workloads.speed import (
-    MODE_ASYNC,
-    MODE_SYNC,
-    MODES,
-    StepBreakdown,
-    StepTimeModel,
-    straggler_step_time,
-    validate_mode,
-)
-from repro.workloads.trace import (
-    job_from_dict,
-    job_to_dict,
-    jobs_from_json,
-    jobs_to_json,
-    load_trace,
-    save_trace,
-)
-from repro.workloads.valmetrics import (
-    EpochMetrics,
-    ValidationEmitter,
-    no_overfitting,
-)
+from repro.common.exports import lazy_exports
 
-__all__ = [
-    "MODEL_ZOO",
-    "ModelProfile",
-    "LossCurveTruth",
-    "get_profile",
-    "zoo_names",
-    "solve_tail_scale",
-    "LossEmitter",
-    "LossObservation",
-    "epoch_averaged",
-    "SteppedLossCurve",
-    "with_lr_drops",
-    "job_to_dict",
-    "job_from_dict",
-    "jobs_to_json",
-    "jobs_from_json",
-    "save_trace",
-    "load_trace",
-    "EpochMetrics",
-    "ValidationEmitter",
-    "no_overfitting",
-    "StepTimeModel",
-    "StepBreakdown",
-    "straggler_step_time",
-    "JobSpec",
-    "make_job",
-    "MODE_SYNC",
-    "MODE_ASYNC",
-    "MODES",
-    "validate_mode",
-    "DEFAULT_WORKER_DEMAND",
-    "DEFAULT_PS_DEMAND",
-    "uniform_arrivals",
-    "poisson_arrivals",
-    "google_trace_arrivals",
-    "diurnal_arrivals",
-    "bursty_arrivals",
-    "jobs_from_csv",
-    "load_csv_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    globals(),
+    {
+        ".profiles": (
+            "MODEL_ZOO", "ModelProfile", "LossCurveTruth", "get_profile", "zoo_names",
+            "solve_tail_scale",
+        ),
+        ".loss": ("LossEmitter", "LossObservation", "epoch_averaged"),
+        ".lr_schedule": ("SteppedLossCurve", "with_lr_drops"),
+        ".trace": (
+            "job_to_dict", "job_from_dict", "jobs_to_json", "jobs_from_json", "save_trace",
+            "load_trace",
+        ),
+        ".valmetrics": ("EpochMetrics", "ValidationEmitter", "no_overfitting"),
+        ".speed": (
+            "StepTimeModel", "StepBreakdown", "straggler_step_time", "MODE_SYNC", "MODE_ASYNC",
+            "MODES", "validate_mode",
+        ),
+        ".job": ("JobSpec", "make_job", "DEFAULT_WORKER_DEMAND", "DEFAULT_PS_DEMAND"),
+        ".arrivals": (
+            "uniform_arrivals", "poisson_arrivals", "google_trace_arrivals", "diurnal_arrivals",
+            "bursty_arrivals",
+        ),
+        ".csvtrace": ("jobs_from_csv", "load_csv_trace"),
+    },
+)

@@ -30,6 +30,8 @@ parametric Eqn-3/Eqn-4 speed functions to noisy measurements of it.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -44,10 +46,11 @@ MODES = (MODE_SYNC, MODE_ASYNC)
 #: server -> (num_workers, num_ps) for one job.
 PlacementLayout = Mapping[str, Tuple[int, int]]
 
-#: Process-wide Eqn-2 speed tables: one ``(p, w) -> speed`` dict per
-#: ``(profile, mode, bandwidth)``, shared by every model built with that
-#: key (the ground truth is a pure function of it).
-_SPEED_TABLES: Dict[tuple, Dict[Tuple[int, int], float]] = {}
+#: Process-wide Eqn-2 speed tables, one per ``(profile, mode, bandwidth)``
+#: and shared by every model built with that key (the ground truth is a
+#: pure function of it). A table maps ``p`` to a row of speeds indexed by
+#: ``w``; NaN marks a ``w`` not computed yet, and a row grows on demand.
+_SPEED_TABLES: Dict[tuple, Dict[int, array]] = {}
 
 
 def validate_mode(mode: str) -> str:
@@ -220,23 +223,32 @@ class StepTimeModel:
 
         A plain call -- no ``placement``, ``imbalance == 1.0`` and no
         ``bandwidths`` -- is served from the process-wide table of this
-        model's ``(profile, mode, bandwidth)``, keyed by ``(p, w)``. A miss
-        computes the value through :meth:`breakdown` and stores it, so a
-        hit returns exactly the float an uncached call would. Invalid
-        ``(p, w)`` raise before anything is stored, and therefore on every
-        call. Calls with any of the three extra arguments bypass the table.
-        ``p`` and ``w`` are scalars (an array raises ``TypeError``).
+        model's ``(profile, mode, bandwidth)``: row ``p``, slot ``w``. A
+        miss computes the value through :meth:`breakdown` and stores it, so
+        a hit returns exactly the float an uncached call would. Invalid
+        ``(p, w)`` raise before anything is stored, and a ``w <= 0`` is
+        never served from a row, so they raise on every call. Calls with
+        any of the three extra arguments bypass the table. ``p`` and ``w``
+        are scalars (an array raises ``TypeError``).
         """
         plain = placement is None and imbalance == 1.0 and bandwidths is None
         if plain:
             try:
-                return self._speed_table[(p, w)]
-            except KeyError:
-                pass
+                value = self._speed_table[p][w]
+            except (KeyError, IndexError, TypeError):
+                pass  # no row, past its end, or a non-integer index
+            else:
+                if value == value and w > 0:
+                    return value
+            # int() raises TypeError for an array before anything is computed.
+            row_p, slot = int(p), int(w)
         t = self.step_time(p, w, placement, imbalance, bandwidths)
         value = w / t if self.mode == MODE_ASYNC else 1.0 / t
         if plain:
-            self._speed_table[(p, w)] = value
+            row = self._speed_table.setdefault(row_p, array("d"))
+            if slot >= len(row):
+                row.extend([math.nan] * (slot + 1 - len(row)))
+            row[slot] = value
         return value
 
     def measured_speed(

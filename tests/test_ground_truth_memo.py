@@ -4,12 +4,15 @@ Both tables only ever hold values an uncached call would compute, so a
 result must not depend on what ran earlier in the same process.
 """
 
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +29,8 @@ from repro.workloads.speed import MODE_ASYNC, MODE_SYNC
 
 REPO = Path(__file__).resolve().parent.parent
 PROFILES = sorted(MODEL_ZOO)
+#: A bandwidth no other test uses, per call: a model with an empty table.
+FRESH_BANDWIDTHS = itertools.count(1e6, 1.0)
 
 
 def uncached_speed(model: StepTimeModel, p: int, w: int) -> float:
@@ -40,26 +45,62 @@ class TestSpeedTable:
             st.tuples(
                 st.sampled_from(PROFILES),
                 st.sampled_from([MODE_SYNC, MODE_ASYNC]),
-                st.integers(1, 100),
-                st.integers(1, 100),
+                st.integers(1, 20),
+                st.integers(1, 200),
             ),
             min_size=1,
             max_size=40,
         )
     )
     def test_memoized_equals_uncached(self, calls):
+        # Calls skip p values and land past the end of a row as well as
+        # inside it. On fresh tables, the slots holding a value are
+        # exactly the configurations called; every other slot is NaN.
+        bandwidth = next(FRESH_BANDWIDTHS)
         for name, mode, p, w in calls:
-            model = StepTimeModel(MODEL_ZOO[name], mode)
+            model = StepTimeModel(MODEL_ZOO[name], mode, bandwidth)
             assert model.speed(p, w) == uncached_speed(model, p, w)
             assert model.speed(p, w) == uncached_speed(model, p, w)
+        for name, mode in {(name, mode) for name, mode, _, _ in calls}:
+            table = StepTimeModel(MODEL_ZOO[name], mode, bandwidth)._speed_table
+            filled = {
+                (p, w) for p, row in table.items() for w, value in enumerate(row)
+                if not math.isnan(value)
+            }
+            assert filled == {(p, w) for n, m, p, w in calls if (n, m) == (name, mode)}
+
+    def test_integral_floats_share_the_integer_slot(self):
+        model = StepTimeModel(MODEL_ZOO["dssm"], "async", bandwidth=next(FRESH_BANDWIDTHS))
+        first = model.speed(2.0, 3.0)
+        assert model.speed(2, 3) == first == uncached_speed(model, 2, 3)
+        assert model.speed(2.0, 3.0) == first
+        assert list(model._speed_table) == [2]
 
     @pytest.mark.parametrize(
-        "p, w", [(0, 4), (4, 0), (-1, 4), (4, -3), (2.5, 4), (4, 1.5)]
+        "p, w", [(0, 4), (4, 0), (-1, 4), (4, -3), (-4, -3), (2.5, 4), (4, 1.5)]
     )
     def test_invalid_tasks_raise_on_every_call(self, p, w):
         model = StepTimeModel(MODEL_ZOO["cnn-rand"], "sync")
         for _ in range(3):
             with pytest.raises(ConfigurationError):
+                model.speed(p, w)
+        # Once rows 1-4 exist and hold values in every slot, a negative
+        # ``w`` would index a row's tail; it must still raise.
+        for q in range(1, 5):
+            for v in range(1, 9):
+                model.speed(q, v)
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                model.speed(p, w)
+
+    @pytest.mark.parametrize(
+        "p, w", [(np.array([1, 2]), 3), (3, np.array([1, 2])), (np.arange(1, 4), np.arange(1, 4))]
+    )
+    def test_array_arguments_raise_type_error(self, p, w):
+        model = StepTimeModel(MODEL_ZOO["cnn-rand"], "async")
+        model.speed(3, 3)  # row 3 exists
+        for _ in range(2):
+            with pytest.raises(TypeError):
                 model.speed(p, w)
 
     def test_models_share_one_table_per_key(self):
