@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".convergence": ("ConvergenceEstimator",),
         ".speed": ("SpeedEstimator",),
         ".allocation": (
-            "AllocationRequest", "AllocationResult", "TaskAllocation", "allocate", "estimated_time",
+            "AllocationRequest", "AllocationResult", "TaskAllocation", "allocate",
         ),
         ".placement": (
             "PlacementCache", "PlacementRequest", "PlacementResult", "JobLayout", "place_jobs",

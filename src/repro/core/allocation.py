@@ -36,6 +36,9 @@ from repro.obs.registry import active_registry
 #: f(p, w) -> steps/second.
 SpeedFn = Callable[[int, int], float]
 
+#: Per-job cap on tasks of each kind: workers and parameter servers alike.
+MAX_TASKS_PER_JOB = 100
+
 
 class TaskAllocation(NamedTuple):
     """Numbers of tasks granted to one job."""
@@ -64,8 +67,8 @@ class AllocationRequest:
     worker_demand: ResourceVector
     ps_demand: ResourceVector
     priority: float = 1.0
-    max_workers: int = 100
-    max_ps: int = 100
+    max_workers: int = MAX_TASKS_PER_JOB
+    max_ps: int = MAX_TASKS_PER_JOB
 
     def __post_init__(self) -> None:
         if self.remaining_work < 0:
@@ -133,13 +136,6 @@ class WeightedSpeed:
 
     def __call__(self, p: int, w: int) -> float:
         return self.base(p, w) * self.weight(p, w)
-
-
-def estimated_time(request: AllocationRequest, allocation: TaskAllocation) -> float:
-    """Estimated completion time of *request* under *allocation* (seconds)."""
-    if allocation.workers < 1 or allocation.ps < 1:
-        return float("inf")
-    return _completion_time(request, allocation.ps, allocation.workers)
 
 
 def _dominant_amount(demand: ResourceVector, capacity: ResourceVector) -> float:

@@ -40,6 +40,9 @@ MIN_POINTS = 4
 #: Hard cap when scanning for the convergence epoch on a fitted curve.
 MAX_PREDICT_EPOCHS = 100_000
 
+#: Coarse-grid resolution of the ``b2`` search.
+GRID_SIZE = 24
+
 #: ``1 / phi``: the factor one golden-section step shrinks a bracket by.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -295,7 +298,6 @@ def fit_loss_curve(
     steps: Sequence[float],
     losses: Sequence[float],
     preprocess: bool = True,
-    grid_size: int = 24,
     refine_iters: int = 40,
 ) -> LossCurveFit:
     """Fit Eqn 1 to raw ``(step, loss)`` observations.
@@ -306,12 +308,11 @@ def fit_loss_curve(
         Observation history (any order; raw loss units).
     preprocess:
         Run the §3.1 outlier-removal + normalisation pipeline first.
-    grid_size:
-        Coarse-grid resolution of the ``b2`` search.
     refine_iters:
-        Precision of the search around the best grid cell: it stops at
-        the bracket width that many golden-section steps reach, and makes
-        at most ``refine_iters + 2`` evaluations.
+        Precision of the search around the best cell of the
+        :data:`GRID_SIZE`-point coarse grid: it stops at the bracket width
+        that many golden-section steps reach, and makes at most
+        ``refine_iters + 2`` evaluations.
 
     Raises
     ------
@@ -359,7 +360,7 @@ def fit_loss_curve(
     def consider(beta2: float) -> float:
         return record(beta2, _nnls_for_beta2(k, vals, beta2, line, min_step, min_loss))
 
-    grid = np.linspace(0.0, upper, grid_size)
+    grid = np.linspace(0.0, upper, GRID_SIZE)
     scores = [
         record(b2, result)
         for b2, result in zip(grid, _nnls_for_grid(k, vals, grid, line, min_step, min_loss))
@@ -367,9 +368,9 @@ def fit_loss_curve(
 
     # Brent's bounded search of the best coarse cell pair, down to the
     # bracket width a golden-section search of refine_iters steps ends at.
-    best_idx = min(range(grid_size), key=scores.__getitem__)
+    best_idx = min(range(GRID_SIZE), key=scores.__getitem__)
     lo = float(grid[max(best_idx - 1, 0)])
-    hi = float(grid[min(best_idx + 1, grid_size - 1)])
+    hi = float(grid[min(best_idx + 1, GRID_SIZE - 1)])
     if hi > lo:
         _brent_bounded(consider, lo, hi, (hi - lo) * INV_PHI**refine_iters, refine_iters + 2)
 

@@ -98,10 +98,10 @@ class CompositeScheduler(Scheduler):
         only when its estimated completion-time saving exceeds this many
         times its rescale cost (0 disables the check).
     allocation_kwargs:
-        Extra keyword arguments forwarded to the allocation policy (e.g.
-        ``priority_factor`` for ``optimus`` and ``goodput``, the §4.1
-        young-job downgrade; ``price_range`` for ``oasis``). A keyword the
-        policy does not accept raises :class:`SchedulingError`.
+        Keyword arguments forwarded to the allocation policy. Only
+        ``optimus`` takes one: ``priority_factor``, the §4.1 young-job
+        downgrade. A keyword the policy does not accept raises
+        :class:`SchedulingError`.
     placement_cache:
         Opt-in layout memo (see :class:`~repro.core.placement.PlacementCache`):
         jobs whose allocation did not change between scheduling points

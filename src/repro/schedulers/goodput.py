@@ -30,8 +30,9 @@ marginal-gain objective:
   a job down makes its completion-time *differences* larger, i.e. MORE
   attractive to a marginal-JCT-gain heap -- exactly backwards. It
   therefore enters as a multiplicative *priority* on the request (the
-  same lever as the §4.1 young-job downgrade), scaling the job's marginal
-  gains down so nearly-converged jobs yield to fresh ones.
+  lever the §4.1 young-job downgrade uses in ``optimus_allocation``),
+  scaling the job's marginal gains down so nearly-converged jobs yield to
+  fresh ones.
 
 Everything else (starter allocations, dominant-share normalisation) is
 inherited unchanged.
@@ -49,7 +50,6 @@ from repro.core.allocation import (
     allocate,
 )
 from repro.schedulers.base import MIN_STATISTICAL_EFFICIENCY, JobView
-from repro.schedulers.policies import YOUNG_JOB_OBSERVATIONS
 from repro.workloads.speed import MODE_SYNC
 
 
@@ -89,37 +89,28 @@ def convergence_priority(view: JobView) -> float:
 
 
 def goodput_allocation(
-    jobs: Sequence[JobView],
-    capacity: ResourceVector,
-    priority_factor: float = 1.0,
-    max_tasks_per_job: int = 100,
+    jobs: Sequence[JobView], capacity: ResourceVector
 ) -> Dict[str, TaskAllocation]:
     """Marginal-*goodput* allocation on the §4.1 incremental heap.
 
-    Identical to ``optimus_allocation`` except that (a) asynchronous jobs'
-    speed functions carry the staleness discount, so they stop scaling out
-    once stale gradients erode the marginal step value, and (b) each job's
-    marginal gains are weighted by its loss-curve efficiency, so
-    nearly-converged jobs yield to fresh ones.
+    Identical to ``optimus_allocation`` at its default (no young-job
+    downgrade) except that (a) asynchronous jobs' speed functions carry
+    the staleness discount, so they stop scaling out once stale gradients
+    erode the marginal step value, and (b) each job's marginal gains are
+    weighted by its loss-curve efficiency, so nearly-converged jobs yield
+    to fresh ones. It takes no keyword arguments.
     """
-    requests = []
-    for view in jobs:
-        young = view.observation_count < YOUNG_JOB_OBSERVATIONS
-        priority = convergence_priority(view)
-        if young:
-            priority *= priority_factor
-        requests.append(
-            AllocationRequest(
-                job_id=view.job_id,
-                remaining_work=max(view.remaining_steps, 0.0),
-                speed=goodput_speed(view),
-                worker_demand=view.spec.worker_demand,
-                ps_demand=view.spec.ps_demand,
-                priority=priority,
-                max_workers=max_tasks_per_job,
-                max_ps=max_tasks_per_job,
-            )
+    requests = [
+        AllocationRequest(
+            job_id=view.job_id,
+            remaining_work=max(view.remaining_steps, 0.0),
+            speed=goodput_speed(view),
+            worker_demand=view.spec.worker_demand,
+            ps_demand=view.spec.ps_demand,
+            priority=convergence_priority(view),
         )
+        for view in jobs
+    ]
     result = allocate(requests, capacity)
     return dict(result.allocations)
 

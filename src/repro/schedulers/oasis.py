@@ -11,8 +11,8 @@ The primal-dual template:
       price_r(y_r) = L * (U / L) ** y_r
 
   where ``U`` is the highest utility density any job can offer (so a full
-  resource prices out everything) and ``L = U / price_range`` is the floor
-  (so an empty resource admits anything with positive utility);
+  resource prices out everything) and ``L = U / DEFAULT_PRICE_RANGE`` is
+  the floor (so an empty resource admits anything with positive utility);
 
 * a job is admitted with the candidate configuration maximising its
   **surplus** -- utility minus the priced cost of its demand -- provided
@@ -25,7 +25,7 @@ Utility here is the job's predicted **goodput** (see
 :meth:`repro.schedulers.base.JobView.goodput`): effective convergence
 progress per second. Candidate configurations are 1-worker:1-PS bundles
 (§6.1 pins the baselines' ratio), on a doubling ladder so a round over
-``J`` jobs costs ``O(J log max_tasks)`` speed evaluations.
+``J`` jobs costs ``O(J log MAX_TASKS_PER_JOB)`` speed evaluations.
 
 The allocator is stateless across intervals: prices are rebuilt from zero
 utilization each round, so a paused job is simply re-auctioned next time.
@@ -37,11 +37,11 @@ import math
 from typing import Dict, List, Sequence
 
 from repro.cluster.resources import ResourceVector
-from repro.core.allocation import TaskAllocation
+from repro.core.allocation import MAX_TASKS_PER_JOB, TaskAllocation
 from repro.obs.ledger import active_ledger
 from repro.schedulers.base import JobView
 
-#: Ratio between the highest and lowest resource price: ``price_range = U/L``.
+#: Ratio between the highest and lowest resource price, ``U / L``.
 #: Larger values admit more aggressively on an empty cluster and clamp
 #: harder near saturation.
 DEFAULT_PRICE_RANGE = 64.0
@@ -71,10 +71,7 @@ def _normalized(demand: ResourceVector, capacity: ResourceVector) -> float:
 
 
 def oasis_allocation(
-    jobs: Sequence[JobView],
-    capacity: ResourceVector,
-    max_tasks_per_job: int = 100,
-    price_range: float = DEFAULT_PRICE_RANGE,
+    jobs: Sequence[JobView], capacity: ResourceVector
 ) -> Dict[str, TaskAllocation]:
     """One online primal-dual round over the active jobs.
 
@@ -82,10 +79,10 @@ def oasis_allocation(
     arrival sequence -- and each either wins its surplus-maximising bundle
     count or is deferred to the next interval. Grants never exceed
     *capacity* (every candidate is checked with ``fits_within`` before
-    admission), which is the invariant the property tests pin down.
+    admission), which is the invariant the property tests pin down. Bundles
+    run up to :data:`~repro.core.allocation.MAX_TASKS_PER_JOB` and prices
+    span :data:`DEFAULT_PRICE_RANGE`; the policy takes no keyword arguments.
     """
-    if price_range <= 1.0:
-        raise ValueError("price_range must be > 1")
     ordered = sorted(jobs, key=lambda v: (v.spec.arrival_time, v.job_id))
     ledger = active_ledger()
     if ledger:
@@ -98,7 +95,7 @@ def oasis_allocation(
     for view in ordered:
         bundle = view.spec.worker_demand + view.spec.ps_demand
         options = []
-        for n in _bundle_ladder(max_tasks_per_job, view.spec.requested_workers):
+        for n in _bundle_ladder(MAX_TASKS_PER_JOB, view.spec.requested_workers):
             utility = view.goodput(n, n)
             if utility <= 0.0:
                 continue
@@ -117,7 +114,7 @@ def oasis_allocation(
         return {}
 
     upper = best_density
-    lower = upper / price_range
+    lower = upper / DEFAULT_PRICE_RANGE
 
     def price(fraction: float) -> float:
         return lower * math.pow(upper / lower, min(max(fraction, 0.0), 1.0))

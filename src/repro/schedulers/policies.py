@@ -31,8 +31,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import ResourceVector
 from repro.cluster.server import ROLE_PS, ROLE_WORKER, Server, TaskKey
-from repro.common.errors import SchedulingError
 from repro.core.allocation import (
+    MAX_TASKS_PER_JOB,
     AllocationRequest,
     TaskAllocation,
     allocate,
@@ -50,6 +50,9 @@ from repro.schedulers.base import JobView
 #: observations than this get their marginal gain scaled by the factor.
 YOUNG_JOB_OBSERVATIONS = 50
 
+#: Tetris' weight on shortest-remaining-time against packing alignment.
+TETRIS_DURATION_WEIGHT = 0.5
+
 
 # ---------------------------------------------------------------------------
 # Allocation policies
@@ -59,7 +62,6 @@ def optimus_allocation(
     jobs: Sequence[JobView],
     capacity: ResourceVector,
     priority_factor: float = 1.0,
-    max_tasks_per_job: int = 100,
 ) -> Dict[str, TaskAllocation]:
     """The §4.1 marginal-gain allocator over fitted models."""
     requests = []
@@ -73,8 +75,6 @@ def optimus_allocation(
                 worker_demand=view.spec.worker_demand,
                 ps_demand=view.spec.ps_demand,
                 priority=priority_factor if young else 1.0,
-                max_workers=max_tasks_per_job,
-                max_ps=max_tasks_per_job,
             )
         )
     result = allocate(requests, capacity)
@@ -89,9 +89,7 @@ def _bundle_fits(
 
 
 def drf_allocation(
-    jobs: Sequence[JobView],
-    capacity: ResourceVector,
-    max_tasks_per_job: int = 100,
+    jobs: Sequence[JobView], capacity: ResourceVector
 ) -> Dict[str, TaskAllocation]:
     """Work-conserving DRF with 1-worker+1-PS bundles.
 
@@ -111,7 +109,7 @@ def drf_allocation(
         )
         view = views[job_id]
         alloc = allocations[job_id]
-        if alloc.workers >= max_tasks_per_job or not _bundle_fits(
+        if alloc.workers >= MAX_TASKS_PER_JOB or not _bundle_fits(
             used, view, capacity
         ):
             active.discard(job_id)
@@ -124,9 +122,7 @@ def drf_allocation(
 
 
 def tetris_allocation(
-    jobs: Sequence[JobView],
-    capacity: ResourceVector,
-    duration_weight: float = 0.5,
+    jobs: Sequence[JobView], capacity: ResourceVector
 ) -> Dict[str, TaskAllocation]:
     """Tetris-style allocation: packing alignment + shortest remaining time.
 
@@ -138,8 +134,6 @@ def tetris_allocation(
     Tetris the Optimus estimators for this). Jobs that no longer fit wait
     for the next interval.
     """
-    if not 0 <= duration_weight <= 1:
-        raise SchedulingError("duration_weight must be in [0, 1]")
     used = ResourceVector()
     views = {v.job_id: v for v in jobs}
     requests = {
@@ -164,7 +158,7 @@ def tetris_allocation(
                 alignment += (amount / cap) * (available.get(name) / cap)
         duration = view.estimated_time(request.workers, request.ps)
         urgency = 0.0 if duration in (0.0, float("inf")) else 1.0 / duration
-        return (1 - duration_weight) * alignment + duration_weight * urgency
+        return (1 - TETRIS_DURATION_WEIGHT) * alignment + TETRIS_DURATION_WEIGHT * urgency
 
     while pending:
         job_id = max(pending, key=lambda j: (score(j), j))
@@ -179,9 +173,7 @@ def tetris_allocation(
 
 
 def srtf_allocation(
-    jobs: Sequence[JobView],
-    capacity: ResourceVector,
-    max_tasks_per_job: int = 100,
+    jobs: Sequence[JobView], capacity: ResourceVector
 ) -> Dict[str, TaskAllocation]:
     """Shortest-remaining-time-first: serve jobs one at a time, in full.
 
@@ -206,8 +198,6 @@ def srtf_allocation(
                     speed=view.speed,
                     worker_demand=view.spec.worker_demand,
                     ps_demand=view.spec.ps_demand,
-                    max_workers=max_tasks_per_job,
-                    max_ps=max_tasks_per_job,
                 )
             ],
             remaining,

@@ -198,7 +198,6 @@ def run_arena(
     jobs: Sequence[JobSpec],
     config: Optional[SimConfig] = None,
     baseline: Optional[str] = None,
-    scheduler_kwargs: Optional[Dict[str, dict]] = None,
     trace_prefix: Optional[str] = None,
 ) -> ArenaReport:
     """Race the named policies head-to-head on one seeded trace.
@@ -232,10 +231,7 @@ def run_arena(
         )
     # Resolve every name up front: a typo in policy 4 should not cost the
     # wall-clock of policies 1-3.
-    schedulers = {
-        name: make_scheduler(name, **(scheduler_kwargs or {}).get(name, {}))
-        for name in policies
-    }
+    schedulers = {name: make_scheduler(name) for name in policies}
     traces: Dict[str, List[Dict]] = {}
     scores: List[PolicyScore] = []
     for name in policies:

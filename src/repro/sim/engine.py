@@ -80,8 +80,6 @@ RANK_SCHEDULE = 1
 
 #: Multiplicative noise on measured interval speeds.
 SPEED_NOISE_STD = 0.03
-#: Profiling pre-runs per job (§6.1 uses 5).
-BOOTSTRAP_SAMPLES = 5
 #: Bytes per training example, for sizing the HDFS files (§5.1).
 EXAMPLE_BYTES = 3072
 #: Loss observations fed to the online estimator per job per interval, at
@@ -250,7 +248,7 @@ class Simulation:
         )
         job.attach_data(self._store, example_bytes=EXAMPLE_BYTES)
         if cfg.estimator_mode == "online":
-            job.bootstrap_speed(num_samples=BOOTSTRAP_SAMPLES)
+            job.bootstrap_speed()
         return job
 
     # -- background load (§7) -----------------------------------------------------

@@ -46,14 +46,13 @@ def run_repeats(
     workload: WorkloadFactory,
     config: SimConfig,
     repeats: int = 3,
-    scheduler_kwargs: Optional[dict] = None,
 ) -> SchedulerStats:
     """Run one scheduler over *repeats* seeded workloads and aggregate."""
     if repeats < 1:
         raise SimulationError("repeats must be >= 1")
     results: List[SimulationResult] = []
     for i in range(repeats):
-        scheduler = make_scheduler(scheduler_name, **(scheduler_kwargs or {}))
+        scheduler = make_scheduler(scheduler_name)
         run_config = replace(config, seed=config.seed + i)
         sim = Simulation(cluster_factory(), scheduler, workload(i), run_config)
         results.append(sim.run())
@@ -75,17 +74,13 @@ def compare_schedulers(
     workload: WorkloadFactory,
     config: Optional[SimConfig] = None,
     repeats: int = 3,
-    scheduler_kwargs: Optional[Dict[str, dict]] = None,
 ) -> Dict[str, SchedulerStats]:
     """Run several schedulers over the *same* seeded workloads."""
     config = config or SimConfig()
-    stats = {}
-    for name in scheduler_names:
-        kwargs = (scheduler_kwargs or {}).get(name)
-        stats[name] = run_repeats(
-            cluster_factory, name, workload, config, repeats, kwargs
-        )
-    return stats
+    return {
+        name: run_repeats(cluster_factory, name, workload, config, repeats)
+        for name in scheduler_names
+    }
 
 
 def normalized(

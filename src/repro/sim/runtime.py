@@ -74,8 +74,6 @@ class RuntimeJob:
         estimator_mode: str = "online",
         convergence_error: float = 0.0,
         speed_error: float = 0.0,
-        loss_noise_std: float = 0.015,
-        outlier_rate: float = 0.01,
         scaling_costs: Optional[ScalingCosts] = None,
     ):
         if estimator_mode not in ESTIMATOR_MODES:
@@ -98,11 +96,7 @@ class RuntimeJob:
         self.steps_per_epoch = spec.steps_per_epoch()
         self.true_total_steps = spec.total_steps_to_converge()
         self.emitter = LossEmitter(
-            spec.profile.loss,
-            self.steps_per_epoch,
-            noise_std=loss_noise_std,
-            outlier_rate=outlier_rate,
-            seed=self._seed.child("loss"),
+            spec.profile.loss, self.steps_per_epoch, seed=self._seed.child("loss")
         )
 
         # Online estimators (§3). An oracle job has none.
@@ -160,15 +154,14 @@ class RuntimeJob:
         # allocation, so the stopping epoch is fixed here, at admission.
         target = spec.profile.target_epochs
         max_steps = max(3.0 * target, target + 50) * self.steps_per_epoch
-        epoch_noise_std = loss_noise_std / math.sqrt(25.0)
-        rng = self._seed.child("epoch-loss").rng if epoch_noise_std > 0 else None
+        epoch_noise_std = self.emitter.noise_std / math.sqrt(25.0)
+        rng = self._seed.child("epoch-loss").rng
         previous = loss_max = 0.0
         streak = epoch = 0
         while True:
             epoch += 1
             value = self.emitter.true_loss(epoch * self.steps_per_epoch)
-            if rng is not None:
-                value *= max(1e-3, 1.0 + rng.normal(0.0, epoch_noise_std))
+            value *= max(1e-3, 1.0 + rng.normal(0.0, epoch_noise_std))
             loss_max = max(loss_max, value)
             if epoch >= 2 and loss_max > 0:
                 below = (previous - value) / loss_max < spec.threshold
@@ -234,14 +227,11 @@ class RuntimeJob:
         return self._imbalance_cache[num_ps]
 
     # -- profiling / observation feeds -------------------------------------------
-    def bootstrap_speed(self, num_samples: int = 5, max_grid: int = 16) -> None:
+    def bootstrap_speed(self) -> None:
         """The §3.2 pre-run: profile a few (p, w) configurations."""
         rng = self._seed.child("speed-measure").rng
         self.speed_estimator.bootstrap(
             measure=lambda p, w: self.truth.measured_speed(p, w, seed=rng),
-            max_ps=max_grid,
-            max_workers=max_grid,
-            num_samples=num_samples,
             seed=self._seed.child("bootstrap"),
         )
 

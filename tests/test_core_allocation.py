@@ -14,7 +14,6 @@ from repro.core.allocation import (
     TaskAllocation,
     WeightedSpeed,
     allocate,
-    estimated_time,
 )
 from repro.fitting.speed_model import SpeedModelFit
 from repro.obs import (
@@ -244,18 +243,6 @@ class TestValidation:
         assert result.allocations == {}
 
 
-class TestEstimatedTime:
-    def test_matches_q_over_f(self):
-        req = request("j", 1000, truth_speed())
-        alloc = TaskAllocation(4, 4)
-        expected = 1000 / truth_speed()(4, 4)
-        assert estimated_time(req, alloc) == pytest.approx(expected)
-
-    def test_unallocated_is_infinite(self):
-        req = request("j", 1000, truth_speed())
-        assert estimated_time(req, TaskAllocation(0, 0)) == float("inf")
-
-
 class TestProperties:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -288,6 +275,11 @@ class TestGreedyQuality:
     to optimal.
     """
 
+    @staticmethod
+    def completion_time(request, allocation):
+        """``Q / f(p, w)``: the summand of the §4.1 objective."""
+        return request.remaining_work / request.speed(allocation.ps, allocation.workers)
+
     def brute_force(self, requests, max_tasks):
         import itertools
 
@@ -302,13 +294,13 @@ class TestGreedyQuality:
                 continue
             total = 0.0
             for request, (w, p) in zip(requests, combo):
-                total += estimated_time(request, TaskAllocation(w, p))
+                total += self.completion_time(request, TaskAllocation(w, p))
             best = min(best, total)
         return best
 
     def objective(self, requests, allocations):
         return sum(
-            estimated_time(request, allocations[request.job_id])
+            self.completion_time(request, allocations[request.job_id])
             for request in requests
         )
 

@@ -46,13 +46,13 @@ class PerEpochObserverJob(RuntimeJob):
     admission. A re-crossed epoch (after a rollback) reports the streak of
     the latest epoch already observed."""
 
-    def __init__(self, spec, seed, loss_noise_std):
-        super().__init__(spec, seed, estimator_mode="oracle", loss_noise_std=loss_noise_std)
+    def __init__(self, spec, seed):
+        super().__init__(spec, seed, estimator_mode="oracle")
         self.epochs_observed = 0
         self.last_epoch_loss = self.epoch_loss_max = 0.0
         self.streak = 0
         self.epoch_noise = self._seed.child("epoch-loss")
-        self.epoch_noise_std = loss_noise_std / math.sqrt(25.0)
+        self.epoch_noise_std = self.emitter.noise_std / math.sqrt(25.0)
         target = spec.profile.target_epochs
         self.max_steps = max(3.0 * target, target + 50) * self.steps_per_epoch
 
@@ -82,8 +82,7 @@ class PerEpochObserverJob(RuntimeJob):
         while self.epochs_observed < epoch:
             self.epochs_observed += 1
             value = self.emitter.true_loss(self.epochs_observed * self.steps_per_epoch)
-            if self.epoch_noise_std > 0:
-                value *= max(1e-3, 1.0 + self.epoch_noise.rng.normal(0.0, self.epoch_noise_std))
+            value *= max(1e-3, 1.0 + self.epoch_noise.rng.normal(0.0, self.epoch_noise_std))
             previous, self.last_epoch_loss = self.last_epoch_loss, float(value)
             self.epoch_loss_max = max(self.epoch_loss_max, value)
             if self.epochs_observed >= 2 and self.epoch_loss_max > 0:
@@ -92,11 +91,11 @@ class PerEpochObserverJob(RuntimeJob):
         return self.streak >= self.spec.patience
 
 
-def _drive_against_reference(spec, seed, loss_noise_std=0.015):
+def _drive_against_reference(spec, seed):
     """Advance a job and the reference through the same random chunks,
     checkpoints and rollbacks; every outcome must match exactly."""
-    job = RuntimeJob(spec, RandomSource(seed), estimator_mode="oracle", loss_noise_std=loss_noise_std)
-    ref = PerEpochObserverJob(spec, RandomSource(seed), loss_noise_std)
+    job = RuntimeJob(spec, RandomSource(seed), estimator_mode="oracle")
+    ref = PerEpochObserverJob(spec, RandomSource(seed))
     rng = np.random.default_rng(seed)
     now = 0.0
     for _ in range(2_000):
@@ -127,14 +126,13 @@ class TestStopEpochMatchesPerEpochObserver:
 
     SEEDS = [CHAOS_SEED * 3 + k for k in range(3)]
 
-    @pytest.mark.parametrize("loss_noise_std", [0.015, 0.0])
     @pytest.mark.parametrize("mode", ["sync", "async"])
-    def test_every_table1_profile(self, mode, loss_noise_std):
+    def test_every_table1_profile(self, mode):
         rollbacks = 0
         for seed in self.SEEDS:
             for model in zoo_names():
                 spec = make_job(model, mode=mode, job_id=f"{model}-{seed}")
-                job, ref = _drive_against_reference(spec, seed, loss_noise_std)
+                job, ref = _drive_against_reference(spec, seed)
                 assert job.effective_steps == job.stop_epoch * job.steps_per_epoch
                 rollbacks += ref.num_restarts
         assert rollbacks > 0

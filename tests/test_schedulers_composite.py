@@ -1,5 +1,7 @@
 """Tests for the composite scheduler and the named presets."""
 
+import re
+
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
@@ -42,21 +44,25 @@ class TestConstruction:
         assert drf.allocation_policy is ALLOCATION_POLICIES["drf"]
         assert drf.placement_policy is PLACEMENT_POLICIES["spread"]
 
-    def test_allocation_kwargs_bound_at_construction(self):
-        # A keyword the allocation half lacks fails here, naming both,
-        # not as a bare TypeError in the middle of a run.
-        with pytest.raises(SchedulingError, match="'drf'.*priority_factor"):
-            make_scheduler("drf+optimus", priority_factor=0.9)
-        with pytest.raises(SchedulingError, match="'oasis'.*priority_factor"):
-            make_scheduler("oasis", priority_factor=0.9)
-        assert make_scheduler("optimus", priority_factor=0.9).allocation_kwargs == {
-            "priority_factor": 0.9
-        }
-        assert make_scheduler("oasis", price_range=8.0).allocation_kwargs == {
-            "price_range": 8.0
-        }
-        # Every preset takes the scheduler-level keywords.
-        assert make_scheduler("drf", rescale_threshold=1.0).rescale_threshold == 1.0
+    @pytest.mark.parametrize("allocation", sorted(ALLOCATION_POLICIES))
+    def test_allocation_kwargs_bound_at_construction(self, allocation):
+        # A keyword the allocation half lacks fails here, naming the policy,
+        # the keyword and what the policy does accept, not as a bare
+        # TypeError in the middle of a run. Only optimus takes a keyword.
+        accepted = ["priority_factor"] if allocation == "optimus" else []
+        for keyword in ("priority_factor", "max_tasks_per_job", "duration_weight", "price_range"):
+            if keyword in accepted:
+                continue
+            message = (
+                f"allocation policy '{allocation}' takes no keyword {keyword}; "
+                f"it accepts: {', '.join(accepted) or '(none)'}"
+            )
+            with pytest.raises(SchedulingError, match=re.escape(message)):
+                make_scheduler(allocation, **{keyword: 0.9})
+        kwargs = {keyword: 0.9 for keyword in accepted}
+        assert make_scheduler(allocation, **kwargs).allocation_kwargs == kwargs
+        # Every allocation takes the scheduler-level keywords.
+        assert make_scheduler(allocation, rescale_threshold=1.0).rescale_threshold == 1.0
 
     def test_make_scheduler_hybrids(self):
         hybrid = make_scheduler("drf+optimus")

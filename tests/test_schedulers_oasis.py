@@ -1,6 +1,5 @@
 """Tests for the OASiS-style online primal-dual allocator."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,10 +56,6 @@ class TestOasisAllocation:
     def test_empty_jobs(self):
         assert oasis_allocation([], cpu_mem(100, 200)) == {}
 
-    def test_price_range_validated(self):
-        with pytest.raises(ValueError):
-            oasis_allocation([view("a")], cpu_mem(100, 200), price_range=1.0)
-
     def test_deterministic(self):
         views = [view(f"j{i}", arrival=float(i)) for i in range(4)]
         capacity = cpu_mem(120, 240)
@@ -81,9 +76,8 @@ class TestOasisAllocation:
         num_jobs=st.integers(min_value=1, max_value=6),
         cpu=st.integers(min_value=5, max_value=400),
         seed=st.integers(min_value=0, max_value=2**16),
-        price_range=st.floats(min_value=1.5, max_value=1e4),
     )
-    def test_never_exceeds_capacity(self, num_jobs, cpu, seed, price_range):
+    def test_never_exceeds_capacity(self, num_jobs, cpu, seed):
         """The admission invariant: grants always fit inside capacity."""
         views = [
             view(
@@ -97,9 +91,7 @@ class TestOasisAllocation:
             for i in range(num_jobs)
         ]
         capacity = cpu_mem(cpu, 2 * cpu)
-        allocations = oasis_allocation(
-            views, capacity, price_range=price_range
-        )
+        allocations = oasis_allocation(views, capacity)
         used = used_resources(views, allocations)
         assert used.fits_within(capacity)
         assert all(a.workers >= 1 for a in allocations.values())
@@ -120,9 +112,3 @@ class TestOasisScheduler:
         decision = scheduler.schedule(cluster, [view("a"), view("b")])
         decision.validate()
         assert decision.scheduled_jobs
-
-    def test_price_range_kwarg_forwarded(self):
-        scheduler = make_scheduler("oasis", price_range=8.0)
-        cluster = Cluster.homogeneous(4, cpu_mem(16, 64))
-        decision = scheduler.schedule(cluster, [view("a")])
-        decision.validate()

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.cluster import Cluster, cpu_mem
-from repro.common.errors import SchedulingError
-from repro.core.allocation import TaskAllocation
+from repro.core.allocation import MAX_TASKS_PER_JOB, TaskAllocation
 from repro.core.placement import PlacementRequest
 from repro.schedulers import JobView
 from repro.schedulers.policies import (
@@ -64,7 +63,7 @@ class TestDRFAllocation:
         assert totals[-1] - totals[0] <= 2  # within one bundle
 
     def test_work_conserving(self):
-        allocations = drf_allocation([view("only")], CAPACITY, max_tasks_per_job=100)
+        allocations = drf_allocation([view("only")], CAPACITY)
         # One job alone keeps receiving bundles until capacity runs out.
         assert allocations["only"].total == 40
 
@@ -74,8 +73,10 @@ class TestDRFAllocation:
             assert alloc.workers == alloc.ps
 
     def test_respects_cap(self):
-        allocations = drf_allocation([view("a")], CAPACITY, max_tasks_per_job=3)
-        assert allocations["a"].workers == 3
+        # Room for ten bundles beyond the cap: the cap, not capacity, stops it.
+        roomy = cpu_mem(10 * (MAX_TASKS_PER_JOB + 10), 20 * (MAX_TASKS_PER_JOB + 10))
+        allocations = drf_allocation([view("a")], roomy)
+        assert allocations["a"] == TaskAllocation(MAX_TASKS_PER_JOB, MAX_TASKS_PER_JOB)
 
 
 class TestTetrisAllocation:
@@ -92,14 +93,8 @@ class TestTetrisAllocation:
         short = view("short", remaining=1_000, requested=8)
         long = view("long", remaining=10_000_000, requested=8)
         # Capacity for only one 16-task job.
-        allocations = tetris_allocation(
-            [long, short], cpu_mem(80, 160), duration_weight=1.0
-        )
+        allocations = tetris_allocation([long, short], cpu_mem(80, 160))
         assert "short" in allocations and "long" not in allocations
-
-    def test_duration_weight_validated(self):
-        with pytest.raises(SchedulingError):
-            tetris_allocation([view("a")], CAPACITY, duration_weight=2.0)
 
 
 class TestFIFOAllocation:

@@ -210,27 +210,3 @@ class TestRichMetrics:
         by_mode = self.make_result().jct_by_mode()
         assert by_mode["async"] == pytest.approx(200.0)
         assert by_mode["sync"] == pytest.approx(433.333, rel=1e-3)
-
-
-class TestSchedulerKwargs:
-    def test_run_repeats_passes_scheduler_kwargs(self):
-        stats = run_repeats(
-            cluster_factory,
-            "optimus",
-            workload,
-            CONFIG,
-            repeats=1,
-            scheduler_kwargs={"priority_factor": 0.9, "rescale_threshold": 1.0},
-        )
-        assert stats.results[0].all_finished
-
-    def test_compare_with_per_scheduler_kwargs(self):
-        stats = compare_schedulers(
-            cluster_factory,
-            ["optimus"],
-            workload,
-            config=CONFIG,
-            repeats=1,
-            scheduler_kwargs={"optimus": {"rescale_threshold": 2.0}},
-        )
-        assert stats["optimus"].average_jct > 0

@@ -170,7 +170,7 @@ class TestEstimates:
 
     def test_online_speed_after_bootstrap(self):
         job = runtime(estimator_mode="online")
-        job.bootstrap_speed(num_samples=6)
+        job.bootstrap_speed()
         fn = job.speed_function()
         assert fn(4, 4) == pytest.approx(job.truth.speed(4, 4), rel=0.25)
 
