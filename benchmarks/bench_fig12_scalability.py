@@ -204,6 +204,14 @@ def main(argv=None):
         online = run_scale_scenario(
             args.gpus, args.jobs, seed=args.seed, estimator_mode="online"
         )
+        if online["peak_rss_mb"] <= scale_report["peak_rss_mb"]:
+            print(
+                f"online peak RSS {online['peak_rss_mb']} MB is not above the "
+                f"oracle run's {scale_report['peak_rss_mb']} MB: the process "
+                "high-water mark cannot measure the online run",
+                file=sys.stderr,
+            )
+            return 1
         scale_report.update({f"online_{key}": online[key] for key in ONLINE_KEYS})
     text = json.dumps(scale_report, indent=2, sort_keys=True)
     print(text)

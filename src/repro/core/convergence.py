@@ -12,7 +12,8 @@ engine's estimator telemetry (:mod:`repro.obs.estimators`).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from array import array
+from typing import Optional
 
 import numpy as np
 
@@ -84,8 +85,10 @@ class ConvergenceEstimator:
         #: the rest of training as a new job and restart the fitting.
         self.reset_on_drop = bool(reset_on_drop)
 
-        self._steps: List[float] = []
-        self._losses: List[float] = []
+        #: The ``(step, loss)`` history as raw float64 buffers: 16 bytes an
+        #: observation, where two lists of Python floats would take 64.
+        self._steps = array("d")
+        self._losses = array("d")
         self._fit: Optional[LossCurveFit] = None
         self._points_since_fit = 0
         #: How many of those points lie outside the fit's LOSS_REFIT_BAND.
@@ -144,8 +147,9 @@ class ConvergenceEstimator:
             self._record(steps[cut:], losses[cut:])
 
     def _record(self, steps: np.ndarray, losses: np.ndarray) -> None:
-        self._steps.extend(steps.tolist())
-        self._losses.extend(losses.tolist())
+        # The float64 values append as raw bytes, never as Python floats.
+        self._steps.frombytes(steps.tobytes())
+        self._losses.frombytes(losses.tobytes())
         self._points_since_fit += steps.size
 
     def _drop_cut(self, below: np.ndarray, valid: np.ndarray) -> Optional[int]:
@@ -217,8 +221,11 @@ class ConvergenceEstimator:
             )
             # The current phase is fitted in its own step frame (k = 0 at
             # the phase start); callers translate back via _step_offset.
-            shifted = [s - self._step_offset for s in steps]
-            self._fit = fit_loss_curve(shifted, losses, refine_iters=REFINE_ITERS)
+            # subsample returns copies, so no view pins the buffers past
+            # this call (an append to a pinned array raises BufferError).
+            self._fit = fit_loss_curve(
+                steps - self._step_offset, losses, refine_iters=REFINE_ITERS
+            )
             self._points_since_fit = 0
             self._out_of_band = 0
             self._fit_history = len(self._steps)

@@ -14,7 +14,7 @@ Two passes before any model fitting:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -110,19 +110,22 @@ def preprocess_losses(
 
 def subsample(
     steps: Sequence[float], losses: Sequence[float], max_points: int = 500
-) -> Tuple[List[float], List[float]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Thin a long observation history to at most *max_points* points.
 
     §3.1: "in such a case we can sample loss data every few steps ... to
     reduce the number of data points fed into the solver". Keeps the first
-    and last points and a uniform stride in between.
+    and last points and a uniform stride in between. Returns new float64
+    arrays, never views of the inputs.
     """
     if max_points < 2:
         raise FittingError("max_points must be >= 2")
-    n = len(steps)
-    if n != len(losses):
+    step_array = np.asarray(steps, dtype=float)
+    loss_array = np.asarray(losses, dtype=float)
+    n = step_array.size
+    if n != loss_array.size:
         raise FittingError("steps and losses must have equal length")
     if n <= max_points:
-        return list(steps), list(losses)
+        return step_array.copy(), loss_array.copy()
     idx = np.unique(np.linspace(0, n - 1, max_points).round().astype(int))
-    return [steps[i] for i in idx], [losses[i] for i in idx]
+    return step_array[idx], loss_array[idx]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.resources import ResourceVector, cpu_mem
 from repro.common.errors import ConfigurationError
@@ -22,6 +22,16 @@ DEFAULT_WORKER_DEMAND = cpu_mem(5, 10)
 DEFAULT_PS_DEMAND = cpu_mem(5, 10)
 
 _job_counter = itertools.count()
+
+#: One shared vector per task shape, keyed like ``allocate``'s shape table by
+#: the exact ordered ``(resource, amount)`` pairs: a fleet of one shape holds
+#: one worker and one PS vector, not two per job. Vectors are immutable, so
+#: sharing one is safe; the table grows only with distinct shapes.
+_SHAPES: Dict[Tuple[Tuple[str, float], ...], ResourceVector] = {}
+
+
+def _shared_shape(demand: ResourceVector) -> ResourceVector:
+    return _SHAPES.setdefault(tuple(demand.items()), demand)
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,8 @@ class JobSpec:
             raise ConfigurationError("requested task counts must be >= 1")
         if self.worker_demand.is_zero() or self.ps_demand.is_zero():
             raise ConfigurationError("task demands must be non-empty")
+        object.__setattr__(self, "worker_demand", _shared_shape(self.worker_demand))
+        object.__setattr__(self, "ps_demand", _shared_shape(self.ps_demand))
 
     # -- derived ----------------------------------------------------------------
     @property

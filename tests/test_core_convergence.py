@@ -1,16 +1,21 @@
 """Tests for the online convergence estimator (§3.1)."""
 
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 
 from repro.common.errors import FittingError
 from repro.core.convergence import (
     DROP_PATIENCE,
     LOSS_REFIT_BAND,
+    MAX_FIT_POINTS,
+    REFINE_ITERS,
     REFIT_EVERY,
     REFIT_GROWTH,
     ConvergenceEstimator,
 )
-from repro.fitting.loss_curve import LossCurveFit
+from repro.fitting.loss_curve import LossCurveFit, fit_loss_curve
 from repro.workloads import MODEL_ZOO, LossEmitter
 
 
@@ -149,6 +154,99 @@ class TestFitting:
 def curve(step):
     """A noise-free Eqn-1 loss curve the fit reproduces almost exactly."""
     return 1.0 / (0.002 * step + 0.5) + 0.1
+
+
+class ListHistoryEstimator(ConvergenceEstimator):
+    """The estimator with its history kept as two lists of Python floats,
+    thinned by an index list and shifted one element at a time: the
+    reference the float64 buffers must match bit for bit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._steps, self._losses = [], []
+
+    def _record(self, steps, losses):
+        self._steps.extend(steps.tolist())
+        self._losses.extend(losses.tolist())
+        self._points_since_fit += steps.size
+
+    def fit(self, force=False):
+        if force or self._refit_due():
+            steps, losses = self._steps, self._losses
+            if len(steps) > MAX_FIT_POINTS:
+                idx = np.unique(
+                    np.linspace(0, len(steps) - 1, MAX_FIT_POINTS).round().astype(int)
+                )
+                steps, losses = [steps[i] for i in idx], [losses[i] for i in idx]
+            shifted = [s - self._step_offset for s in steps]
+            self._fit = fit_loss_curve(shifted, list(losses), refine_iters=REFINE_ITERS)
+            self._points_since_fit = 0
+            self._out_of_band = 0
+            self._fit_history = len(self._steps)
+        return self._fit
+
+
+class TestTypedHistory:
+    """The history is two float64 buffers, 16 bytes an observation."""
+
+    @staticmethod
+    def history_bytes(estimator):
+        # memoryview rejects a list, so a history of Python floats fails here.
+        return sum(memoryview(buf).nbytes for buf in (estimator._steps, estimator._losses))
+
+    @staticmethod
+    def stream(seed, intervals, per_interval=30, stride=10.0, drop_at=None):
+        """Seeded noisy Eqn-1 losses, one array pair per interval; from
+        step *drop_at* on, the loss falls to half the curve."""
+        rng = np.random.default_rng(seed)
+        for i in range(intervals):
+            steps = stride * np.arange(i * per_interval, (i + 1) * per_interval)
+            losses = curve(steps) * rng.normal(1.0, 0.02, steps.size)
+            if drop_at is not None:
+                losses[steps >= drop_at] *= 0.5
+            yield steps, losses
+
+    @pytest.mark.parametrize(
+        "seed, intervals, drop_at",
+        # 300 points stay unthinned; 1,200 exceed MAX_FIT_POINTS.
+        [(1, 10, None), (2, 40, None), (3, 30, 5_000.0)],
+        ids=["short", "long", "drop-restart"],
+    )
+    def test_fits_match_the_list_history_bit_for_bit(self, seed, intervals, drop_at):
+        typed, listed = (
+            cls(threshold=0.002, steps_per_epoch=100.0, reset_on_drop=drop_at is not None)
+            for cls in (ConvergenceEstimator, ListHistoryEstimator)
+        )
+        for steps, losses in self.stream(seed, intervals, drop_at=drop_at):
+            typed.add_observations(steps, losses)
+            listed.add_observations(steps, losses)
+            assert list(typed._steps) == listed._steps
+            assert list(typed._losses) == listed._losses
+            # repr round-trips a float exactly, so equal reprs are equal bits.
+            assert [repr(x) for x in astuple(typed.fit())] == [
+                repr(x) for x in astuple(listed.fit())
+            ]
+        assert typed.reset_count == listed.reset_count == (drop_at is not None)
+
+    def test_sixteen_bytes_per_observation(self):
+        estimator = ConvergenceEstimator(threshold=0.002, steps_per_epoch=100.0)
+        assert self.history_bytes(estimator) == 0
+        for steps, losses in self.stream(4, 5):
+            before = self.history_bytes(estimator)
+            estimator.add_observations(steps, losses)
+            assert self.history_bytes(estimator) - before == 16 * steps.size
+        assert self.history_bytes(estimator) == 16 * estimator.observation_count
+
+    @pytest.mark.parametrize("intervals", [3, 20])  # without and with thinning
+    def test_append_after_fit(self, intervals):
+        estimator = ConvergenceEstimator(threshold=0.002, steps_per_epoch=100.0)
+        for steps, losses in self.stream(5, intervals):
+            estimator.add_observations(steps, losses)
+        fit = estimator.fit(force=True)
+        # A NumPy view of a buffer outliving fit() would raise BufferError.
+        count = estimator.observation_count
+        estimator.add_observation(estimator.latest_step + 10.0, fit.predict_raw(1.0))
+        assert estimator.observation_count == count + 1
 
 
 class TestRefitGate:

@@ -1,5 +1,7 @@
 """Tests for the §3.1 preprocessing pipeline."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,7 +220,18 @@ class TestPreprocessLosses:
 class TestSubsample:
     def test_short_input_untouched(self):
         steps, losses = subsample([1, 2, 3], [4.0, 5.0, 6.0], max_points=10)
-        assert steps == [1, 2, 3]
+        assert steps.dtype == losses.dtype == np.float64
+        assert steps.tolist() == [1.0, 2.0, 3.0]
+        assert losses.tolist() == [4.0, 5.0, 6.0]
+
+    @pytest.mark.parametrize("n", [3, 1000])
+    def test_returns_new_arrays_not_views(self, n):
+        # The estimator thins its array('d') history through here; a view
+        # kept past the call would pin that buffer against appends.
+        history = array("d", range(n))
+        steps, losses = subsample(history, history, max_points=100)
+        assert steps.base is None and losses.base is None
+        history.append(float(n))  # raises BufferError while a view exists
 
     def test_thins_long_input(self):
         steps = list(range(1000))
@@ -226,7 +239,7 @@ class TestSubsample:
         s, thinned = subsample(steps, losses, max_points=100)
         assert len(s) <= 100
         assert s[0] == 0 and s[-1] == 999  # endpoints preserved
-        assert thinned == [float(x) for x in s]  # pairs stay aligned
+        assert thinned.tolist() == s.tolist()  # pairs stay aligned
 
     def test_validation(self):
         with pytest.raises(FittingError):
@@ -241,4 +254,4 @@ class TestSubsample:
         losses = [float(i) for i in range(n)]
         s, _ = subsample(steps, losses, max_points=cap)
         assert len(s) <= cap
-        assert s == sorted(s)
+        assert s.tolist() == sorted(s.tolist())

@@ -1,8 +1,10 @@
 """Tests for job specifications."""
 
+import math
+
 import pytest
 
-from repro.cluster.resources import cpu_mem
+from repro.cluster.resources import ResourceVector, cpu_mem
 from repro.common.errors import ConfigurationError
 from repro.workloads import make_job
 from repro.workloads.job import DEFAULT_PS_DEMAND, DEFAULT_WORKER_DEMAND, JobSpec
@@ -81,3 +83,42 @@ class TestDerived:
 
     def test_model_name(self):
         assert make_job("dssm").model_name == "dssm"
+
+
+class TestSharedShapes:
+    """Jobs of one task shape share one demand vector per role."""
+
+    @staticmethod
+    def spec(job_id="x", **kwargs):
+        return JobSpec(job_id=job_id, profile=get_profile("cnn-rand"), mode="sync", **kwargs)
+
+    def test_equal_distinct_vectors_share_one_instance(self):
+        a = self.spec("a", worker_demand=cpu_mem(3, 7), ps_demand=cpu_mem(1, 2))
+        b = self.spec("b", worker_demand=cpu_mem(3, 7), ps_demand=cpu_mem(1, 2))
+        assert a.worker_demand is b.worker_demand
+        assert a.ps_demand is b.ps_demand
+
+    def test_defaults_share_one_instance(self):
+        a, b = make_job("cnn-rand"), make_job("dssm", mode="async")
+        assert a.worker_demand is b.worker_demand is a.ps_demand is b.ps_demand
+
+    def test_last_bit_difference_is_another_shape(self):
+        base = self.spec("a", worker_demand=cpu_mem(3, 7))
+        nudged = self.spec("b", worker_demand=cpu_mem(3, math.nextafter(7.0, 8.0)))
+        assert nudged.worker_demand is not base.worker_demand
+        assert nudged.worker_demand["memory"] == math.nextafter(7.0, 8.0)
+        assert nudged.worker_demand == base.worker_demand  # within 1e-9
+
+    def test_key_order_is_another_shape(self):
+        base = self.spec("a", worker_demand=ResourceVector({"cpu": 3, "memory": 7}))
+        swapped = self.spec("b", worker_demand=ResourceVector({"memory": 7, "cpu": 3}))
+        assert swapped.worker_demand is not base.worker_demand
+        assert list(swapped.worker_demand) == ["memory", "cpu"]
+
+    def test_equality_and_hash_unchanged(self):
+        a = self.spec(worker_demand=cpu_mem(3, 7))
+        b = self.spec(worker_demand=cpu_mem(3, math.nextafter(7.0, 8.0)))
+        c = self.spec(worker_demand=ResourceVector({"memory": 7, "cpu": 3}))
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert a != self.spec(worker_demand=cpu_mem(3, 8))
